@@ -17,17 +17,20 @@ import numpy as np
 from scipy.stats import norm
 
 from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _candidate_names
 from .limitsim import (
     S_MIN_CELLS,
     LimitConfig,
     LimitDrift,
     _batch_null_values,
     _drift_curve,
+    _null_values,
     asymptotic_normed_delay,
     sigma_k_sq,
 )
-from .seriesgen import GenericAlternative, InnovationSpec, SeriesSpec, generate, substream
+from .seriesgen import (
+    GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, substream,
+)
 from .variance import running_estimates
 from ._parallel import run_chunked, chunk_bounds
 
@@ -94,32 +97,50 @@ def _stops_from_values(values: np.ndarray, c_grid: np.ndarray, normed_times: np.
     return stops
 
 
+def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop: int,
+                *key: int) -> np.ndarray:
+    """Null series of length N for replicates [start, stop), one per row.
+
+    Row r comes from substream (seed, start + r, *key).
+    """
+    spec = SeriesSpec(N=N, innovations=innovations)
+    walks = np.empty((stop - start, N))
+    for r, i in enumerate(range(start, stop)):
+        walks[r] = generate(spec, substream(seed, i, *key)).values
+    return walks
+
+
+def _trajectories(values: np.ndarray, cfg: SmootherConfig, variance_method: str | None,
+                  pre: np.ndarray | None, first: int = 1) -> np.ndarray:
+    """Scaled smoother trajectories of unit-time rows, -inf where ineligible.
+
+    With a variance method, entries are standardized by the running estimate
+    seeded by the prerun increments ``pre``.  Indices below ``first`` and
+    those where that estimate is undefined or zero are ineligible.
+    """
+    N = values.shape[1]
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, cfg)
+    traj = (num / den) * scaling_factor(cfg, N)
+    eligible = np.arange(1, N + 1) >= first
+    if variance_method is not None:
+        est = running_estimates(values, variance_method, pre)
+        defined = ~np.isnan(est) & (est > 0.0)
+        traj = traj / np.sqrt(np.where(defined, est, 1.0))
+        eligible = eligible & defined
+    return np.where(eligible, traj, -np.inf)
+
+
 def _finite_trajectories(variant: FiniteSampleVariant, kernel: KernelSpec, seed: int,
                          start: int, stop: int) -> np.ndarray:
     """Eligible scaled (standardized) trajectories for replicates [start, stop)."""
     cfg = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
-    N = variant.N
-    rows = stop - start
-    values = np.empty((rows, N))
+    values = _null_walks(variant.innovations, variant.N, seed, start, stop)
     plen = variant.resolved_prerun()
-    pre = np.empty((rows, max(plen - 1, 0))) if plen >= 2 else None
-    for r, i in enumerate(range(start, stop)):
-        series = generate(SeriesSpec(N=N, innovations=variant.innovations), substream(seed, i))
-        values[r] = series.values
-        if pre is not None:
-            p = generate(SeriesSpec(N=plen, innovations=variant.innovations), substream(seed, i, 1))
-            pre[r] = np.diff(p.values)
-    times = np.arange(1.0, N + 1.0)
-    num, den = _process_parts(times, values, cfg)
-    traj = (num / den) * scaling_factor(cfg, N)
-    first = max(1, int(np.floor(N * variant.start_fraction)))
-    eligible = np.broadcast_to(np.arange(1, N + 1) >= first, traj.shape).copy()
-    if variant.variance_method is not None:
-        est = running_estimates(values, variant.variance_method, pre)
-        defined = ~np.isnan(est) & (est > 0.0)
-        traj = np.where(defined, traj / np.sqrt(np.where(defined, est, 1.0)), 0.0)
-        eligible &= defined
-    return np.where(eligible, traj, -np.inf)
+    pre = None
+    if variant.variance_method is not None and plen >= 2:
+        pre = np.diff(_null_walks(variant.innovations, plen, seed, start, stop, 1), axis=1)
+    first = max(1, int(np.floor(variant.N * variant.start_fraction)))
+    return _trajectories(values, cfg, variant.variance_method, pre, first)
 
 
 def _finite_chunk(payload) -> np.ndarray:
@@ -225,20 +246,15 @@ def _coverage_chunk(payload) -> int:
     scale = scaling_factor(cfg, N)
     z = norm.ppf(1.0 - alpha / 2.0)
     inno = InnovationSpec(sigma=sigma)
-    plen = int(round(h))
-    covered = 0
-    for i in range(start, stop):
-        series = generate(SeriesSpec(N=N, innovations=inno), substream(seed, i))
-        stat = nw_estimate(series, cfg, N) * scale
-        if variance_method is None:
-            sig_hat = sigma
-        else:
-            p = generate(SeriesSpec(N=max(plen, 2), innovations=inno), substream(seed, i, 1))
-            est = running_estimates(series.values, variance_method, np.diff(p.values))[N - 1]
-            sig_hat = float(np.sqrt(est))
-        if abs(stat) <= z * sk * sig_hat:
-            covered += 1
-    return covered
+    values = _null_walks(inno, N, seed, start, stop)
+    times = np.arange(1.0, N + 1.0)
+    stats = np.array([nw_estimate(TimeSeries(times, y), cfg, N) for y in values]) * scale
+    if variance_method is None:
+        sig_hat = sigma
+    else:
+        pre = np.diff(_null_walks(inno, max(int(round(h)), 2), seed, start, stop, 1), axis=1)
+        sig_hat = np.sqrt(running_estimates(values, variance_method, pre)[:, N - 1])
+    return int(np.count_nonzero(np.abs(stats) <= z * sk * sig_hat))
 
 
 def coverage_sim(
@@ -297,66 +313,54 @@ class ConservativenessReport:
         return float(np.mean(np.abs(self.gaps)))
 
 
-def _coupled_chunk(payload):
-    N, h, kernel, c_grid, seed, start, stop, refine, variance_method = payload
+def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Exact Brownian paths at resolution 1/M, M = refine * N, around the scaled walk rows.
+
+    The skeleton B(n/N) = walk_n / sqrt(N) is kept; the refine - 1 interior
+    points of each cell are Brownian-bridge draws from substream (seed, i, 1).
+    """
+    rows, N = walks.shape
     M = refine * N
-    rows = stop - start
-    cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=M)
-    scfg = SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
-
-    values = np.empty((rows, N))
-    for r, i in enumerate(range(start, stop)):
-        rng = np.random.default_rng(substream(seed, i))
-        values[r] = np.cumsum(rng.standard_normal(N))
-
-    # finite side
-    traj = _finite_coupled_traj(values, scfg, variance_method=variance_method,
-                                seed=seed, start=start, stop=stop, h=h)
-    fstops = _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
-
-    # limit side: Brownian skeleton is the scaled walk; bridge noise fills the
-    # refined grid, giving an exact Brownian path at resolution 1/M
     B = np.empty((rows, M + 1))
-    B[:, ::refine] = np.concatenate([np.zeros((rows, 1)), values / np.sqrt(N)], axis=1)
+    B[:, ::refine] = np.concatenate([np.zeros((rows, 1)), walks / np.sqrt(N)], axis=1)
     if refine > 1:
         Z = np.stack([
             np.random.default_rng(substream(seed, i, 1)).standard_normal((N, refine - 1))
             for i in range(start, stop)
         ])
-        fracs = np.arange(1, refine) / refine
-        for cell in range(N):
-            left = B[:, cell * refine]
-            right = B[:, (cell + 1) * refine]
-            prev, fprev = left, 0.0
-            for idx, fl in enumerate(fracs):
-                var = (fl - fprev) * (1.0 - fl) / (1.0 - fprev) / N
-                mean = prev + (fl - fprev) / (1.0 - fprev) * (right - prev)
-                prev = mean + np.sqrt(var) * Z[:, cell, idx]
-                fprev = fl
-                B[:, cell * refine + idx + 1] = prev
-    from .limitsim import _null_values
+        # each fraction is drawn for all N cells at once, conditioned on the
+        # previous fraction and the cell's right end
+        prev, right, fprev = B[:, :M:refine], B[:, refine::refine], 0.0
+        for idx, fl in enumerate(np.arange(1, refine) / refine):
+            var = (fl - fprev) * (1.0 - fl) / (1.0 - fprev) / N
+            mean = prev + (fl - fprev) / (1.0 - fprev) * (right - prev)
+            prev = mean + np.sqrt(var) * Z[:, :, idx]
+            fprev = fl
+            B[:, idx + 1::refine] = prev
+    return B
 
+
+def _coupled_chunk(payload):
+    N, h, kernel, c_grid, seed, start, stop, refine, variance_method = payload
+    M = refine * N
+    cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=M)
+    scfg = SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
+
+    # finite side
+    values = _null_walks(InnovationSpec(), N, seed, start, stop)
+    plen = int(round(h))
+    pre = None
+    if variance_method is not None and plen >= 2:
+        pre = np.diff(_null_walks(InnovationSpec(), plen, seed, start, stop, 2), axis=1)
+    traj = _trajectories(values, scfg, variance_method, pre)
+    fstops = _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
+
+    # limit side: an exact Brownian path at resolution 1/M around each walk
+    B = _brownian_paths(values, refine, seed, start, stop)
     lvals = _null_values(cfg, B)
     lvals = np.where(np.isnan(lvals), -np.inf, lvals)
     lstops = _stops_from_values(lvals, c_grid, np.arange(1, M + 1) / M)
     return fstops, lstops
-
-
-def _finite_coupled_traj(values, scfg, variance_method, seed, start, stop, h):
-    N = values.shape[1]
-    times = np.arange(1.0, N + 1.0)
-    num, den = _process_parts(times, values, scfg)
-    traj = (num / den) * scaling_factor(scfg, N)
-    if variance_method is not None:
-        plen = int(round(h))
-        pre = np.stack([
-            np.diff(np.cumsum(np.random.default_rng(substream(seed, i, 2)).standard_normal(plen)))
-            for i in range(start, stop)
-        ]) if plen >= 2 else None
-        est = running_estimates(values, variance_method, pre)
-        defined = ~np.isnan(est) & (est > 0.0)
-        traj = np.where(defined, traj / np.sqrt(np.where(defined, est, 1.0)), -np.inf)
-    return traj
 
 
 def conservativeness_check(
@@ -449,13 +453,7 @@ def kernel_comparison_curves(
     """
     if not candidates:
         raise ValueError("need at least one candidate kernel")
-    names = []
-    for k in candidates:
-        base = k.family
-        name = base if base not in names else f"{base}#{names.count(base) + 1}"
-        while name in names:
-            name += "'"
-        names.append(name)
+    names = _candidate_names(candidates)
     curves = np.empty((len(candidates), grid_M))
     crossings = np.empty(len(candidates))
     for i, k in enumerate(candidates):

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from .seriesgen import _read_two_columns
+
 # Tail mass beyond the radius must stay below 1e-14:
 # Gaussian: 2*Phi(-8) ~ 1.2e-15.  Laplace: exp(-sqrt(2)*24) ~ 1.8e-15.
 GAUSSIAN_TRUNCATION = 8.0
@@ -141,16 +143,19 @@ def kernel_by_name(name: str) -> KernelSpec:
         ) from None
 
 
+def _candidate_names(candidates: list[KernelSpec]) -> list[str]:
+    """Family names of candidate kernels; the k-th repeat of a family is ``family#k``."""
+    families = [k.family for k in candidates]
+    names = []
+    for i, family in enumerate(families):
+        repeat = families[:i].count(family) + 1
+        names.append(family if repeat == 1 else f"{family}#{repeat}")
+    return names
+
+
 def load_kernel_csv(path) -> KernelSpec:
     """Load a tabulated kernel from a CSV with header ``z,k``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:2]] != ["z", "k"]:
-            raise ValueError(f"expected header 'z,k' in {path}, got {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    z, k = zip(*rows)
-    return tabulated_kernel(np.array(z), np.array(k))
+    return tabulated_kernel(*_read_two_columns(path, ("z", "k")))
 
 
 def save_kernel_csv(kernel: KernelSpec, path, n_points: int = 512) -> None:

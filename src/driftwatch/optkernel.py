@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import KernelSpec, _quad, tabulated_kernel
+from .kernels import KernelSpec, _candidate_names, _quad, tabulated_kernel
 from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay
 from .seriesgen import GenericAlternative
 
@@ -198,12 +198,7 @@ def verify_optimality(
         return asymptotic_normed_delay(cfg, c)
 
     completed_delay = delay_for(completed)
-    names: list[str] = []
-    delays: dict[str, float] = {}
-    for k in candidates:
-        name = k.family if k.family not in names else f"{k.family}#{names.count(k.family) + 1}"
-        names.append(name)
-        delays[name] = delay_for(k)
+    delays = {name: delay_for(k) for name, k in zip(_candidate_names(candidates), candidates)}
 
     tol = 2.0 / grid_M
     trunc = TruncatedAlternative(m0, sol.t_max)

@@ -137,14 +137,7 @@ def alternative_by_name(name: str) -> GenericAlternative:
 
 def load_alternative_csv(path) -> GenericAlternative:
     """Load a tabulated alternative from a CSV with header ``t,m0``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:2]] != ["t", "m0"]:
-            raise ValueError(f"expected header 't,m0' in {path}, got {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    t, m = zip(*rows)
-    return tabulated_alternative(np.array(t), np.array(m))
+    return tabulated_alternative(*_read_two_columns(path, ("t", "m0")))
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +443,32 @@ def save_series_csv(series: TimeSeries, path) -> None:
             writer.writerow([repr(float(t)), repr(float(y))])
 
 
-def load_series_csv(path) -> TimeSeries:
+def _read_two_columns(path, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The two numeric columns of a CSV whose header starts with ``names``.
+
+    Blank lines are skipped and extra columns ignored.  A missing or wrong
+    header, a file without data rows or a row that is not two numbers
+    raises ValueError naming the file and the line.
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [c.strip() for c in header[:2]] != ["t", "y"]:
-            raise ValueError(f"expected header 't,y' in {path}, got {header!r}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    t, y = zip(*rows)
-    return TimeSeries(times=np.array(t), values=np.array(y), meta={"source": str(path)})
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header[:2]] != list(names):
+            raise ValueError(f"{path}, line 1: expected header '{','.join(names)}', got {header!r}")
+        for row in filter(None, reader):
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except (ValueError, IndexError):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: expected two numbers, got {row!r}"
+                ) from None
+        if not rows:
+            raise ValueError(f"{path}, line {reader.line_num + 1}: no data rows after the header")
+    first, second = np.array(rows).T.copy()
+    return first, second
+
+
+def load_series_csv(path) -> TimeSeries:
+    t, y = _read_two_columns(path, ("t", "y"))
+    return TimeSeries(times=t, values=y, meta={"source": str(path)})

@@ -1,10 +1,20 @@
 """Nuisance-variance estimators built on first differences.
 
-All three estimators see the data only through increments, so they are
-invariant to level shifts.  The naive estimator averages squared first
-differences and absorbs any drift into the estimate; the difference-based
-estimators (local-linear pseudo-residuals, and the half mean of squared
-second differences) annihilate locally linear drift.
+All three estimators see the data only through the increments
+d_i = Y_{i+1} - Y_i, so they are invariant to level shifts.  Each is one
+entry of a method table: the terms it builds from first differences, how
+many increments one term spans, and the factor that makes the mean squared
+term unbiased for sigma^2 under i.i.d. increments:
+
+    naive    d_i                                span 1, factor 1
+    rice     d_{i+1} - d_i                      span 2, factor 1/2
+    gasser   0.5 d_{i-1} + 0.5 d_{i+1} - d_i    span 3, factor 2/3
+
+The estimate at index n is the factor times the mean squared term over the
+data up to n, defined from n = span + 1 on.  ``running_estimates`` computes
+it at every n; the scalar estimators return its entry at n.  The naive
+estimator absorbs any drift into the estimate; the difference-based ones
+annihilate locally linear drift.
 """
 
 from __future__ import annotations
@@ -35,55 +45,51 @@ class VarianceEstimate:
             raise ValueError(f"variance estimate must be >= 0, got {self.value!r}")
 
 
-def naive_var(series: TimeSeries, n: int | None = None) -> float:
-    """Mean squared first difference over i = 2..n (divisor n-1)."""
-    n = len(series) if n is None else n
-    if n < 2:
-        raise ValueError(f"naive variance needs n >= 2, got {n}")
-    d = np.diff(series.values[:n])
-    return float(np.mean(d * d))
+# method -> (terms from rows of first differences, increments one term spans, factor)
+_METHODS = {
+    "naive": (lambda d: d, 1, 1.0),
+    "rice": (lambda d: np.diff(d, axis=1), 2, 0.5),
+    "gasser": (lambda d: 0.5 * d[:, :-2] + 0.5 * d[:, 2:] - d[:, 1:-1], 3, 2.0 / 3.0),
+}
 
 
-def gasser_var(series: TimeSeries, n: int | None = None) -> float:
-    """Local-linear pseudo-residual estimator (2/3) * mean(eps^2).
-
-    Pseudo-residuals eps_i = 0.5 dY_{i-1} + 0.5 dY_{i+1} - dY_i use all
-    indices where the three differences exist; E eps^2 = 1.5 sigma^2 for
-    i.i.d. increments, hence the 2/3 factor.
-    """
-    n = len(series) if n is None else n
-    if n < 4:
-        raise ValueError(f"pseudo-residual variance needs n >= 4, got {n}")
-    d = np.diff(series.values[:n])
-    eps = 0.5 * d[:-2] + 0.5 * d[2:] - d[1:-1]
-    return float((2.0 / 3.0) * np.mean(eps * eps))
-
-
-def rice_var(series: TimeSeries, n: int | None = None) -> float:
-    """Half the mean squared second difference, divisor 2(n-2)."""
-    n = len(series) if n is None else n
-    if n < 3:
-        raise ValueError(f"second-difference variance needs n >= 3, got {n}")
-    d = np.diff(series.values[:n])
-    dd = np.diff(d)
-    return float(np.sum(dd * dd) / (2.0 * (n - 2)))
-
-
-_METHODS = {"naive": (naive_var, 2), "gasser": (gasser_var, 4), "rice": (rice_var, 3)}
+def _method(method: str):
+    try:
+        return _METHODS[method]
+    except KeyError:
+        raise ValueError(f"unknown variance method {method!r}; choose from {sorted(_METHODS)}") from None
 
 
 def min_sample(method: str) -> int:
     """Smallest n at which the estimator is defined."""
-    return _METHODS[method][1]
+    return _method(method)[1] + 1
+
+
+def _scalar(series: TimeSeries, n: int | None, method: str) -> float:
+    n = len(series) if n is None else n
+    if n < min_sample(method):
+        raise ValueError(f"{method} variance needs n >= {min_sample(method)}, got {n}")
+    return float(running_estimates(series.values[:n], method)[n - 1])
+
+
+def naive_var(series: TimeSeries, n: int | None = None) -> float:
+    """Mean squared first difference over i = 2..n (divisor n-1)."""
+    return _scalar(series, n, "naive")
+
+
+def gasser_var(series: TimeSeries, n: int | None = None) -> float:
+    """Local-linear pseudo-residual estimator (2/3) * mean(eps^2) (divisor n-3)."""
+    return _scalar(series, n, "gasser")
+
+
+def rice_var(series: TimeSeries, n: int | None = None) -> float:
+    """Half the mean squared second difference (divisor n-2)."""
+    return _scalar(series, n, "rice")
 
 
 def estimate_variance(series: TimeSeries, method: str, n: int | None = None) -> VarianceEstimate:
-    try:
-        fn, _ = _METHODS[method]
-    except KeyError:
-        raise ValueError(f"unknown variance method {method!r}; choose from {sorted(_METHODS)}") from None
     n = len(series) if n is None else n
-    return VarianceEstimate(method=method, value=fn(series, n), n_used=n)
+    return VarianceEstimate(method=method, value=_scalar(series, n, method), n_used=n)
 
 
 def nuisance_free(statistic: float, est: VarianceEstimate) -> float:
@@ -107,62 +113,30 @@ def running_estimates(
     """Variance estimate using data up to index n, for every n = 1..N.
 
     Entries where the estimator is undefined are NaN.  Prerun increments are
-    a separate segment: they contribute their own squared differences (and
-    interior pseudo-residual terms) but no junction term with the series.
+    a separate segment: they contribute their own terms but no term that
+    spans the junction with the series.
     """
+    terms_of, span, factor = _method(method)
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values[None, :]
-        squeeze = True
-    else:
-        squeeze = False
+    squeeze = values.ndim == 1
+    values = np.atleast_2d(values)
     batch, N = values.shape
-    d = np.diff(values, axis=1)
     p = np.zeros((batch, 0)) if prerun_increments is None else np.atleast_2d(
         np.asarray(prerun_increments, dtype=float)
     )
     if p.shape[0] == 1 and batch > 1:
         p = np.broadcast_to(p, (batch, p.shape[1]))
-    m_p = p.shape[1]
+    # the prerun alone carries max(m_p - span + 1, 0) terms
+    cnt0 = max(p.shape[1] - span + 1, 0)
+    t = terms_of(p)
+    head = np.sum(t * t, axis=1)
 
     out = np.full((batch, N), np.nan)
-    if method == "naive":
-        head = np.sum(p * p, axis=1)
-        cnt0 = m_p
-        cums = np.concatenate([np.zeros((batch, 1)), np.cumsum(d * d, axis=1)], axis=1)
-        counts = cnt0 + np.arange(0, N)
-        valid = counts >= 1
-        out[:, valid] = (head[:, None] + cums[:, valid]) / counts[valid]
-    elif method == "rice":
-        dd_p = np.diff(p, axis=1) if m_p >= 2 else np.zeros((batch, 0))
-        head = np.sum(dd_p * dd_p, axis=1)
-        cnt0 = max(m_p - 1, 0)
-        dd = np.diff(d, axis=1) if d.shape[1] >= 2 else np.zeros((batch, 0))
-        cums = np.concatenate([np.zeros((batch, 1)), np.cumsum(dd * dd, axis=1)], axis=1)
-        # at index n the series contributes max(n-2, 0) second differences
-        counts = cnt0 + np.clip(np.arange(0, N) - 1, 0, None)
-        valid = counts >= 1
-        out[:, valid] = (head[:, None] + cums[:, np.clip(np.arange(0, N) - 1, 0, None)][:, valid]) / (
-            2.0 * counts[valid]
-        )
-    elif method == "gasser":
-        if m_p >= 3:
-            eps_p = 0.5 * p[:, :-2] + 0.5 * p[:, 2:] - p[:, 1:-1]
-            head = np.sum(eps_p * eps_p, axis=1)
-            cnt0 = m_p - 2
-        else:
-            head = np.zeros(batch)
-            cnt0 = 0
-        if N >= 4:
-            eps = 0.5 * d[:, :-2] + 0.5 * d[:, 2:] - d[:, 1:-1]
-            ecum = np.concatenate([np.zeros((batch, 1)), np.cumsum(eps * eps, axis=1)], axis=1)
-        else:
-            ecum = np.zeros((batch, 1))
-        # at index n the series contributes max(n-3, 0) pseudo-residuals
-        ser_cnt = np.clip(np.arange(0, N) - 2, 0, None)
-        counts = cnt0 + ser_cnt
-        valid = counts >= 1
-        out[:, valid] = (2.0 / 3.0) * (head[:, None] + ecum[:, ser_cnt][:, valid]) / counts[valid]
-    else:
-        raise ValueError(f"unknown variance method {method!r}")
+    # up to index span the series carries no term of its own
+    if cnt0:
+        out[:, :span] = (factor * head / cnt0)[:, None]
+    if N > span:
+        terms = terms_of(np.diff(values, axis=1))
+        counts = cnt0 + np.arange(1, N - span + 1)
+        out[:, span:] = factor * (head[:, None] + np.cumsum(terms * terms, axis=1)) / counts
     return out[0] if squeeze else out

@@ -131,6 +131,9 @@ def test_kernel_comparison_single_and_duplicates():
     dup = dw.kernel_comparison_curves([G, G], step, 2.0, 0.05, grid_M=512)
     assert dup.crossings[0] == pytest.approx(dup.crossings[1], abs=1e-12)
     assert dup.names == ["gaussian", "gaussian#2"]
+    trip = dw.kernel_comparison_curves([G, G, G], step, 2.0, 0.05, grid_M=512)
+    assert trip.names == ["gaussian", "gaussian#2", "gaussian#3"]
+    assert np.all(trip.crossings == trip.crossings[0])
 
 
 def test_kernel_comparison_ranking_matches_dense_scan():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import driftwatch as dw
 from driftwatch.estimator import DegenerateWeightsError
+from driftwatch.monitor import monitor_trajectory
 
 G = dw.gaussian_kernel()
 
@@ -100,6 +101,31 @@ def test_causality():
     y2 = y.copy()
     y2[8:] = 1e9
     assert dw.nw_estimate(make_series(y2), cfg, 8) == at_8
+
+
+@pytest.mark.parametrize("layout", ["unit", "irregular", "fixed_design"])
+def test_batch_smoother_is_exactly_causal(layout):
+    # rewriting the future must leave every earlier anchor bit-for-bit equal
+    rng = np.random.default_rng(5)
+    N, h = 60, 7.0
+    times = None
+    design = None
+    if layout == "irregular":
+        times = np.cumsum(rng.uniform(0.2, 2.0, N))
+    elif layout == "fixed_design":
+        design = dw.TimeDesign(gamma=1.7, mode="fixed")
+    cfg = dw.SmootherConfig(kernel=G, h=h, scaling="null_scale", design=design)
+    mcfg = dw.MonitorConfig(smoother=cfg, threshold=0.5, N=N, variance_method="gasser")
+    prerun = make_series(np.cumsum(rng.standard_normal(8)))
+    y = np.cumsum(rng.standard_normal(N))
+    for n in (1, 9, 31, N - 1):
+        y2 = y.copy()
+        y2[n:] = 1e6 * rng.standard_normal(N - n)
+        a, b = make_series(y, times), make_series(y2, times)
+        assert np.array_equal(dw.nw_process(a, cfg)[:n], dw.nw_process(b, cfg)[:n])
+        ta = monitor_trajectory(a, mcfg, prerun)[0][:n]
+        tb = monitor_trajectory(b, mcfg, prerun)[0][:n]
+        assert np.array_equal(ta, tb)
 
 
 def test_degenerate_weights():

@@ -134,6 +134,13 @@ def test_verify_optimality_beats_standard_kernels():
     assert abs(report.completed_mean) < 1e-9
 
 
+def test_verify_optimality_names_every_duplicate_candidate():
+    report = dw.verify_optimality(STEP, 1.0, 0.2, [dw.gaussian_kernel()] * 3, t_max=1.0,
+                                  grid_M=256)
+    assert list(report.candidate_delays) == ["gaussian", "gaussian#2", "gaussian#3"]
+    assert len(set(report.candidate_delays.values())) == 1
+
+
 def test_solution_csv_loadable_as_kernel(tmp_path):
     sol = dw.optimal_kernel(STEP, 1.0, 0.2, t_max=1.0)
     path = tmp_path / "opt.csv"

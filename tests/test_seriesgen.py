@@ -177,6 +177,24 @@ def test_series_csv_round_trip(tmp_path):
     assert np.array_equal(series.values, back.values)
 
 
+@pytest.mark.parametrize("loader,header", [
+    (dw.load_kernel_csv, "z,k"),
+    (dw.load_alternative_csv, "t,m0"),
+    (dw.load_series_csv, "t,y"),
+])
+@pytest.mark.parametrize("body,line", [
+    ("", 1),
+    ("{header}\n", 2),
+    ("{header}\n0.0,1.0\nabc,2.0\n", 3),
+])
+def test_two_column_csv_errors_name_file_and_line(tmp_path, loader, header, body, line):
+    path = tmp_path / "in.csv"
+    path.write_text(body.format(header=header))
+    with pytest.raises(ValueError, match=f"line {line}:") as err:
+        loader(path)
+    assert str(path) in str(err.value)
+
+
 def test_timeseries_validation():
     with pytest.raises(ValueError):
         dw.TimeSeries(times=np.array([1.0, 1.0]), values=np.array([0.0, 0.0]))
