@@ -43,6 +43,7 @@ from .seriesgen import (
 )
 from .estimator import (
     DegenerateWeightsError,
+    DriftwatchError,
     SmootherConfig,
     nw_estimate,
     nw_process,

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import norm
 
-from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
+from .estimator import SmootherConfig, _process_parts, check_weights, nw_estimate, scaling_factor
 from .kernels import KernelSpec, _candidate_names
 from .limitsim import (
-    S_MIN_CELLS,
     LimitConfig,
     LimitDrift,
     _batch_null_values,
@@ -31,7 +30,7 @@ from .limitsim import (
 from .seriesgen import (
     GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, substream,
 )
-from .variance import running_estimates
+from .variance import check_variance, running_estimates
 from ._parallel import run_chunked, chunk_bounds
 
 _CHUNK = 512
@@ -116,17 +115,20 @@ def _trajectories(values: np.ndarray, cfg: SmootherConfig, variance_method: str 
 
     With a variance method, entries are standardized by the running estimate
     seeded by the prerun increments ``pre``.  Indices below ``first`` and
-    those where that estimate is undefined or zero are ineligible.
+    those where that estimate is undefined are ineligible; vanishing weights
+    or a zero estimate at an eligible index raise DriftwatchError.
     """
     N = values.shape[1]
     num, den = _process_parts(np.arange(1.0, N + 1.0), values, cfg)
-    traj = (num / den) * scaling_factor(cfg, N)
     eligible = np.arange(1, N + 1) >= first
     if variance_method is not None:
         est = running_estimates(values, variance_method, pre)
-        defined = ~np.isnan(est) & (est > 0.0)
-        traj = traj / np.sqrt(np.where(defined, est, 1.0))
-        eligible = eligible & defined
+        eligible = eligible & ~np.isnan(est)
+    check_weights(den, eligible)
+    traj = (num / np.where(den > 0.0, den, 1.0)) * scaling_factor(cfg, N)
+    if variance_method is not None:
+        check_variance(est, eligible)
+        traj = traj / np.sqrt(np.where(eligible, est, 1.0))
     return np.where(eligible, traj, -np.inf)
 
 
@@ -151,16 +153,14 @@ def _finite_chunk(payload) -> np.ndarray:
 
 
 def _limit_chunk(payload) -> np.ndarray:
-    cfg, c_grid, seed, start, stop, a, key = payload
+    cfg, c_grid, seed, start, stop, key = payload
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
     vals = _batch_null_values(cfg, seeds)
     if cfg.drift is not None:
         vals = vals + _drift_curve(cfg)
+    # cells below s_min are NaN, hence never eligible
     vals = np.where(np.isnan(vals), -np.inf, vals)
-    M = cfg.grid_M
-    j0 = max(int(np.ceil(a * M - 1e-9)), S_MIN_CELLS)
-    vals[:, : j0 - 1] = -np.inf
-    return _stops_from_values(vals, c_grid, np.arange(1, M + 1) / M)
+    return _stops_from_values(vals, c_grid, cfg.s_grid)
 
 
 def arl_curve(
@@ -185,7 +185,7 @@ def arl_curve(
     if isinstance(variant, LimitConfig):
         cfg = replace(variant, kernel=kernel)
         payloads = [
-            (cfg, c_grid, seed, a, b, 0.0, ()) for a, b in chunk_bounds(reps, _CHUNK)
+            (cfg, c_grid, seed, a, b, ()) for a, b in chunk_bounds(reps, _CHUNK)
         ]
         chunks = run_chunked(_limit_chunk, payloads, jobs)
         meta = {
@@ -405,7 +405,7 @@ def conservativeness_check(
         finite = arl_curve(variant, kernel, c_grid, reps, seed, jobs=jobs)
         cfg = LimitConfig(zeta=zeta, kernel=kernel, grid_M=min_grid)
         payloads = [
-            (cfg, c_grid, seed, a, b, 0.0, (3,)) for a, b in chunk_bounds(reps, _CHUNK)
+            (cfg, c_grid, seed, a, b, (3,)) for a, b in chunk_bounds(reps, _CHUNK)
         ]
         lstops = np.concatenate(run_chunked(_limit_chunk, payloads, jobs), axis=0)
         return ConservativenessReport(

@@ -9,7 +9,8 @@ Every command is deterministic given --seed; without one a seed is drawn
 from entropy and echoed.  A flat ``key = value`` config file supplies
 defaults (flags win, the DRIFTWATCH_SEED environment variable is the
 last-resort seed default).  Exit codes: 0 normal / no alarm, 3 alarm,
-2 usage or unreadable input.
+2 usage error or bad input: any ValueError (DriftwatchError included) or
+OSError a command raises becomes one ``Error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def _parse_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise click.UsageError(f"bad config line (need key = value): {raw.strip()!r}")
+                raise ValueError(f"{path}: bad config line (need key = value): {raw.strip()!r}")
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out
@@ -55,37 +56,36 @@ def _resolve_seed(ctx: click.Context, seed: int | None) -> int:
     return seed
 
 
+def _named_or_csv(name: str, by_name, load_csv):
+    """A built-in by name (built-ins win over files), else a CSV at that path."""
+    try:
+        return by_name(name)
+    except ValueError:
+        if not os.path.exists(name):
+            raise
+    return load_csv(name)
+
+
 def _kernel_arg(name: str) -> kernels.KernelSpec:
-    if name in ("gaussian", "epanechnikov", "laplace"):
-        return kernels.kernel_by_name(name)
-    if not os.path.exists(name):
-        raise click.UsageError(f"unknown kernel {name!r} (not a family name or CSV path)")
-    return kernels.load_kernel_csv(name)
+    return _named_or_csv(name, kernels.kernel_by_name, kernels.load_kernel_csv)
 
 
 def _m0_arg(name: str) -> seriesgen.GenericAlternative:
-    if name in ("zero", "step", "ramp"):
-        return seriesgen.alternative_by_name(name)
-    if not os.path.exists(name):
-        raise click.UsageError(f"unknown alternative {name!r} (not a name or CSV path)")
-    return seriesgen.load_alternative_csv(name)
+    return _named_or_csv(name, seriesgen.alternative_by_name, seriesgen.load_alternative_csv)
 
 
-def _innovations(family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1):
-    try:
-        return seriesgen.InnovationSpec(
-            family=family,
-            sigma=sigma,
-            ar_a=ar_a,
-            garch_alpha0=garch_alpha0,
-            garch_alpha1=garch_alpha1,
-            garch_beta1=garch_beta1,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+class _BadInputExits2(click.Group):
+    """The one exit-2 boundary for bad input raised anywhere below the group."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            click.echo(f"Error: {exc}", err=True)
+            ctx.exit(2)
 
 
-@click.group()
+@click.group(cls=_BadInputExits2)
 @click.option("--config", type=click.Path(dir_okay=False), default=None,
               help="Flat 'key = value' defaults file (flags override).")
 @click.pass_context
@@ -93,8 +93,6 @@ def main(ctx, config):
     """Sequential drift monitoring for random walks: generate, monitor, calibrate."""
     cfg = {}
     if config is not None:
-        if not os.path.exists(config):
-            raise click.UsageError(f"config file {config!r} not found")
         cfg = _parse_config(config)
     ctx.obj = {"config": cfg}
     ctx.default_map = {name: cfg for name in main.commands}
@@ -141,7 +139,7 @@ def generate(ctx, n_obs, family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_
              m0, beta, cp1, cp2, h_link, design_gamma, design_mode, snap, seed, out):
     """Generate a synthetic series and write it as a t,y CSV."""
     seed = _resolve_seed(ctx, seed)
-    inno = _innovations(family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1)
+    inno = seriesgen.InnovationSpec(family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1)
     alternative = _m0_arg(m0)
     drift = None
     if alternative.name != "zero":
@@ -151,24 +149,18 @@ def generate(ctx, n_obs, family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_
             raise click.UsageError("--cp1 and --cp2 are mutually exclusive")
         if h_link is None:
             raise click.UsageError("a drift needs --h-link (the rescaling bandwidth)")
-        try:
-            drift = seriesgen.DriftSpec(
-                m0=alternative, beta=beta,
-                cp_model="cp1" if cp1 is not None else "cp2",
-                q=cp1, theta=cp2, h_link=h_link,
-            )
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+        drift = seriesgen.DriftSpec(
+            m0=alternative, beta=beta,
+            cp_model="cp1" if cp1 is not None else "cp2",
+            q=cp1, theta=cp2, h_link=h_link,
+        )
     design = None
     if design_gamma is not None or snap is not None:
         design = seriesgen.TimeDesign(gamma=design_gamma if design_gamma is not None else 1.0,
                                       mode=design_mode, snap_grid=snap)
-    try:
-        series = seriesgen.generate(
-            seriesgen.SeriesSpec(N=n_obs, innovations=inno, drift=drift, design=design), seed
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    series = seriesgen.generate(
+        seriesgen.SeriesSpec(N=n_obs, innovations=inno, drift=drift, design=design), seed
+    )
     seriesgen.save_series_csv(series, out)
     click.echo(f"wrote {n_obs} rows to {out}", err=True)
 
@@ -180,7 +172,7 @@ def _stream_records(fh):
             continue
         parts = line.split(",")
         if len(parts) < 2:
-            raise click.UsageError(f"bad stream record {line!r} (need t,y)")
+            raise ValueError(f"bad stream record {line!r} (need t,y)")
         yield float(parts[0]), float(parts[1])
 
 
@@ -203,11 +195,7 @@ def monitor_cmd(ctx, input_path, h, kernel, scaling, threshold, start_fraction,
                 variance, prerun, horizon):
     """Run the truncated stopping rule; exit 3 on alarm, 0 on truncation."""
     k = _kernel_arg(kernel)
-    pre = None
-    if prerun is not None:
-        if not os.path.exists(prerun):
-            raise click.UsageError(f"prerun file {prerun!r} not found")
-        pre = seriesgen.load_series_csv(prerun)
+    pre = seriesgen.load_series_csv(prerun) if prerun is not None else None
     smoother = SmootherConfig(kernel=k, h=h, scaling=scaling)
 
     if input_path == "-":
@@ -226,8 +214,6 @@ def monitor_cmd(ctx, input_path, h, kernel, scaling, threshold, start_fraction,
         click.echo(monitor.format_record(stream.truncation_record()))
         ctx.exit(0)
 
-    if not os.path.exists(input_path):
-        raise click.UsageError(f"input file {input_path!r} not found")
     series = seriesgen.load_series_csv(input_path)
     N = horizon if horizon is not None else len(series)
     cfg = monitor.MonitorConfig(smoother=smoother, threshold=threshold, N=N,
@@ -279,17 +265,14 @@ def calibrate(ctx, variant, n_obs, h, zeta, grid_m, kernel, c_min, c_max, c_poin
     if variant == "finite":
         if n_obs is None or h is None:
             raise click.UsageError("finite variant needs --n and --h")
-        inno = _innovations(family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1)
+        inno = seriesgen.InnovationSpec(family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1)
         var = calibration.FiniteSampleVariant(N=n_obs, h=h, innovations=inno,
                                               variance_method=variance)
     else:
         if zeta is None:
             raise click.UsageError("limit variant needs --zeta")
         var = limitsim.LimitConfig(zeta=zeta, kernel=k, grid_M=grid_m)
-    try:
-        table = calibration.arl_curve(var, k, grid, reps, seed, jobs=jobs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    table = calibration.arl_curve(var, k, grid, reps, seed, jobs=jobs)
     with open(out, "w", newline="") as fh:
         fh.write("c,normed_arl\n")
         for c, a in zip(table.thresholds, table.normed_arl):
@@ -298,7 +281,7 @@ def calibrate(ctx, variant, n_obs, h, zeta, grid_m, kernel, c_min, c_max, c_poin
 
 
 @main.command()
-@click.option("--zeta", type=float, required=True)
+@click.option("--zeta", type=click.FloatRange(min=1.0), required=True)
 @click.option("--n", "n_obs", type=int, required=True)
 @click.option("--h", type=float, default=None,
               help="Bandwidth; defaults to round(N / zeta).")
@@ -318,11 +301,8 @@ def coverage(ctx, zeta, n_obs, h, kernel, alpha, reps, variance, seed, jobs, out
     k = _kernel_arg(kernel)
     h = float(round(n_obs / zeta)) if h is None else h
     method = None if variance == "known" else variance
-    try:
-        cov = calibration.coverage_sim(n_obs, h, k, alpha, reps, seed,
-                                       variance_method=method, jobs=jobs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    cov = calibration.coverage_sim(n_obs, h, k, alpha, reps, seed,
+                                   variance_method=method, jobs=jobs)
     record = {"zeta": zeta, "N": n_obs, "h": h, "kernel": kernel, "alpha": alpha,
               "reps": reps, "coverage": cov}
     line = json.dumps(record)
@@ -341,13 +321,14 @@ def table1(zetas, kernel_names, out):
     """Limit variance at s=1 on a kernels x zeta grid, written as CSV."""
     zs = [float(z) for z in zetas.split(",") if z.strip()]
     names = [n.strip() for n in kernel_names.split(",") if n.strip()]
+    rows = []
+    for name in names:
+        k = _kernel_arg(name)
+        cells = [limitsim.sigma_k_sq(limitsim.LimitConfig(zeta=z, kernel=k), 1.0) for z in zs]
+        rows.append(name + "," + ",".join(f"{v:.6f}" for v in cells) + "\n")
     with open(out, "w", newline="") as fh:
         fh.write("kernel," + ",".join(f"{z:g}" for z in zs) + "\n")
-        for name in names:
-            k = _kernel_arg(name)
-            cells = [limitsim.sigma_k_sq(limitsim.LimitConfig(zeta=z, kernel=k), 1.0)
-                     for z in zs]
-            fh.write(name + "," + ",".join(f"{v:.6f}" for v in cells) + "\n")
+        fh.writelines(rows)
     click.echo(f"wrote {len(names)}x{len(zs)} grid to {out}", err=True)
 
 
@@ -361,11 +342,7 @@ def table1(zetas, kernel_names, out):
               help="Write the kernel tabulation as a z,k CSV.")
 def optkernel_cmd(m0, zeta, c, t_max, out):
     """Optimal asymptotic normed delay and optimal kernel; prints a JSON record."""
-    alternative = _m0_arg(m0)
-    try:
-        sol = optkernel.optimal_kernel(alternative, zeta, c, t_max)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+    sol = optkernel.optimal_kernel(_m0_arg(m0), zeta, c, t_max)
     if out is not None:
         optkernel.save_solution_csv(sol, out)
     click.echo(json.dumps({

@@ -22,12 +22,29 @@ SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 _ROW_BLOCK = 512  # bounds the weight-matrix working set
 
 
-class DegenerateWeightsError(ValueError):
-    """All smoothing weights vanished at some index (compact kernel, sparse design)."""
+class DriftwatchError(ValueError):
+    """Vanishing smoothing weights or a zero variance estimate at an eligible
+    1-based ``index``; at an ineligible index they only keep it ineligible."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)
         self.index = index
+
+    @classmethod
+    def raise_first(cls, bad, what: str, first: int = 1) -> None:
+        """Raise at the first column of ``bad`` set in any row; column j is index first + j."""
+        bad = np.asarray(bad)
+        if bad.any():
+            index = first + int(np.argmax(np.atleast_2d(bad).any(axis=0)))
+            raise cls(f"{what} at index {index}", index=index)
+
+
+DegenerateWeightsError = DriftwatchError
+
+
+def check_weights(den, eligible=True, first: int = 1) -> None:
+    """Raise DriftwatchError at the first eligible index whose weight sum ``den`` vanishes."""
+    DriftwatchError.raise_first((den <= 0.0) & eligible, "smoothing weights vanish", first)
 
 
 @dataclass(frozen=True)
@@ -80,23 +97,14 @@ def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
         raise ValueError(f"need 1 <= n <= {len(series)}, got {n!r}")
     w = _weights_at(series.times, cfg, n, len(series))
     den = w.sum()
-    if den <= 0.0:
-        raise DegenerateWeightsError(
-            f"smoothing weights vanish at index {n} (kernel support misses all data)",
-            index=n,
-        )
+    check_weights(den, first=n)
     return float(w @ series.values[:n] / den)
 
 
 def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
     """The smoother at every index n = 1..N (step process on the n/N grid)."""
     num, den = _process_parts(series.times, series.values[None, :], cfg)
-    bad = den <= 0.0
-    if np.any(bad):
-        idx = int(np.argmax(bad)) + 1
-        raise DegenerateWeightsError(
-            f"smoothing weights vanish at index {idx}", index=idx
-        )
+    check_weights(den)
     return (num / den)[0]
 
 

@@ -113,10 +113,10 @@ def tabulated_kernel(knots_z, knots_k) -> KernelSpec:
     k = np.asarray(knots_k, dtype=float)
     if z.ndim != 1 or z.shape != k.shape or len(z) < 2:
         raise ValueError("tabulated kernel needs matching 1-d knot arrays, length >= 2")
-    if np.any(np.diff(z) <= 0):
-        raise ValueError("tabulated kernel knots must be strictly increasing")
     if np.any(~np.isfinite(z)) or np.any(~np.isfinite(k)):
         raise ValueError("tabulated kernel knots must be finite")
+    if np.any(np.diff(z) <= 0):
+        raise ValueError("tabulated kernel knots must be strictly increasing")
     slopes = np.diff(k) / np.diff(z)
     return KernelSpec(
         family="tabulated",
@@ -155,7 +155,7 @@ def _candidate_names(candidates: list[KernelSpec]) -> list[str]:
 
 def load_kernel_csv(path) -> KernelSpec:
     """Load a tabulated kernel from a CSV with header ``z,k``."""
-    return tabulated_kernel(*_read_two_columns(path, ("z", "k")))
+    return _read_two_columns(path, ("z", "k"), tabulated_kernel)
 
 
 def save_kernel_csv(kernel: KernelSpec, path, n_points: int = 512) -> None:
@@ -214,8 +214,8 @@ def _quad(f, a, b, breakpoints=()) -> float:
     return val
 
 
-def _arg_breaks(kernel: KernelSpec, zeta: float, s: float) -> list[float]:
-    # r-values where K(zeta (r - s)) loses smoothness
+def arg_breaks(kernel: KernelSpec, zeta: float, s: float) -> list[float]:
+    """The r-values where K(zeta (r - s)) loses smoothness (quadrature panels)."""
     return [s + z / zeta for z in kernel.breakpoints()]
 
 
@@ -229,7 +229,7 @@ def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
         raise ValueError(f"zeta must be >= 1, got {zeta!r}")
     if not 0 < s <= 1:
         raise ValueError(f"s must lie in (0, 1], got {s!r}")
-    val = _quad(lambda r: kernel.evaluate(zeta * (r - s)), 0.0, s, _arg_breaks(kernel, zeta, s))
+    val = _quad(lambda r: kernel.evaluate(zeta * (r - s)), 0.0, s, arg_breaks(kernel, zeta, s))
     return zeta * val
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
-from .kernels import KernelSpec, _quad
+from .kernels import KernelSpec, _quad, arg_breaks
 from .seriesgen import GenericAlternative, TimeDesign
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
@@ -126,7 +126,7 @@ def _weight_breaks(cfg: LimitConfig, s: float) -> list[float]:
     # exact kernel kink locations exist in closed form only without a design
     if cfg.design is not None:
         return []
-    return [s + z / cfg.zeta for z in cfg.kernel.breakpoints()]
+    return arg_breaks(cfg.kernel, cfg.zeta, s)
 
 
 def _denominator(cfg: LimitConfig, s: float) -> float:
@@ -443,7 +443,7 @@ def check_km_condition(
         if x == 0.0:
             vals[i] = 0.0
             continue
-        breaks = [x + z for z in kernel.breakpoints()]
+        breaks = arg_breaks(kernel, 1.0, x)
         try:
             vals[i] = _quad(lambda t: kernel.evaluate(t - x) * m0.integral(t), 0.0, x, breaks)
         except Exception:

@@ -6,7 +6,8 @@ reports index N).  A delayed-start fraction a makes indices below floor(N a)
 ineligible.  With a variance method configured, the statistic is divided by
 the square root of a prequential variance estimate (data up to the current
 index, optionally seeded by a prerun segment); indices where the estimator
-is undefined are ineligible rather than errors.
+is undefined are ineligible rather than errors.  Batch and streaming
+monitors raise DriftwatchError at a degenerate eligible index they reach.
 """
 
 from __future__ import annotations
@@ -17,17 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
+from .estimator import (
+    DriftwatchError, SmootherConfig, _process_parts, check_weights, nw_estimate, scaling_factor,
+)
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, generate, substream
-from .variance import min_sample, running_estimates
+from .variance import check_variance, running_estimates
 
-
-class MonitoringError(RuntimeError):
-    """Monitoring failed at a specific index (degenerate weights or variance)."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+MonitoringError = DriftwatchError
 
 
 @dataclass(frozen=True)
@@ -60,35 +57,32 @@ def monitor_trajectory(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scaled (and standardized) statistic sequence plus eligibility mask.
 
-    Trajectory entries where the variance estimator is undefined are NaN;
-    eligibility additionally excludes indices before the delayed start.
-    A vanishing weight sum or a zero variance estimate at an otherwise
-    eligible index raises MonitoringError.
+    Trajectory entries where the statistic cannot be formed (variance
+    estimator undefined or zero, weights vanishing) are NaN; eligibility
+    excludes indices before the delayed start and where the variance
+    estimator is undefined.  Up to the first exceedance, which ends the
+    chart, a degenerate eligible index raises DriftwatchError.
     """
     N = cfg.N
     if len(series) < N:
         raise ValueError(f"series has {len(series)} observations, horizon is {N}")
     num, den = _process_parts(series.times[:N], series.values[None, :N], cfg.smoother)
-    if np.any(den <= 0.0):
-        idx = int(np.argmax(den <= 0.0)) + 1
-        raise MonitoringError(f"smoothing weights vanish at index {idx}", index=idx)
-    traj = (num / den)[0] * scaling_factor(cfg.smoother, N)
-
-    start = max(1, int(np.floor(N * cfg.start_fraction)))
-    eligible = np.arange(1, N + 1) >= start
-
+    traj = np.divide(num[0], den, out=np.full(N, np.nan), where=den > 0.0)
+    est = np.ones(N)  # unit variance unless standardized
     if cfg.variance_method is not None:
         pre_inc = np.diff(prerun.values) if prerun is not None else None
         est = running_estimates(series.values[:N], cfg.variance_method, pre_inc)
-        defined = ~np.isnan(est)
-        zero = defined & (est <= 0.0) & eligible
-        if np.any(zero):
-            idx = int(np.argmax(zero)) + 1
-            raise MonitoringError(
-                f"variance estimate is zero at index {idx}; cannot standardize", index=idx
-            )
-        eligible &= defined
-        traj = np.where(defined, traj / np.sqrt(np.where(defined, est, 1.0)), np.nan)
+    start = max(1, int(np.floor(N * cfg.start_fraction)))
+    eligible = (np.arange(1, N + 1) >= start) & ~np.isnan(est)
+    traj = traj * scaling_factor(cfg.smoother, N)
+    traj = np.where(est > 0.0, traj / np.sqrt(np.where(est > 0.0, est, 1.0)), np.nan)
+
+    # the chart stops at the first eligible index that exceeds or cannot be
+    # formed; indices after it are never reached, as in StreamMonitor
+    reached = eligible & ~(traj <= cfg.threshold)
+    stop = int(np.argmax(reached)) + 1 if reached.any() else N
+    check_weights(den[:stop], eligible[:stop])
+    check_variance(est[:stop], eligible[:stop])
     return traj, eligible
 
 
@@ -144,14 +138,14 @@ def false_alarm_rate(
     total = 0
     for i in range(reps):
         series = generate(spec, substream(seed, i))
-        stat = nw_estimate(series, cfg.smoother, n) * scale
+        est = 1.0  # unit variance unless standardized
         if cfg.variance_method is not None:
             est = running_estimates(series.values[:n], cfg.variance_method)[n - 1]
             if np.isnan(est):
                 continue
-            if est <= 0.0:
-                raise MonitoringError(f"variance estimate is zero at index {n}", index=n)
-            stat /= float(np.sqrt(est))
+        stat = nw_estimate(series, cfg.smoother, n) * scale
+        check_variance(est, first=n)
+        stat /= float(np.sqrt(est))
         total += 1
         if stat > cfg.threshold:
             hits += 1
@@ -174,30 +168,35 @@ class StreamMonitor:
         self.n = 0
 
     def update(self, t: float, y: float) -> dict | None:
-        """Ingest one observation; returns the alarm record on first exceedance."""
+        """Ingest one observation; returns the alarm record on first exceedance.
+
+        A non-finite or out-of-order record raises ValueError and leaves the
+        monitor unchanged.
+        """
         if self.alarmed or self.n >= self.cfg.N:
             return None
+        t, y = float(t), float(y)
+        if not (np.isfinite(t) and np.isfinite(y)):
+            raise ValueError(f"stream record must be finite, got t={t!r}, y={y!r}")
         if self.times and t <= self.times[-1]:
             raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
-        self.times.append(float(t))
-        self.values.append(float(y))
+        self.times.append(t)
+        self.values.append(y)
         self.n += 1
         cfg = self.cfg
         n = self.n
         start = max(1, int(np.floor(cfg.N * cfg.start_fraction)))
         if n < start:
             return None
-        series = TimeSeries(np.array(self.times), np.array(self.values))
-        stat = nw_estimate(series, cfg.smoother, n) * scaling_factor(cfg.smoother, cfg.N)
+        est = 1.0  # unit variance unless standardized
         if cfg.variance_method is not None:
-            if n < 2 and self._pre_inc is None:
-                return None
             est = running_estimates(np.array(self.values), cfg.variance_method, self._pre_inc)[n - 1]
             if np.isnan(est):
                 return None
-            if est <= 0.0:
-                raise MonitoringError(f"variance estimate is zero at index {n}", index=n)
-            stat = stat / float(np.sqrt(est))
+        series = TimeSeries(np.array(self.times), np.array(self.values))
+        stat = nw_estimate(series, cfg.smoother, n) * scaling_factor(cfg.smoother, cfg.N)
+        check_variance(est, first=n)
+        stat = stat / float(np.sqrt(est))
         if stat > cfg.threshold:
             self.alarmed = True
             return {

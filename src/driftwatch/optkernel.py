@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import KernelSpec, _candidate_names, _quad, tabulated_kernel
+from .kernels import KernelSpec, _candidate_names, _quad, arg_breaks, tabulated_kernel
 from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay
 from .seriesgen import GenericAlternative
 
@@ -148,7 +148,7 @@ def completed_kernel(sol: OptimalSolution) -> KernelSpec:
 
 def tau_ratio(kernel: KernelSpec, m0, zeta: float, s_star: float) -> float:
     """Detection functional int K(zeta(r-s*)) M0(r) dr / int K(zeta(r-s*)) dr."""
-    breaks = [s_star + z / zeta for z in kernel.breakpoints()]
+    breaks = arg_breaks(kernel, zeta, s_star)
     num = _quad(
         lambda r: float(kernel.evaluate(zeta * (r - s_star))) * float(m0.integral(r)),
         0.0, s_star, breaks,

@@ -16,6 +16,7 @@ finest available time grid.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,6 +110,8 @@ def tabulated_alternative(knots_t, knots_m) -> GenericAlternative:
     m = np.asarray(knots_m, dtype=float)
     if t.ndim != 1 or t.shape != m.shape or len(t) < 2:
         raise ValueError("tabulated alternative needs matching 1-d knot arrays")
+    if np.any(~np.isfinite(t)) or np.any(~np.isfinite(m)):
+        raise ValueError("alternative knots must be finite")
     if np.any(np.diff(t) <= 0):
         raise ValueError("alternative knots must be strictly increasing")
     if np.any(m < 0):
@@ -137,7 +140,7 @@ def alternative_by_name(name: str) -> GenericAlternative:
 
 def load_alternative_csv(path) -> GenericAlternative:
     """Load a tabulated alternative from a CSV with header ``t,m0``."""
-    return tabulated_alternative(*_read_two_columns(path, ("t", "m0")))
+    return _read_two_columns(path, ("t", "m0"), tabulated_alternative)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +218,10 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
         if times.ndim != 1 or times.shape != values.shape:
             raise ValueError("times and values must be 1-d arrays of equal length")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
         if np.any(~np.isfinite(values)) or np.any(~np.isfinite(times)):
             raise ValueError("times and values must be finite")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError("times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -443,16 +446,24 @@ def save_series_csv(series: TimeSeries, path) -> None:
             writer.writerow([repr(float(t)), repr(float(y))])
 
 
-def _read_two_columns(path, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    """The two numeric columns of a CSV whose header starts with ``names``.
+def _read_two_columns(path, names: tuple[str, str], build):
+    """``build(first, second)`` on the two numeric columns of a UTF-8 CSV whose header
+    starts with ``names``; blank lines are skipped and extra columns ignored.
 
-    Blank lines are skipped and extra columns ignored.  A missing or wrong
-    header, a file without data rows or a row that is not two numbers
-    raises ValueError naming the file and the line.
+    Bad bytes, malformed CSV, a missing or wrong header, no data rows or a row
+    that is not two numbers raise ValueError naming the file and the line; a
+    ValueError from ``build`` is re-raised naming the file.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
         header = next(reader, None)
         if header is None or [c.strip() for c in header[:2]] != list(names):
             raise ValueError(f"{path}, line 1: expected header '{','.join(names)}', got {header!r}")
@@ -463,12 +474,17 @@ def _read_two_columns(path, names: tuple[str, str]) -> tuple[np.ndarray, np.ndar
                 raise ValueError(
                     f"{path}, line {reader.line_num}: expected two numbers, got {row!r}"
                 ) from None
-        if not rows:
-            raise ValueError(f"{path}, line {reader.line_num + 1}: no data rows after the header")
-    first, second = np.array(rows).T.copy()
-    return first, second
+    except csv.Error as exc:
+        raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}, line {reader.line_num + 1}: no data rows after the header")
+    try:
+        return build(*np.array(rows).T.copy())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_series_csv(path) -> TimeSeries:
-    t, y = _read_two_columns(path, ("t", "y"))
-    return TimeSeries(times=t, values=y, meta={"source": str(path)})
+    return _read_two_columns(
+        path, ("t", "y"), lambda t, y: TimeSeries(times=t, values=y, meta={"source": str(path)})
+    )

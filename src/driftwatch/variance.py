@@ -23,15 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimator import DriftwatchError
 from .seriesgen import TimeSeries
 
-
-class DegenerateVarianceError(ValueError):
-    """A zero variance estimate: the statistic cannot be standardized."""
-
-    def __init__(self, message: str, index: int | None = None):
-        super().__init__(message)
-        self.index = index
+DegenerateVarianceError = DriftwatchError
 
 
 @dataclass(frozen=True)
@@ -92,12 +87,14 @@ def estimate_variance(series: TimeSeries, method: str, n: int | None = None) -> 
     return VarianceEstimate(method=method, value=_scalar(series, n, method), n_used=n)
 
 
+def check_variance(est, eligible=True, first: int = 1) -> None:
+    """Raise DriftwatchError at the first eligible index whose variance estimate is zero."""
+    DriftwatchError.raise_first((est <= 0.0) & eligible, "variance estimate is zero", first)
+
+
 def nuisance_free(statistic: float, est: VarianceEstimate) -> float:
     """Standardize a statistic on the scale of Y: statistic / sqrt(estimate)."""
-    if est.value <= 0.0:
-        raise DegenerateVarianceError(
-            f"variance estimate is {est.value!r}; cannot standardize"
-        )
+    check_variance(est.value, first=est.n_used)
     return statistic / np.sqrt(est.value)
 
 

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -161,3 +164,19 @@ def test_kernel_comparison_ranking_matches_dense_scan():
     oracle = [dense_crossing(k) for k in kernels]
     assert list(np.argsort(comp.crossings)) == list(np.argsort(oracle))
     assert np.allclose(comp.crossings, oracle, atol=2e-3)
+
+
+@pytest.mark.parametrize("method", [None, "naive"])
+def test_finite_curve_degenerate_first_index(method):
+    # K(0) = 0: at unit spacing with h = 10 only index 1 has no weight
+    k0 = dw.tabulated_kernel([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0])
+    grid = np.linspace(-0.05, 0.1, 8)
+    variant = dw.FiniteSampleVariant(N=200, h=10.0, variance_method=method)
+    with pytest.raises(dw.DriftwatchError) as err:
+        dw.arl_curve(variant, k0, grid, 100, 1)
+    assert err.value.index == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = dw.arl_curve(replace(variant, start_fraction=0.05), k0, grid, 100, 1)
+    assert np.all(table.normed_arl >= 10 / 200 - 1e-12)  # first eligible index is 10
+    assert table.normed_arl[-1] > table.normed_arl[0]

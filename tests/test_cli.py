@@ -245,3 +245,83 @@ def test_config_supplies_command_defaults(runner, tmp_path):
     res = runner.invoke(main, ["--config", str(cfg), "monitor", "--input", str(path)])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output.strip())["threshold"] == 1.0
+
+
+def _write(path, data):
+    (path.write_bytes if isinstance(data, bytes) else path.write_text)(data)
+    return str(path)
+
+
+def _walk(path, values):
+    dw.save_series_csv(dw.TimeSeries(times=np.arange(1.0, len(values) + 1.0), values=values),
+                       path)
+    return str(path)
+
+
+STREAM = ["monitor", "--input", "-", "--h", "5", "-c", "0.5", "--horizon", "5"]
+
+# name -> (files under tmp_path -> (args, stdin, env), text the last stderr line must contain)
+BAD_INPUTS = {
+    "horizon beyond series": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(20)), "--h", "5",
+                    "-c", "0.1", "--horizon", "50"], None, None), "horizon is 50"),
+    "non-numeric stream field": (lambda d: (STREAM, "t,y\n1,abc\n", None), "'abc'"),
+    "repeated stream time": (lambda d: (STREAM, "1,0\n1,0\n", None), "1.0 after 1.0"),
+    "NaN stream value": (lambda d: (STREAM, "1,0\n2,nan\n", None), "y=nan"),
+    "header-only CSV": (
+        lambda d: (["monitor", "--input", _write(d / "h.csv", "t,y\n"), "--h", "5", "-c", "1"],
+                   None, None), "h.csv"),
+    "one-knot kernel CSV": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "5", "-c", "1",
+                    "--kernel", _write(d / "k1.csv", "z,k\n0,1\n")], None, None), "k1.csv"),
+    "unknown kernel name": (
+        lambda d: (["table1", "--kernels", "cosine", "--out", str(d / "t.csv")], None, None),
+        "choose from"),
+    "bad DRIFTWATCH_SEED": (
+        lambda d: (["generate", "--n", "5", "--out", str(d / "g.csv")], None,
+                   {"DRIFTWATCH_SEED": "xyz"}), "'xyz'"),
+    "negative bandwidth": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "-1",
+                    "-c", "1"], None, None), "-1.0"),
+    "start fraction 2": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "5", "-c", "1",
+                    "--start-fraction", "2"], None, None), "2.0"),
+    "constant series, naive variance": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.ones(8)), "--h", "5", "-c", "1",
+                    "--variance", "naive"], None, None), "index 2"),
+    "constant stream, naive variance": (
+        lambda d: (STREAM + ["--variance", "naive"], "1,1\n2,1\n3,1\n", None), "index 2"),
+    "coverage zeta 0": (
+        lambda d: (["coverage", "--zeta", "0", "--n", "100", "--reps", "100"], None, None),
+        "'--zeta'"),
+    "table1 zeta below 1": (
+        lambda d: (["table1", "--zetas", "0.5", "--out", str(d / "t.csv")], None, None), "0.5"),
+    "directory as input": (
+        lambda d: (["monitor", "--input", str(d), "--h", "5", "-c", "1"], None, None), "{d}"),
+    "missing input": (
+        lambda d: (["monitor", "--input", str(d / "nope.csv"), "--h", "5", "-c", "1"], None, None),
+        "nope.csv"),
+    "missing prerun": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "5", "-c", "1",
+                    "--variance", "naive", "--prerun", str(d / "pre.csv")], None, None),
+        "pre.csv"),
+    "missing config": (
+        lambda d: (["--config", str(d / "none.conf"), "generate", "--n", "5"], None, None),
+        "none.conf"),
+    "oversized CSV field": (
+        lambda d: (["monitor", "--input", _write(d / "big.csv", "t,y\n1,0\n2," + "9" * 140_000),
+                    "--h", "5", "-c", "1"], None, None), "big.csv"),
+    "non-UTF-8 CSV": (
+        lambda d: (["monitor", "--input", _write(d / "bin.csv", b"t,y\n1,0\n2,\xff\n"), "--h", "5",
+                    "-c", "1"], None, None), "bin.csv, line 3"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_line(runner, tmp_path, name):
+    make, expected = BAD_INPUTS[name]
+    args, stdin, env = make(tmp_path)
+    res = runner.invoke(main, args, input=stdin, env=env)
+    assert res.exit_code == 2, res.output
+    assert "Traceback" not in res.stderr
+    assert expected.format(d=tmp_path) in res.stderr.strip().splitlines()[-1]

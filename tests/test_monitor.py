@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 import driftwatch as dw
+from driftwatch import estimator, variance
 from driftwatch.monitor import MonitoringError
 
 G = dw.gaussian_kernel()
+# a valid kernel with K(0) = 0: at unit spacing and h = 1 the weights vanish at index 1 only
+K0 = dw.tabulated_kernel([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0])
 
 
 def make_series(values):
@@ -180,3 +185,85 @@ def test_stream_monitor_rejects_nonincreasing_times():
 def test_short_series_rejected():
     with pytest.raises(ValueError):
         dw.run_monitor(make_series(np.zeros(5)), config(10))
+
+
+def test_one_error_type_under_every_name():
+    assert dw.DriftwatchError is estimator.DegenerateWeightsError
+    assert dw.DriftwatchError is variance.DegenerateVarianceError
+    assert dw.DriftwatchError is MonitoringError
+    assert issubclass(dw.DriftwatchError, ValueError)
+
+
+def test_rejected_stream_record_leaves_monitor_unchanged():
+    series = dw.generate(dw.SeriesSpec(N=60), 6)
+    cfg = config(60, h=10.0, c=0.1, variance="naive")
+    batch = dw.run_monitor(series, cfg)
+    assert batch.alarmed and batch.alarm_index > 11
+    stream = dw.StreamMonitor(cfg)
+    records = list(zip(series.times, series.values))
+    alarm = None
+    for i, (t, y) in enumerate(records):
+        if i == 10:
+            for bad in ((t, np.nan), (np.inf, y), (records[i - 1][0], y)):
+                with pytest.raises(ValueError):
+                    stream.update(*bad)
+            assert stream.n == 10
+        alarm = stream.update(t, y)
+        if alarm is not None:
+            break
+    assert alarm["index"] == batch.alarm_index
+
+
+def _batch_ending(series, cfg, prerun):
+    try:
+        res = dw.run_monitor(series, cfg, prerun)
+    except dw.DriftwatchError as exc:
+        return ("error", exc.index)
+    return ("alarm", res.alarm_index) if res.alarmed else ("truncated", cfg.N)
+
+
+def _stream_ending(series, cfg, prerun):
+    mon = dw.StreamMonitor(cfg, prerun)
+    try:
+        for t, y in zip(series.times, series.values):
+            record = mon.update(t, y)
+            if record is not None:
+                return ("alarm", record["index"])
+    except dw.DriftwatchError as exc:
+        return ("error", exc.index)
+    return ("truncated", cfg.N)
+
+
+_STRETCHES = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(1, 8), st.booleans()), min_size=1, max_size=5
+)
+
+
+def _stretched(stretches, seed):
+    """Concatenated stretches: constant at a level, or a walk started at it."""
+    rng = np.random.default_rng(seed)
+    parts = [level + (np.cumsum(rng.standard_normal(n)) if walk else np.zeros(n))
+             for level, n, walk in stretches]
+    return make_series(np.concatenate(parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kernel=st.sampled_from([G, dw.epanechnikov_kernel(), K0]),
+    h=st.sampled_from([0.5, 1.0, 2.0, 6.0]),
+    # off the grid of values integer-level data produce, so no float tie
+    c=st.integers(-12, 12).map(lambda k: k / 4 + 0.0123),
+    method=st.sampled_from([None, "naive", "rice", "gasser"]),
+    prerun=st.none() | _STRETCHES,
+    a=st.sampled_from([0.0, 0.2, 0.5]),
+    stretches=_STRETCHES,
+    seed=st.integers(0, 2**16),
+)
+@example(kernel=K0, h=1.0, c=100.0123, method=None, prerun=None, a=0.5,
+         stretches=[(0, 12, True)], seed=1)
+def test_batch_and_stream_end_the_same_way(kernel, h, c, method, prerun, a, stretches, seed):
+    series = _stretched(stretches, seed)
+    pre = None if prerun is None else _stretched(prerun, seed + 1)
+    cfg = dw.MonitorConfig(smoother=dw.SmootherConfig(kernel=kernel, h=h), threshold=c,
+                           N=len(series), start_fraction=a, variance_method=method)
+    assert _batch_ending(series, cfg, pre) == _stream_ending(series, cfg, pre)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import driftwatch as dw
@@ -193,6 +195,28 @@ def test_two_column_csv_errors_name_file_and_line(tmp_path, loader, header, body
     with pytest.raises(ValueError, match=f"line {line}:") as err:
         loader(path)
     assert str(path) in str(err.value)
+
+
+_FIELDS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.sampled_from(["", " ", "nan", "inf", "-1e999", "abc", '"', '"1,2"', "\x00", "\r",
+                     "9" * 140_000]),
+)
+_LINES = st.lists(st.lists(_FIELDS, max_size=3).map(",".join), max_size=6)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(header=st.sampled_from(["t,y", "z,k", "t,m0", "a,b", ""]), lines=_LINES,
+       tail=st.sampled_from([b"", b"\n", b"\xff\n", b"1,\xe9\n"]))
+def test_two_column_loaders_load_or_name_the_file(tmp_path, header, lines, tail):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes("\n".join([header, *lines]).encode() + tail)
+    for loader in (dw.load_series_csv, dw.load_kernel_csv, dw.load_alternative_csv):
+        try:
+            loader(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
 
 
 def test_timeseries_validation():
