@@ -31,15 +31,15 @@ EXIT_ALARM = 3
 
 def _parse_config(path: str) -> dict:
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: bad config line (need key = value): {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+    for number, raw in enumerate(seriesgen.read_utf8(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}, line {number}: bad config line (need key = value): "
+                             f"{raw.strip()!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 

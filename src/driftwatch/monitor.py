@@ -170,8 +170,9 @@ class StreamMonitor:
     def update(self, t: float, y: float) -> dict | None:
         """Ingest one observation; returns the alarm record on first exceedance.
 
-        A non-finite or out-of-order record raises ValueError and leaves the
-        monitor unchanged.
+        A non-finite or out-of-order record raises ValueError, and a record
+        at a degenerate eligible index raises DriftwatchError; either way the
+        record is not kept and the monitor is unchanged.
         """
         if self.alarmed or self.n >= self.cfg.N:
             return None
@@ -180,24 +181,24 @@ class StreamMonitor:
             raise ValueError(f"stream record must be finite, got t={t!r}, y={y!r}")
         if self.times and t <= self.times[-1]:
             raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
+        cfg = self.cfg
+        n = self.n + 1
+        start = max(1, int(np.floor(cfg.N * cfg.start_fraction)))
+        stat = None
+        if n >= start:
+            values = np.array(self.values + [y])
+            est = 1.0  # unit variance unless standardized
+            if cfg.variance_method is not None:
+                est = running_estimates(values, cfg.variance_method, self._pre_inc)[n - 1]
+            if not np.isnan(est):
+                series = TimeSeries(np.array(self.times + [t]), values)
+                stat = nw_estimate(series, cfg.smoother, n) * scaling_factor(cfg.smoother, cfg.N)
+                check_variance(est, first=n)
+                stat = stat / float(np.sqrt(est))
         self.times.append(t)
         self.values.append(y)
-        self.n += 1
-        cfg = self.cfg
-        n = self.n
-        start = max(1, int(np.floor(cfg.N * cfg.start_fraction)))
-        if n < start:
-            return None
-        est = 1.0  # unit variance unless standardized
-        if cfg.variance_method is not None:
-            est = running_estimates(np.array(self.values), cfg.variance_method, self._pre_inc)[n - 1]
-            if np.isnan(est):
-                return None
-        series = TimeSeries(np.array(self.times), np.array(self.values))
-        stat = nw_estimate(series, cfg.smoother, n) * scaling_factor(cfg.smoother, cfg.N)
-        check_variance(est, first=n)
-        stat = stat / float(np.sqrt(est))
-        if stat > cfg.threshold:
+        self.n = n
+        if stat is not None and stat > cfg.threshold:
             self.alarmed = True
             return {
                 "alarmed": True,

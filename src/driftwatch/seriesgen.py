@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -366,11 +367,18 @@ def draw_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
         a0, a1, b1 = spec.garch_alpha0, spec.garch_alpha1, spec.garch_beta1
         eps = rng.standard_normal(GARCH_BURN_IN + n)
         var = a0 / (1.0 - a1 - b1)
-        u = np.empty(GARCH_BURN_IN + n)
-        for i in range(GARCH_BURN_IN + n):
-            u[i] = np.sqrt(var) * eps[i]
-            var = a0 + a1 * u[i] ** 2 + b1 * var
-        return spec.sigma * u[GARCH_BURN_IN:]
+        out = []
+        # Python floats round as numpy scalars do, only faster.  Keep x ** 2 (C pow,
+        # as numpy's scalar power): x * x and numpy's array power differ in the
+        # last bit for some draws and would change seeded GARCH streams
+        try:
+            for e in eps.tolist():
+                x = math.sqrt(var) * e
+                out.append(x)
+                var = a0 + a1 * x ** 2 + b1 * var
+        except OverflowError:
+            raise ValueError(f"garch11 variance overflows with alpha0={a0!r}") from None
+        return spec.sigma * np.array(out[GARCH_BURN_IN:])
     # ar1 innovations are the iid disturbances of the AR recursion
     return spec.sigma * rng.standard_normal(n)
 
@@ -413,14 +421,14 @@ def generate(spec: SeriesSpec, seed) -> TimeSeries:
         d = spec.drift
         drift_inc = d.m0.value((t_prev - t_q) / d.h_link) * d.h_link**d.beta
 
-    values = np.empty(N)
     if inno.family == "ar1":
         a = inno.ar_a
         y = float(np.random.default_rng(ar_seq).standard_normal() * inno.sigma
                   / np.sqrt(1.0 - a * a))
-        for n in range(N):
-            y = a * y + drift_inc[n] + u[n]
-            values[n] = y
+        values = []
+        for m, e in zip(drift_inc.tolist(), u.tolist()):
+            y = a * y + m + e
+            values.append(y)
     else:
         values = np.cumsum(drift_inc + u)
 
@@ -446,6 +454,17 @@ def save_series_csv(series: TimeSeries, path) -> None:
             writer.writerow([repr(float(t)), repr(float(y))])
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; bad bytes raise ValueError naming the file and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_two_columns(path, names: tuple[str, str], build):
     """``build(first, second)`` on the two numeric columns of a UTF-8 CSV whose header
     starts with ``names``; blank lines are skipped and extra columns ignored.
@@ -454,14 +473,7 @@ def _read_two_columns(path, names: tuple[str, str], build):
     that is not two numbers raise ValueError naming the file and the line; a
     ValueError from ``build`` is re-raised naming the file.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
     rows = []
     try:
         header = next(reader, None)

@@ -314,6 +314,16 @@ BAD_INPUTS = {
     "non-UTF-8 CSV": (
         lambda d: (["monitor", "--input", _write(d / "bin.csv", b"t,y\n1,0\n2,\xff\n"), "--h", "5",
                     "-c", "1"], None, None), "bin.csv, line 3"),
+    "non-UTF-8 config": (
+        lambda d: (["--config", _write(d / "bin.conf", b"h = 5\nseed = \xff\n"), "generate",
+                    "--n", "5", "--out", str(d / "g.csv")], None, None), "bin.conf, line 2"),
+    "bad config line": (
+        lambda d: (["--config", _write(d / "bad.conf", "h = 5\n\nthreshold\n"), "generate",
+                    "--n", "5", "--out", str(d / "g.csv")], None, None), "bad.conf, line 3"),
+    "GARCH variance overflow": (
+        lambda d: (["generate", "--n", "5", "--family", "garch11", "--garch-alpha0", "1.5e307",
+                    "--garch-alpha1", "0.05", "--garch-beta1", "0.85", "--seed", "1",
+                    "--out", str(d / "g.csv")], None, None), "overflows"),
 }
 
 

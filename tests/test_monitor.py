@@ -214,6 +214,19 @@ def test_rejected_stream_record_leaves_monitor_unchanged():
     assert alarm["index"] == batch.alarm_index
 
 
+def test_degenerate_stream_record_is_not_kept():
+    # K(0) = 0 at h = 1: index 1 has no weight, so the chart cannot pass it
+    cfg = dw.MonitorConfig(smoother=dw.SmootherConfig(kernel=K0, h=1.0), threshold=0.1, N=10)
+    with pytest.raises(dw.DriftwatchError) as first:
+        dw.run_monitor(make_series(np.zeros(10)), cfg)
+    stream = dw.StreamMonitor(cfg)
+    for t in (1.0, 2.0):
+        with pytest.raises(dw.DriftwatchError) as exc:
+            stream.update(t, 0.0)
+        assert exc.value.index == first.value.index == 1
+        assert (stream.n, stream.times, stream.values) == (0, [], [])
+
+
 def _batch_ending(series, cfg, prerun):
     try:
         res = dw.run_monitor(series, cfg, prerun)

@@ -1,9 +1,11 @@
 """Bitwise oracles for the finite-sample Monte Carlo path.
 
-The references below are the per-method running variance and the per-cell
-Brownian-bridge loop that the table-driven ``running_estimates`` and the
-vectorized ``_brownian_paths`` replaced.  Both must agree with them bit for
-bit, since seeded calibration results are part of the numeric contract.
+The references below are the per-method running variance, the per-cell
+Brownian-bridge loop and the numpy-scalar GARCH(1,1) and AR(1) recursions
+that the table-driven ``running_estimates``, the vectorized
+``_brownian_paths`` and the Python-float loops in ``seriesgen`` replaced.
+All must agree with them bit for bit, since seeded draws and calibration
+results are part of the numeric contract.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
+from driftwatch.seriesgen import GARCH_BURN_IN
 from driftwatch.variance import running_estimates
 
 
@@ -144,3 +147,94 @@ def test_null_walks_are_the_coupled_brownian_skeleton():
     for r, i in enumerate(range(a, b)):
         ref = np.cumsum(np.random.default_rng(dw.substream(seed, i)).standard_normal(N))
         assert np.array_equal(walks[r], ref)
+
+
+def _seed_sequence(seed):
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def garch_reference(spec, n, seed):
+    rng = np.random.default_rng(_seed_sequence(seed))
+    a0, a1, b1 = spec.garch_alpha0, spec.garch_alpha1, spec.garch_beta1
+    eps = rng.standard_normal(GARCH_BURN_IN + n)
+    var = a0 / (1.0 - a1 - b1)
+    u = np.empty(GARCH_BURN_IN + n)
+    for i in range(GARCH_BURN_IN + n):
+        u[i] = np.sqrt(var) * eps[i]
+        var = a0 + a1 * u[i] ** 2 + b1 * var
+    return spec.sigma * u[GARCH_BURN_IN:]
+
+
+def ar1_reference(spec, seed):
+    inno, N = spec.innovations, spec.N
+    ar_seq, inno_seq = _seed_sequence(seed).spawn(2)
+    u = dw.draw_innovations(inno, N, inno_seq)
+    drift_inc = np.zeros(N)
+    if spec.drift is not None:
+        d = spec.drift
+        t_prev = np.arange(0.0, N)  # unit times, shifted by one index
+        t_q = dw.change_point_index(d, N)
+        drift_inc = d.m0.value((t_prev - t_q) / d.h_link) * d.h_link**d.beta
+    a = inno.ar_a
+    y = float(np.random.default_rng(ar_seq).standard_normal() * inno.sigma
+              / np.sqrt(1.0 - a * a))
+    values = np.empty(N)
+    for n in range(N):
+        y = a * y + drift_inc[n] + u[n]
+        values[n] = y
+    return values
+
+
+# an int seed, or a fresh SeedSequence per call (spawning mutates a sequence)
+_SEEDS = st.tuples(st.integers(0, 2**63 - 1), st.booleans()).map(
+    lambda sk: (lambda: np.random.SeedSequence((sk[0], 7))) if sk[1] else (lambda: sk[0])
+)
+_SIGMAS = st.floats(0.01, 100.0)
+
+
+@st.composite
+def _garch_specs(draw):
+    a1 = draw(st.floats(0.0, 0.6))
+    b1 = draw(st.floats(0.0, 0.999)) * (1.0 - a1)  # alpha1 + beta1 < 1
+    return dw.InnovationSpec(family="garch11", sigma=draw(_SIGMAS),
+                             garch_alpha0=draw(st.floats(1e-4, 10.0)),
+                             garch_alpha1=a1, garch_beta1=b1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_garch_specs(), n=st.integers(1, 300), seed=_SEEDS)
+def test_garch_draws_match_numpy_scalar_recursion(spec, n, seed):
+    got = dw.draw_innovations(spec, n, seed())
+    want = garch_reference(spec, n, seed())
+    assert got.shape == (n,)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.floats(-0.99, 0.99),
+    sigma=_SIGMAS,
+    N=st.integers(2, 300),
+    drift=st.none() | st.tuples(st.sampled_from(["step", "ramp"]), st.floats(-0.9, 0.0),
+                                st.floats(0.05, 0.95), st.floats(0.5, 20.0)),
+    seed=_SEEDS,
+)
+def test_ar1_series_match_numpy_scalar_recursion(a, sigma, N, drift, seed):
+    d = None
+    if drift is not None:
+        shape, beta, theta, h_link = drift
+        d = dw.DriftSpec(m0=dw.alternative_by_name(shape), beta=beta, cp_model="cp2",
+                         theta=theta, h_link=h_link)
+    spec = dw.SeriesSpec(N=N, innovations=dw.InnovationSpec(family="ar1", sigma=sigma, ar_a=a),
+                         drift=d)
+    assert dw.generate(spec, seed()).values.tobytes() == ar1_reference(spec, seed()).tobytes()
+
+
+def test_garch_null_walks_match_reference():
+    spec = dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1,
+                             garch_beta1=0.8)
+    seed, a, b, N = 11, 2, 7, 50
+    walks = _null_walks(spec, N, seed, a, b)
+    for r, i in enumerate(range(a, b)):
+        ref = np.cumsum(garch_reference(spec, N, dw.substream(seed, i)))
+        assert walks[r].tobytes() == ref.tobytes()

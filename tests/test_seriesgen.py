@@ -57,13 +57,26 @@ def test_generate_deterministic():
 
 
 def test_null_increments_equal_innovation_stream():
-    spec = dw.SeriesSpec(N=128)
-    series = dw.generate(spec, 7)
-    u = dw.draw_innovations(spec.innovations, 128, 7)
-    # the null walk is exactly the running sum of the raw innovation stream
-    assert np.array_equal(series.values, np.cumsum(u))
-    increments = np.diff(np.concatenate([[0.0], series.values]))
-    assert np.allclose(increments, u, atol=1e-12, rtol=0)
+    garch = dw.InnovationSpec(family="garch11", sigma=1.3, garch_alpha0=0.1, garch_alpha1=0.1,
+                              garch_beta1=0.8)
+    for innovations in (dw.InnovationSpec(), garch):
+        series = dw.generate(dw.SeriesSpec(N=128, innovations=innovations), 7)
+        u = dw.draw_innovations(innovations, 128, 7)
+        # the null walk is exactly the running sum of the raw innovation stream
+        assert np.array_equal(series.values, np.cumsum(u))
+        increments = np.diff(np.concatenate([[0.0], series.values]))
+        assert np.allclose(increments, u, atol=1e-12, rtol=0)
+
+
+def test_ar1_null_follows_the_recursion_exactly():
+    a, sigma, N, seed = -0.7, 2.0, 200, 9
+    innovations = dw.InnovationSpec(family="ar1", sigma=sigma, ar_a=a)
+    y = dw.generate(dw.SeriesSpec(N=N, innovations=innovations), seed).values
+    ar_seq, inno_seq = np.random.SeedSequence(seed).spawn(2)
+    u = dw.draw_innovations(innovations, N, inno_seq)
+    y0 = float(np.random.default_rng(ar_seq).standard_normal() * sigma / np.sqrt(1.0 - a * a))
+    assert y[0] == a * y0 + u[0]
+    assert np.array_equal(y[1:], a * y[:-1] + u[1:])
 
 
 def test_ar1_autocovariance():
