@@ -7,6 +7,8 @@ replicate index), so results are independent of chunking and worker count.
 ARL curves reuse the same replicate paths across the whole threshold grid
 (common random numbers), which makes the curve exactly nondecreasing in c
 per replicate, not just in expectation.
+Each finite-sample replicate is the monitor's own ``monitor.chart`` at
+threshold +inf: the same statistic, delayed start and degenerate-index rule.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import norm
 
-from .estimator import SmootherConfig, _process_parts, check_weights, nw_estimate, scaling_factor
+from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
 from .kernels import KernelSpec, _candidate_names
 from .limitsim import (
     LimitConfig,
@@ -27,10 +29,11 @@ from .limitsim import (
     asymptotic_normed_delay,
     sigma_k_sq,
 )
+from .monitor import MonitorConfig, chart
 from .seriesgen import (
     GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, substream,
 )
-from .variance import check_variance, running_estimates
+from .variance import running_estimates
 from ._parallel import run_chunked, chunk_bounds
 
 _CHUNK = 512
@@ -109,40 +112,31 @@ def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop
     return walks
 
 
-def _trajectories(values: np.ndarray, cfg: SmootherConfig, variance_method: str | None,
-                  pre: np.ndarray | None, first: int = 1) -> np.ndarray:
-    """Scaled smoother trajectories of unit-time rows, -inf where ineligible.
+def _prerun_increments(variance_method: str | None, innovations: InnovationSpec, length: int,
+                       seed: int, start: int, stop: int, key: int) -> np.ndarray | None:
+    """Increments of the null prerun rows (substream (seed, start + r, key)) that seed the
+    variance estimator; None without a variance method or below two observations."""
+    if variance_method is None or length < 2:
+        return None
+    return np.diff(_null_walks(innovations, length, seed, start, stop, key), axis=1)
 
-    With a variance method, entries are standardized by the running estimate
-    seeded by the prerun increments ``pre``.  Indices below ``first`` and
-    those where that estimate is undefined are ineligible; vanishing weights
-    or a zero estimate at an eligible index raise DriftwatchError.
-    """
-    N = values.shape[1]
-    num, den = _process_parts(np.arange(1.0, N + 1.0), values, cfg)
-    eligible = np.arange(1, N + 1) >= first
-    if variance_method is not None:
-        est = running_estimates(values, variance_method, pre)
-        eligible = eligible & ~np.isnan(est)
-    check_weights(den, eligible)
-    traj = (num / np.where(den > 0.0, den, 1.0)) * scaling_factor(cfg, N)
-    if variance_method is not None:
-        check_variance(est, eligible)
-        traj = traj / np.sqrt(np.where(eligible, est, 1.0))
+
+def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None) -> np.ndarray:
+    """The chart of each unit-time row at threshold +inf, -inf where ineligible."""
+    num, den = _process_parts(np.arange(1.0, cfg.N + 1.0), values, cfg.smoother)
+    traj, eligible = chart(num, den, values, cfg, pre)
     return np.where(eligible, traj, -np.inf)
 
 
 def _finite_trajectories(variant: FiniteSampleVariant, kernel: KernelSpec, seed: int,
                          start: int, stop: int) -> np.ndarray:
     """Eligible scaled (standardized) trajectories for replicates [start, stop)."""
-    cfg = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
+    smoother = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
+    cfg = MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, variant.variance_method)
     values = _null_walks(variant.innovations, variant.N, seed, start, stop)
-    plen = variant.resolved_prerun()
-    pre = None
-    if variant.variance_method is not None and plen >= 2:
-        pre = np.diff(_null_walks(variant.innovations, plen, seed, start, stop, 1), axis=1)
-    first = max(1, int(np.floor(variant.N * variant.start_fraction)))
-    return _trajectories(values, cfg, variant.variance_method, pre, first)
+    pre = _prerun_increments(variant.variance_method, variant.innovations,
+                             variant.resolved_prerun(), seed, start, stop, 1)
+    return _null_charts(values, cfg, pre)
 
 
 def _finite_chunk(payload) -> np.ndarray:
@@ -252,7 +246,7 @@ def _coverage_chunk(payload) -> int:
     if variance_method is None:
         sig_hat = sigma
     else:
-        pre = np.diff(_null_walks(inno, max(int(round(h)), 2), seed, start, stop, 1), axis=1)
+        pre = _prerun_increments(variance_method, inno, max(int(round(h)), 2), seed, start, stop, 1)
         sig_hat = np.sqrt(running_estimates(values, variance_method, pre)[:, N - 1])
     return int(np.count_nonzero(np.abs(stats) <= z * sk * sig_hat))
 
@@ -344,15 +338,13 @@ def _coupled_chunk(payload):
     N, h, kernel, c_grid, seed, start, stop, refine, variance_method = payload
     M = refine * N
     cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=M)
-    scfg = SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
+    mcfg = MonitorConfig(SmootherConfig(kernel=kernel, h=h, scaling="null_scale"), np.inf, N,
+                         variance_method=variance_method)
 
     # finite side
     values = _null_walks(InnovationSpec(), N, seed, start, stop)
-    plen = int(round(h))
-    pre = None
-    if variance_method is not None and plen >= 2:
-        pre = np.diff(_null_walks(InnovationSpec(), plen, seed, start, stop, 2), axis=1)
-    traj = _trajectories(values, scfg, variance_method, pre)
+    pre = _prerun_increments(variance_method, InnovationSpec(), int(round(h)), seed, start, stop, 2)
+    traj = _null_charts(values, mcfg, pre)
     fstops = _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
 
     # limit side: an exact Brownian path at resolution 1/M around each walk

@@ -13,13 +13,12 @@ which keeps the density/mean checks valid at their 1e-8 tolerance.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 
-from .seriesgen import _read_two_columns
+from .seriesgen import _read_two_columns, write_two_columns
 
 # Tail mass beyond the radius must stay below 1e-14:
 # Gaussian: 2*Phi(-8) ~ 1.2e-15.  Laplace: exp(-sqrt(2)*24) ~ 1.8e-15.
@@ -164,11 +163,7 @@ def save_kernel_csv(kernel: KernelSpec, path, n_points: int = 512) -> None:
         z = kernel.knots_z
     else:
         z = np.linspace(kernel.support[0], kernel.support[1], n_points)
-    k = kernel.evaluate(z)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "k"])
-        writer.writerows(zip(z, k))
+    write_two_columns(path, ("z", "k"), z, kernel.evaluate(z))
 
 
 def eval_kernel(kernel: KernelSpec, z: float) -> float:

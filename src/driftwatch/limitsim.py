@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
 from .kernels import KernelSpec, _quad, arg_breaks
-from .seriesgen import GenericAlternative, TimeDesign
+from .seriesgen import GenericAlternative, TimeDesign, seed_sequence, write_two_columns
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
 OVERFLOW_GUARD = 1e12
@@ -90,15 +90,11 @@ class LimitConfig:
         return np.arange(1, self.grid_M + 1) / self.grid_M
 
 
-def _seed_seq(seed) -> np.random.SeedSequence:
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-
-
 def sample_bm(grid_M: int, seed) -> np.ndarray:
     """Standard Brownian path on {j/grid_M}, j = 0..grid_M; B(0) = 0."""
     if grid_M < 1:
         raise ValueError(f"grid_M must be >= 1, got {grid_M!r}")
-    rng = np.random.default_rng(_seed_seq(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     inc = rng.standard_normal(grid_M) * np.sqrt(1.0 / grid_M)
     return np.concatenate([[0.0], np.cumsum(inc)])
 
@@ -183,12 +179,14 @@ def _design_num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np
     return num, den
 
 
+def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid numerator/denominator for stacked paths, with or without a design."""
+    return (_trapezoid_num_den if cfg.design is None else _design_num_den)(cfg, paths)
+
+
 def _null_values(cfg: LimitConfig, paths: np.ndarray) -> np.ndarray:
     """sigma * num / den with entries below s_min masked to NaN."""
-    if cfg.design is None:
-        num, den = _trapezoid_num_den(cfg, paths)
-    else:
-        num, den = _design_num_den(cfg, paths)
+    num, den = _num_den(cfg, paths)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = cfg.sigma * num / den
     vals[:, : S_MIN_CELLS - 1] = np.nan
@@ -318,10 +316,7 @@ def _drift_curve(cfg: LimitConfig) -> np.ndarray:
     r = np.arange(M + 1) / M
     g = np.asarray(inner(r) if cfg.design is None or cfg.design.mode == "rolling"
                    else [inner(x) for x in r], dtype=float)
-    if cfg.design is None:
-        num, den = _trapezoid_num_den(cfg, g[None, :])
-    else:
-        num, den = _design_num_den(cfg, g[None, :])
+    num, den = _num_den(cfg, g[None, :])
     # den carries one factor of zeta; the drift denominator needs zeta^{3/2}
     with np.errstate(divide="ignore", invalid="ignore"):
         curve = num[0] / den / np.sqrt(cfg.zeta)
@@ -412,15 +407,9 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
 
 def save_path_csv(cfg: LimitConfig, values: np.ndarray, path) -> None:
     """Write a sampled limit path (or drift curve) as an ``s,value`` CSV."""
-    import csv
-
     if len(values) != cfg.grid_M:
         raise ValueError(f"expected {cfg.grid_M} values on the s-grid, got {len(values)}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["s", "value"])
-        for s, v in zip(cfg.s_grid, values):
-            writer.writerow([repr(float(s)), repr(float(v))])
+    write_two_columns(path, ("s", "value"), cfg.s_grid, values)
 
 
 def check_km_condition(

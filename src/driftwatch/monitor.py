@@ -41,6 +41,11 @@ class MonitorConfig:
         if self.N < 1:
             raise ValueError(f"horizon must be >= 1, got {self.N!r}")
 
+    @property
+    def start_index(self) -> int:
+        """First eligible index of the delayed start: floor(N a), at least 1."""
+        return max(1, int(np.floor(self.N * self.start_fraction)))
+
 
 @dataclass(frozen=True, eq=False)
 class StoppingResult:
@@ -52,38 +57,52 @@ class StoppingResult:
     normed_time: float
 
 
+def chart(num, den, values, cfg: MonitorConfig, pre_inc=None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled (and standardized) statistic rows plus their eligibility masks.
+
+    ``num`` (rows, N) and ``den`` (N,) are the smoother parts of the rows
+    ``values``; prerun increments ``pre_inc`` seed the variance estimator.
+    Entries that cannot be formed (weights vanishing, variance estimate
+    undefined or zero) are NaN; indices before the delayed start and where
+    the variance estimate is undefined are ineligible.  A row's chart stops at
+    its first eligible index that exceeds the threshold or cannot be formed;
+    up to there a degenerate eligible index raises DriftwatchError.  At
+    threshold +inf only a degenerate index stops a row.
+    """
+    N = cfg.N
+    # dividing by NaN marks the entries that cannot be formed, without a warning
+    traj = num / np.where(den > 0.0, den, np.nan)
+    traj *= scaling_factor(cfg.smoother, N)
+    eligible = np.zeros(traj.shape, dtype=bool)
+    eligible[:, cfg.start_index - 1 :] = True
+    est = None
+    if cfg.variance_method is not None:
+        est = running_estimates(values, cfg.variance_method, pre_inc)
+        eligible &= ~np.isnan(est)
+        traj /= np.sqrt(np.where(est > 0.0, est, np.nan))
+
+    # indices after a row's stop are never reached, as in StreamMonitor
+    reached = eligible & ~(traj <= cfg.threshold)
+    stop = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, N)
+    checked = eligible & (np.arange(1, N + 1) <= stop[:, None])
+    check_weights(den, checked)
+    if est is not None:
+        check_variance(est, checked)
+    return traj, eligible
+
+
 def monitor_trajectory(
     series: TimeSeries, cfg: MonitorConfig, prerun: TimeSeries | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled (and standardized) statistic sequence plus eligibility mask.
-
-    Trajectory entries where the statistic cannot be formed (variance
-    estimator undefined or zero, weights vanishing) are NaN; eligibility
-    excludes indices before the delayed start and where the variance
-    estimator is undefined.  Up to the first exceedance, which ends the
-    chart, a degenerate eligible index raises DriftwatchError.
-    """
+    """The ``chart`` of one series up to the horizon."""
     N = cfg.N
     if len(series) < N:
         raise ValueError(f"series has {len(series)} observations, horizon is {N}")
-    num, den = _process_parts(series.times[:N], series.values[None, :N], cfg.smoother)
-    traj = np.divide(num[0], den, out=np.full(N, np.nan), where=den > 0.0)
-    est = np.ones(N)  # unit variance unless standardized
-    if cfg.variance_method is not None:
-        pre_inc = np.diff(prerun.values) if prerun is not None else None
-        est = running_estimates(series.values[:N], cfg.variance_method, pre_inc)
-    start = max(1, int(np.floor(N * cfg.start_fraction)))
-    eligible = (np.arange(1, N + 1) >= start) & ~np.isnan(est)
-    traj = traj * scaling_factor(cfg.smoother, N)
-    traj = np.where(est > 0.0, traj / np.sqrt(np.where(est > 0.0, est, 1.0)), np.nan)
-
-    # the chart stops at the first eligible index that exceeds or cannot be
-    # formed; indices after it are never reached, as in StreamMonitor
-    reached = eligible & ~(traj <= cfg.threshold)
-    stop = int(np.argmax(reached)) + 1 if reached.any() else N
-    check_weights(den[:stop], eligible[:stop])
-    check_variance(est[:stop], eligible[:stop])
-    return traj, eligible
+    values = series.values[None, :N]
+    num, den = _process_parts(series.times[:N], values, cfg.smoother)
+    pre_inc = np.diff(prerun.values) if prerun is not None else None
+    traj, eligible = chart(num, den, values, cfg, pre_inc)
+    return traj[0], eligible[0]
 
 
 def run_monitor(
@@ -183,9 +202,8 @@ class StreamMonitor:
             raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
         cfg = self.cfg
         n = self.n + 1
-        start = max(1, int(np.floor(cfg.N * cfg.start_fraction)))
         stat = None
-        if n >= start:
+        if n >= cfg.start_index:
             values = np.array(self.values + [y])
             est = 1.0  # unit variance unless standardized
             if cfg.variance_method is not None:

@@ -15,7 +15,6 @@ truncated at t_max and the truncation is part of the reported solution.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from scipy.optimize import brentq
 
 from .kernels import KernelSpec, _candidate_names, _quad, arg_breaks, tabulated_kernel
 from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay
-from .seriesgen import GenericAlternative
+from .seriesgen import GenericAlternative, write_two_columns
 
 SCAN_STEP = 1e-3
 DELAY_TOL = 1e-6
@@ -220,7 +219,4 @@ def verify_optimality(
 
 def save_solution_csv(sol: OptimalSolution, path) -> None:
     """Write the raw tabulation as a ``z,k`` CSV (loadable as a tabulated kernel)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "k"])
-        writer.writerows(zip(sol.z, sol.kernel_values))
+    write_two_columns(path, ("z", "k"), sol.z, sol.kernel_values)

@@ -345,10 +345,9 @@ class SeriesSpec:
             raise ValueError(f"N must be >= 2, got {self.N!r}")
 
 
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """The SeedSequence a seed stands for; a SeedSequence stands for itself."""
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
 def substream(seed: int, *key: int) -> np.random.SeedSequence:
@@ -362,7 +361,7 @@ def draw_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
     GARCH streams are burned in for ``GARCH_BURN_IN`` steps from the
     stationary regime before the returned draws start.
     """
-    rng = _rng_from(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     if spec.family == "garch11":
         a0, a1, b1 = spec.garch_alpha0, spec.garch_alpha1, spec.garch_beta1
         eps = rng.standard_normal(GARCH_BURN_IN + n)
@@ -402,22 +401,20 @@ def generate(spec: SeriesSpec, seed) -> TimeSeries:
         # define a generation axis; data live on the finest (unit) scale
         times = np.arange(1.0, N + 1.0)
 
-    seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ar_seq, inno_seq = seed_seq.spawn(2) if inno.family == "ar1" else (None, seed_seq)
+    seed_seq = seed_sequence(seed)
+    ar_seq, inno_seq = None, seed_seq
+    if inno.family == "ar1":  # what spawn(2) gives, without advancing the caller's sequence
+        ar_seq, inno_seq = (np.random.SeedSequence(seed_seq.entropy, pool_size=seed_seq.pool_size,
+                                                   spawn_key=seed_seq.spawn_key + (i,)) for i in range(2))
     u = draw_innovations(inno, N, inno_seq)
 
     drift_inc = np.zeros(N)
     if spec.drift is not None:
         t_prev = np.concatenate([[0.0], times[:-1]])
-        if spec.drift.cp_model == "cp2":
-            q = int(change_point_index(spec.drift, N))
-            # under a fixed design the change time is the design-transformed t_q
-            t_q = times[q - 1] if (spec.design is not None and spec.design.mode == "fixed"
-                                   and 1 <= q <= N) else float(q)
-        else:
-            q = spec.drift.q
-            t_q = (times[q - 1] if (spec.design is not None and spec.design.mode == "fixed"
-                                    and 1 <= q <= N) else float(q))
+        q = int(change_point_index(spec.drift, N))
+        # under a fixed design the change time is the design-transformed t_q
+        fixed = spec.design is not None and spec.design.mode == "fixed"
+        t_q = times[q - 1] if fixed and 1 <= q <= N else float(q)
         d = spec.drift
         drift_inc = d.m0.value((t_prev - t_q) / d.h_link) * d.h_link**d.beta
 
@@ -447,11 +444,7 @@ def generate(spec: SeriesSpec, seed) -> TimeSeries:
 
 
 def save_series_csv(series: TimeSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y"])
-        for t, y in zip(series.times, series.values):
-            writer.writerow([repr(float(t)), repr(float(y))])
+    write_two_columns(path, ("t", "y"), series.times, series.values)
 
 
 def read_utf8(path) -> str:
@@ -463,6 +456,14 @@ def read_utf8(path) -> str:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+
+
+def write_two_columns(path, names: tuple[str, str], first, second) -> None:
+    """A CSV with header ``names`` and one row of ``repr`` floats per pair (CRLF line ends)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows((repr(float(a)), repr(float(b))) for a, b in zip(first, second))
 
 
 def _read_two_columns(path, names: tuple[str, str], build):

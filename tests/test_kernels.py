@@ -163,6 +163,8 @@ def test_tabulated_round_trip(tmp_path):
     z = np.linspace(-1.5, 1.5, 41)
     assert np.allclose(k.evaluate(z), k2.evaluate(z))
     assert k2.evaluate(np.array([1.2]))[0] == 0.0
+    save_kernel_csv(dw.tabulated_kernel([-1.0, 2.5], [0.4, 1e-20]), path)
+    assert path.read_bytes() == b"z,k\r\n-1.0,0.4\r\n2.5,1e-20\r\n"
 
 
 def test_tabulated_validation():

@@ -312,6 +312,13 @@ def test_save_path_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "s,value"
     assert len(lines) == 129
+    # the s-grid has grid_M >= 64 rows; check the exact bytes of the first two
+    vals = np.full(128, 0.5)
+    vals[1] = -1e-07
+    save_path_csv(cfg, vals, out)
+    data = out.read_bytes()
+    assert data.startswith(b"s,value\r\n0.0078125,0.5\r\n0.015625,-1e-07\r\n0.0234375,0.5\r\n")
+    assert data.endswith(b"\r\n1.0,0.5\r\n") and data.count(b"\r\n") == 129
 
 
 def test_limit_config_validation():

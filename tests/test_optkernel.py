@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -149,3 +151,6 @@ def test_solution_csv_loadable_as_kernel(tmp_path):
     assert k.family == "tabulated"
     mid = float(k.evaluate(np.array([0.0]))[0])
     assert mid == pytest.approx(0.3, abs=1e-9)
+    two = replace(sol, z=np.array([-0.5, 0.25]), kernel_values=np.array([0.0, 1e-20]))
+    dw.save_solution_csv(two, path)
+    assert path.read_bytes() == b"z,k\r\n-0.5,0.0\r\n0.25,1e-20\r\n"

@@ -1,21 +1,25 @@
 """Bitwise oracles for the finite-sample Monte Carlo path.
 
 The references below are the per-method running variance, the per-cell
-Brownian-bridge loop and the numpy-scalar GARCH(1,1) and AR(1) recursions
-that the table-driven ``running_estimates``, the vectorized
-``_brownian_paths`` and the Python-float loops in ``seriesgen`` replaced.
-All must agree with them bit for bit, since seeded draws and calibration
-results are part of the numeric contract.
+Brownian-bridge loop, the numpy-scalar GARCH(1,1) and AR(1) recursions and
+calibration's own trajectory builder that the table-driven
+``running_estimates``, the vectorized ``_brownian_paths``, the Python-float
+loops in ``seriesgen`` and the monitor's ``chart`` at threshold +inf
+replaced.  All must agree with them bit for bit, since seeded draws and
+calibration results are part of the numeric contract.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
+from driftwatch.estimator import _process_parts, check_weights, scaling_factor
+from driftwatch.monitor import chart
 from driftwatch.seriesgen import GARCH_BURN_IN
-from driftwatch.variance import running_estimates
+from driftwatch.variance import check_variance, running_estimates
 
 
 def running_reference(values, method, prerun_increments=None):
@@ -238,3 +242,79 @@ def test_garch_null_walks_match_reference():
     for r, i in enumerate(range(a, b)):
         ref = np.cumsum(garch_reference(spec, N, dw.substream(seed, i)))
         assert walks[r].tobytes() == ref.tobytes()
+
+
+def trajectories_reference(values, cfg, variance_method, pre, first=1):
+    # calibration checked every eligible index, weights before variance
+    N = values.shape[1]
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, cfg)
+    eligible = np.arange(1, N + 1) >= first
+    if variance_method is not None:
+        est = running_estimates(values, variance_method, pre)
+        eligible = eligible & ~np.isnan(est)
+    check_weights(den, eligible)
+    traj = (num / np.where(den > 0.0, den, 1.0)) * scaling_factor(cfg, N)
+    if variance_method is not None:
+        check_variance(est, eligible)
+        traj = traj / np.sqrt(np.where(eligible, est, 1.0))
+    return np.where(eligible, traj, -np.inf)
+
+
+_KERNELS = [
+    dw.gaussian_kernel(),
+    dw.epanechnikov_kernel(),
+    dw.laplace_kernel(),
+    # K(0) = 0: no weight at the anchor, and none at all for h < 1/2
+    dw.tabulated_kernel([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0]),
+]
+
+
+def _outcome(fn):
+    try:
+        return fn(), None
+    except dw.DriftwatchError as exc:
+        return None, (str(exc), exc.index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    N=st.integers(1, 40),
+    kernel=st.sampled_from(_KERNELS),
+    h=st.sampled_from([0.3, 1.0, 2.5, 7.0]),
+    method=st.sampled_from([None, "naive", "rice", "gasser"]),
+    prerun=st.none() | st.integers(0, 2) | st.integers(3, 12),
+    flat=st.integers(0, 12),
+    start_fraction=st.sampled_from([0.0, 0.1, 0.3, 0.75]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chart_at_infinite_threshold_matches_calibration_builder(
+        rows, N, kernel, h, method, prerun, flat, start_fraction, seed):
+    # the first `flat` increments of each row are zero (so are the prerun's
+    # when flat > 0), which makes the variance estimate zero at early indices
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal((rows, N))
+    inc[:, :flat] = 0.0
+    values = np.cumsum(inc, axis=1)
+    pre = None if prerun is None else rng.standard_normal((rows, prerun)) * (flat == 0)
+    smoother = dw.SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
+    cfg = dw.MonitorConfig(smoother, np.inf, N, start_fraction, method)
+
+    def via_chart():
+        num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother)
+        traj, eligible = chart(num, den, values, cfg, pre)
+        return np.where(eligible, traj, -np.inf)
+
+    got, got_err = _outcome(via_chart)
+    want, want_err = _outcome(
+        lambda: trajectories_reference(values, smoother, method, pre, cfg.start_index))
+    assert got_err == want_err
+    if want_err is None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_finite_calibration_rejects_a_start_fraction_the_monitor_rejects():
+    # the replicate chart is a MonitorConfig, so its start fraction is validated
+    variant = dw.FiniteSampleVariant(N=50, h=5.0, start_fraction=1.5)
+    with pytest.raises(ValueError, match="start_fraction"):
+        dw.arl_curve(variant, dw.gaussian_kernel(), np.array([0.1, 0.2]), 100, 1)

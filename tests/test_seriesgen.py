@@ -190,6 +190,19 @@ def test_series_csv_round_trip(tmp_path):
     back = dw.load_series_csv(path)
     assert np.array_equal(series.times, back.times)
     assert np.array_equal(series.values, back.values)
+    dw.save_series_csv(dw.TimeSeries(times=[1.0, 2.5], values=[0.1, -3e-05]), path)
+    assert path.read_bytes() == b"t,y\r\n1.0,0.1\r\n2.5,-3e-05\r\n"
+
+
+@pytest.mark.parametrize("family", ["iid_normal", "ar1", "garch11"])
+def test_generate_leaves_the_seed_sequence_unchanged(family):
+    spec = dw.SeriesSpec(N=30, innovations=dw.InnovationSpec(
+        family=family, ar_a=0.5, garch_alpha0=0.1, garch_alpha1=0.1, garch_beta1=0.8))
+    ss = np.random.SeedSequence(5)
+    first = dw.generate(spec, ss).values
+    assert ss.n_children_spawned == 0
+    assert dw.generate(spec, ss).values.tobytes() == first.tobytes()
+    assert dw.generate(spec, np.random.SeedSequence(5)).values.tobytes() == first.tobytes()
 
 
 @pytest.mark.parametrize("loader,header", [
