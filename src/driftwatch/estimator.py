@@ -10,6 +10,7 @@ stationary AR data.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,28 +78,48 @@ def scaled_statistic(value: float, cfg: SmootherConfig, N: int) -> float:
     return value * scaling_factor(cfg, N)
 
 
-def _weights_at(times: np.ndarray, cfg: SmootherConfig, n: int, horizon: int) -> np.ndarray:
-    """Smoothing weights for observations 1..n at current index n.
+def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, np.ndarray]:
+    """Smoothing weights at current index n for records start+1..n, with ``start``.
 
-    Without a design the observation times anchor the kernel.  Rolling
-    designs re-select the past time points at every current index; fixed
-    designs use the transformed horizon-wide times (identical to the plain
-    path when the series was generated under that design).
+    Without a design the observation times anchor the kernel, and only the
+    support window is weighted: a record whose computed argument
+    (t_i - t_n)/h falls below ``kernel.support[0]`` evaluates to an exact 0.
+    That argument is nondecreasing in t_i, rounding included, so bisecting
+    on it finds the window without leaving out a nonzero weight.  Rolling
+    designs re-select the past time points at every current index, so they
+    weight all n; fixed designs use the transformed horizon-wide times
+    (identical to the plain path when the series was generated under that
+    design).
     """
-    design = cfg.design
-    t = times[:n] if design is None else design_times(design, n, horizon)
-    args = (t - t[-1]) / cfg.h
-    return cfg.kernel.evaluate(args) / cfg.h
+    if cfg.design is None:
+        t_n, h = times[n - 1], cfg.h
+        start = bisect_left(times, cfg.kernel.support[0], 0, n, key=lambda t: (t - t_n) / h)
+        args = (np.asarray(times[start:n], dtype=float) - t_n) / h
+    else:
+        start = 0
+        t = design_times(cfg.design, n, horizon)
+        args = (t - t[-1]) / cfg.h
+    return start, cfg.kernel.evaluate(args) / cfg.h
+
+
+def anchored_estimate(times, values, cfg: SmootherConfig, n: int) -> float:
+    """Kernel-weighted mean of records 1..n of the sequences ``times`` and ``values``.
+
+    The one single-anchor smoother, behind ``nw_estimate`` and the streaming
+    monitor; a design's horizon is ``len(times)``.  Its work is the support
+    window, not n, unless a design is set.
+    """
+    start, w = _weights_at(times, cfg, n, len(times))
+    den = w.sum()
+    check_weights(den, first=n)
+    return float(w @ np.asarray(values[start:n], dtype=float) / den)
 
 
 def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
     """Kernel-weighted mean of the first n observations, anchored at index n."""
     if not 1 <= n <= len(series):
         raise ValueError(f"need 1 <= n <= {len(series)}, got {n!r}")
-    w = _weights_at(series.times, cfg, n, len(series))
-    den = w.sum()
-    check_weights(den, first=n)
-    return float(w @ series.values[:n] / den)
+    return anchored_estimate(series.times, series.values, cfg, n)
 
 
 def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
@@ -122,7 +143,7 @@ def _process_parts(times, values, cfg: SmootherConfig):
     if design is not None:
         # design weights vary per current index; no shared lower-triangular form
         for n in range(1, N + 1):
-            w = _weights_at(times, cfg, n, N)
+            _, w = _weights_at(times, cfg, n, N)
             den[n - 1] = w.sum()
             num[:, n - 1] = values[:, :n] @ w
         return num, den

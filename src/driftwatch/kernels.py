@@ -116,6 +116,11 @@ def tabulated_kernel(knots_z, knots_k) -> KernelSpec:
         raise ValueError("tabulated kernel knots must be finite")
     if np.any(np.diff(z) <= 0):
         raise ValueError("tabulated kernel knots must be strictly increasing")
+    if np.any(k < 0):
+        i = int(np.argmax(k < 0))
+        raise ValueError(
+            f"tabulated kernel values must be nonnegative, got k={float(k[i])!r} at z={float(z[i])!r}"
+        )
     slopes = np.diff(k) / np.diff(z)
     return KernelSpec(
         family="tabulated",

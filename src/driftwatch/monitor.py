@@ -19,10 +19,11 @@ import numpy as np
 from scipy.stats import norm
 
 from .estimator import (
-    DriftwatchError, SmootherConfig, _process_parts, check_weights, nw_estimate, scaling_factor,
+    DriftwatchError, SmootherConfig, _process_parts, anchored_estimate, check_weights, nw_estimate,
+    scaling_factor,
 )
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, generate, substream
-from .variance import check_variance, running_estimates
+from .variance import RunningVariance, check_variance, running_estimates
 
 MonitoringError = DriftwatchError
 
@@ -174,15 +175,23 @@ def false_alarm_rate(
 class StreamMonitor:
     """Online monitor: feed (t, y) records, get an alarm dict on first exceedance.
 
-    Keeps the full history (the smoother needs it: every past observation is
-    reweighted when the anchor moves) plus incremental variance accumulators.
+    Each update does bounded work.  Without a time design the smoother
+    weights only the records within the kernel's support of the newest
+    time (8h for Gaussian, 24h for Laplace, h for Epanechnikov, the part of
+    the knot span left of 0 for a tabulated kernel), and a
+    ``RunningVariance`` adds one term per record.  A design re-selects past time points at every index, so
+    with one each update weights the whole history.  The kept ``times`` and
+    ``values`` grow by one entry per record, up to the horizon.
     """
 
     def __init__(self, cfg: MonitorConfig, prerun: TimeSeries | None = None):
         self.cfg = cfg
         self.times: list[float] = []
         self.values: list[float] = []
-        self._pre_inc = np.diff(prerun.values) if prerun is not None else None
+        self._variance = None
+        if cfg.variance_method is not None:
+            pre_inc = np.diff(prerun.values) if prerun is not None else None
+            self._variance = RunningVariance.start(cfg.variance_method, pre_inc)
         self.alarmed = False
         self.n = 0
 
@@ -202,19 +211,20 @@ class StreamMonitor:
             raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
         cfg = self.cfg
         n = self.n + 1
-        stat = None
-        if n >= cfg.start_index:
-            values = np.array(self.values + [y])
-            est = 1.0  # unit variance unless standardized
-            if cfg.variance_method is not None:
-                est = running_estimates(values, cfg.variance_method, self._pre_inc)[n - 1]
-            if not np.isnan(est):
-                series = TimeSeries(np.array(self.times + [t]), values)
-                stat = nw_estimate(series, cfg.smoother, n) * scaling_factor(cfg.smoother, cfg.N)
-                check_variance(est, first=n)
-                stat = stat / float(np.sqrt(est))
+        variance = self._variance.push(y) if self._variance is not None else None
+        est = 1.0 if variance is None else variance.value  # unit variance unless standardized
         self.times.append(t)
         self.values.append(y)
+        stat = None
+        if n >= cfg.start_index and not np.isnan(est):
+            try:
+                stat = anchored_estimate(self.times, self.values, cfg.smoother, n)
+                check_variance(est, first=n)
+            except DriftwatchError:
+                del self.times[-1], self.values[-1]
+                raise
+            stat = stat * scaling_factor(cfg.smoother, cfg.N) / float(np.sqrt(est))
+        self._variance = variance
         self.n = n
         if stat is not None and stat > cfg.threshold:
             self.alarmed = True

@@ -104,6 +104,22 @@ def nuisance_free(statistic: float, est: VarianceEstimate) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _prerun_head(prerun_increments, method: str, batch: int) -> tuple[np.ndarray, int]:
+    """Sum of squared prerun terms for each of ``batch`` rows, and the prerun's term count.
+
+    A one-row prerun serves every row.
+    """
+    terms_of, span, _ = _method(method)
+    p = np.zeros((batch, 0)) if prerun_increments is None else np.atleast_2d(
+        np.asarray(prerun_increments, dtype=float)
+    )
+    if p.shape[0] == 1 and batch > 1:
+        p = np.broadcast_to(p, (batch, p.shape[1]))
+    t = terms_of(p)
+    # the prerun alone carries max(m_p - span + 1, 0) terms
+    return np.sum(t * t, axis=1), max(p.shape[1] - span + 1, 0)
+
+
 def running_estimates(
     values: np.ndarray, method: str, prerun_increments: np.ndarray | None = None
 ) -> np.ndarray:
@@ -118,15 +134,7 @@ def running_estimates(
     squeeze = values.ndim == 1
     values = np.atleast_2d(values)
     batch, N = values.shape
-    p = np.zeros((batch, 0)) if prerun_increments is None else np.atleast_2d(
-        np.asarray(prerun_increments, dtype=float)
-    )
-    if p.shape[0] == 1 and batch > 1:
-        p = np.broadcast_to(p, (batch, p.shape[1]))
-    # the prerun alone carries max(m_p - span + 1, 0) terms
-    cnt0 = max(p.shape[1] - span + 1, 0)
-    t = terms_of(p)
-    head = np.sum(t * t, axis=1)
+    head, cnt0 = _prerun_head(prerun_increments, method, batch)
 
     out = np.full((batch, N), np.nan)
     # up to index span the series carries no term of its own
@@ -137,3 +145,46 @@ def running_estimates(
         counts = cnt0 + np.arange(1, N - span + 1)
         out[:, span:] = factor * (head[:, None] + np.cumsum(terms * terms, axis=1)) / counts
     return out[0] if squeeze else out
+
+
+@dataclass(frozen=True)
+class RunningVariance:
+    """The running estimate of ``running_estimates`` one value at a time.
+
+    Holds the prerun head (its squared-term sum and term count), the number
+    of values seen, the running sum of the series' squared terms and the
+    last ``span`` + 1 values, which form the next term.  ``push`` returns
+    the state after one more value and leaves this one as it is.  After n
+    values, ``value`` is bitwise ``running_estimates(values[:n], method,
+    prerun_increments)[n - 1]``: each term comes from the same method-table
+    entry, and the sum grows in the order ``cumsum`` adds.
+    """
+
+    method: str
+    head: float
+    cnt0: int
+    n: int = 0
+    total: float = 0.0
+    last: tuple[float, ...] = ()
+
+    @classmethod
+    def start(cls, method: str, prerun_increments=None) -> RunningVariance:
+        head, cnt0 = _prerun_head(prerun_increments, method, 1)
+        return cls(method, float(head[0]), cnt0)
+
+    def push(self, y: float) -> RunningVariance:
+        terms_of, span, _ = _method(self.method)
+        last = (self.last + (y,))[-span - 1 :]
+        total = self.total
+        if len(last) > span:
+            t = terms_of(np.diff(np.array([last]), axis=1))
+            total = total + float((t * t)[0, 0])
+        return RunningVariance(self.method, self.head, self.cnt0, self.n + 1, total, last)
+
+    @property
+    def value(self) -> float:
+        """The estimate using the values seen so far; NaN where it is undefined."""
+        _, span, factor = _method(self.method)
+        if self.n > span:
+            return factor * (self.head + self.total) / (self.cnt0 + self.n - span)
+        return factor * self.head / self.cnt0 if self.cnt0 else np.nan

@@ -274,6 +274,10 @@ BAD_INPUTS = {
     "one-knot kernel CSV": (
         lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "5", "-c", "1",
                     "--kernel", _write(d / "k1.csv", "z,k\n0,1\n")], None, None), "k1.csv"),
+    "negative kernel CSV": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "1", "-c", "1",
+                    "--kernel", _write(d / "neg.csv", "z,k\n-3,-1\n-1,-1\n0,1\n1,0\n")],
+                   None, None), "neg.csv: tabulated kernel values must be nonnegative, got k=-1.0"),
     "unknown kernel name": (
         lambda d: (["table1", "--kernels", "cosine", "--out", str(d / "t.csv")], None, None),
         "choose from"),

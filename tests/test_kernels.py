@@ -172,6 +172,9 @@ def test_tabulated_validation():
         dw.tabulated_kernel([0.0, 0.0], [1.0, 1.0])  # not increasing
     with pytest.raises(ValueError):
         dw.tabulated_kernel([0.0], [1.0])  # too short
+    # a negative lobe would let the unit-time weight sum fall back to zero
+    with pytest.raises(ValueError, match=r"k=-1\.0 at z=-3\.0"):
+        dw.tabulated_kernel([-3.0, -1.0, 0.0, 1.0], [-1.0, -1.0, 1.0, 0.0])
 
 
 def test_load_kernel_csv_bad_header(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 import driftwatch as dw
-from driftwatch import estimator, variance
+from driftwatch import estimator, monitor, variance
 from driftwatch.monitor import MonitoringError
 
 G = dw.gaussian_kernel()
@@ -173,6 +173,34 @@ def test_stream_monitor_matches_batch():
     else:
         assert alarm is None
         assert stream.truncation_record()["alarmed"] is False
+
+
+def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
+    # counts, not timing: each update evaluates the kernel on the support
+    # window only, and never recomputes the running variance over the prefix
+    N, h = 5000, 5.0
+    series = dw.generate(dw.SeriesSpec(N=N), 12)
+    cfg = config(N, h=h, c=np.inf, variance="naive")
+    sizes, running_calls = [], []
+    evaluate, running = dw.KernelSpec.evaluate, variance.running_estimates
+
+    def counting_evaluate(self, z):
+        sizes.append(np.size(z))
+        return evaluate(self, z)
+
+    def counting_running(*args, **kwargs):
+        running_calls.append(np.size(args[0]))
+        return running(*args, **kwargs)
+
+    monkeypatch.setattr(dw.KernelSpec, "evaluate", counting_evaluate)
+    monkeypatch.setattr(monitor, "running_estimates", counting_running)
+    monkeypatch.setattr(variance, "running_estimates", counting_running)
+    stream = dw.StreamMonitor(cfg)
+    for t, y in zip(series.times.tolist(), series.values.tolist()):
+        stream.update(t, y)
+    assert stream.n == N and len(sizes) == N - 1  # index 1 has no variance estimate
+    assert max(sizes) <= dw.kernels.GAUSSIAN_TRUNCATION * h + 2
+    assert running_calls == []
 
 
 def test_stream_monitor_rejects_nonincreasing_times():

@@ -6,7 +6,10 @@ calibration's own trajectory builder that the table-driven
 ``running_estimates``, the vectorized ``_brownian_paths``, the Python-float
 loops in ``seriesgen`` and the monitor's ``chart`` at threshold +inf
 replaced.  All must agree with them bit for bit, since seeded draws and
-calibration results are part of the numeric contract.
+calibration results are part of the numeric contract.  The whole-prefix
+streaming update is the reference for the support-window update; only the
+summation order of the smoother changes there, so the two end the same way
+and their statistics agree to 1e-12 relative.
 """
 
 import numpy as np
@@ -16,10 +19,10 @@ from hypothesis import strategies as st
 
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
-from driftwatch.estimator import _process_parts, check_weights, scaling_factor
-from driftwatch.monitor import chart
+from driftwatch.estimator import _process_parts, _weights_at, check_weights, scaling_factor
+from driftwatch.monitor import StreamMonitor, chart
 from driftwatch.seriesgen import GARCH_BURN_IN
-from driftwatch.variance import check_variance, running_estimates
+from driftwatch.variance import RunningVariance, check_variance, running_estimates
 
 
 def running_reference(values, method, prerun_increments=None):
@@ -318,3 +321,179 @@ def test_finite_calibration_rejects_a_start_fraction_the_monitor_rejects():
     variant = dw.FiniteSampleVariant(N=50, h=5.0, start_fraction=1.5)
     with pytest.raises(ValueError, match="start_fraction"):
         dw.arl_curve(variant, dw.gaussian_kernel(), np.array([0.1, 0.2]), 100, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(["naive", "rice", "gasser"]),
+    N=st.integers(1, 30),
+    prerun=st.none() | st.integers(0, 7),
+    flat=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_running_variance_state_matches_running_estimates_bitwise(method, N, prerun, flat, seed):
+    # N and the prerun length range below and above each method's span
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal(N) * rng.uniform(0.1, 10.0)
+    inc[:flat] = 0.0
+    values = np.cumsum(inc)
+    pre = None if prerun is None else rng.standard_normal(prerun)
+    state = RunningVariance.start(method, pre)
+    for n in range(1, N + 1):
+        state = state.push(values[n - 1])
+        want = running_estimates(values[:n], method, pre)[n - 1]
+        assert np.float64(state.value).tobytes() == want.tobytes()
+
+
+def stream_update_reference(self, t, y):
+    """The whole-prefix ``StreamMonitor.update`` that the support window replaced."""
+    if self.alarmed or self.n >= self.cfg.N:
+        return None
+    t, y = float(t), float(y)
+    if not (np.isfinite(t) and np.isfinite(y)):
+        raise ValueError(f"stream record must be finite, got t={t!r}, y={y!r}")
+    if self.times and t <= self.times[-1]:
+        raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
+    cfg = self.cfg
+    n = self.n + 1
+    stat = None
+    if n >= cfg.start_index:
+        values = np.array(self.values + [y])
+        est = 1.0  # unit variance unless standardized
+        if cfg.variance_method is not None:
+            est = running_estimates(values, cfg.variance_method, self._pre_inc)[n - 1]
+        if not np.isnan(est):
+            series = dw.TimeSeries(np.array(self.times + [t]), values)
+            stat = dw.nw_estimate(series, cfg.smoother, n) * scaling_factor(cfg.smoother, cfg.N)
+            check_variance(est, first=n)
+            stat = stat / float(np.sqrt(est))
+    self.times.append(t)
+    self.values.append(y)
+    self.n = n
+    if stat is not None and stat > cfg.threshold:
+        self.alarmed = True
+        return {"alarmed": True, "index": n, "time": float(t), "statistic": float(stat),
+                "threshold": cfg.threshold}
+    return None
+
+
+class StreamReference:
+    """A stream monitor that updates with ``stream_update_reference``."""
+
+    def __init__(self, cfg, prerun=None):
+        self.cfg = cfg
+        self.times, self.values = [], []
+        self._pre_inc = np.diff(prerun.values) if prerun is not None else None
+        self.alarmed = False
+        self.n = 0
+
+    update = stream_update_reference
+
+
+# support entirely left of 0, with a jump at its left end: a record the
+# window wrongly left out or took in would move the statistic by O(1)
+LEFT = dw.tabulated_kernel([-3.0, -2.0, -1.0], [1.0, 0.5, 0.0])
+_STREAM_KERNELS = [dw.gaussian_kernel(), dw.laplace_kernel(), dw.epanechnikov_kernel(),
+                   _KERNELS[3], LEFT]
+
+
+def _edge_times(rng, N, lo_h, near):
+    """Increasing irregular times; with ``near``, many land a few ulps either
+    side of where an earlier record sits at the window edge t_j - t_n = lo h."""
+    times = [float(rng.uniform(0.0, 2.0))]
+    while len(times) < N:
+        t = times[-1] + float(rng.uniform(0.05, 1.5))
+        edges = [s - lo_h for s in times if s - lo_h > times[-1]]
+        if near and edges and rng.random() < 0.6:
+            edge = edges[int(rng.integers(len(edges)))]
+            t = float(edge + int(rng.integers(-3, 4)) * np.spacing(edge))
+        times.append(max(t, float(np.nextafter(times[-1], np.inf))))
+    return times
+
+
+def _stream_outcomes(mon, times, values):
+    """Per record: ('alarm', index, statistic), ('error', index) or None, then
+    the monitor's n, times and values after it."""
+    out = []
+    for t, y in zip(times, values):
+        try:
+            rec = mon.update(t, y)
+            out.append(None if rec is None else ("alarm", rec["index"], rec["statistic"]))
+        except dw.DriftwatchError as exc:
+            out.append(("error", exc.index))
+        out[-1] = (out[-1], mon.n, list(mon.times), list(mon.values))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kernel=st.sampled_from(_STREAM_KERNELS),
+    h=st.sampled_from([0.3, 1.0, 2.5]),
+    N=st.integers(1, 60),
+    near=st.booleans(),
+    method=st.sampled_from([None, "naive", "rice", "gasser"]),
+    prerun=st.none() | st.integers(0, 2) | st.integers(3, 12),
+    flat=st.integers(0, 10),
+    start_fraction=st.sampled_from([0.0, 0.2, 0.5]),
+    c=st.floats(0.0, 30.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stream_update_ends_like_the_whole_prefix_update(
+        kernel, h, N, near, method, prerun, flat, start_fraction, c, seed):
+    rng = np.random.default_rng(seed)
+    times = _edge_times(rng, N, kernel.support[0] * h, near)
+    # positive values, so no weighted sum cancels and 1e-12 relative is a fair bound
+    inc = rng.standard_normal(N) * 0.3 + rng.uniform(-0.1, 0.3)
+    inc[:flat] = 0.0
+    values = (5.0 + np.abs(np.cumsum(inc))).tolist()
+    pre = None if prerun is None else dw.TimeSeries(
+        np.arange(1.0, prerun + 1.0), np.cumsum(rng.standard_normal(prerun)) * (flat == 0))
+    cfg = dw.MonitorConfig(dw.SmootherConfig(kernel=kernel, h=h), c, N, start_fraction, method)
+
+    got = _stream_outcomes(StreamMonitor(cfg, pre), times, values)
+    want = _stream_outcomes(StreamReference(cfg, pre), times, values)
+    assert [g[1:] for g in got] == [w[1:] for w in want]
+    for (g, *_), (w, *_) in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g[:2] == w[:2]
+            if w[0] == "alarm":
+                assert abs(g[2] - w[2]) <= 1e-12 * abs(w[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel=st.sampled_from(_STREAM_KERNELS),
+    h=st.sampled_from([0.3, 1.0, 2.5]),
+    N=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, seed):
+    rng = np.random.default_rng(seed)
+    times = _edge_times(rng, N, kernel.support[0] * h, True)
+    cfg = dw.SmootherConfig(kernel=kernel, h=h)
+    arr = np.array(times)
+    for n in range(1, N + 1):
+        full = kernel.evaluate((arr[:n] - arr[n - 1]) / h) / h
+        for seq in (times, arr):
+            start, w = _weights_at(seq, cfg, n, N)
+            assert not full[:start].any()
+            assert w.tobytes() == full[start:].tobytes()
+
+
+@pytest.mark.parametrize("design", [dw.TimeDesign(gamma=2.0),
+                                    dw.TimeDesign(gamma=0.5, mode="fixed")])
+@pytest.mark.parametrize("method", [None, "gasser"])
+def test_stream_with_a_design_matches_the_whole_prefix_update_bitwise(design, method):
+    # the step drift makes the chart alarm past index 55 at c = 0.05 and 0.2
+    drift = dw.DriftSpec(m0=dw.alternative_by_name("step"), beta=0.0, cp_model="cp2",
+                         theta=0.4, h_link=10.0)
+    series = dw.generate(dw.SeriesSpec(N=80, drift=drift), 5)
+    prerun = dw.generate(dw.SeriesSpec(N=10), 6)
+    smoother = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=6.0, scaling="null_scale",
+                                 design=design)
+    for c in (0.05, 0.2, np.inf):
+        cfg = dw.MonitorConfig(smoother, c, 80, 0.1, method)
+        got = _stream_outcomes(StreamMonitor(cfg, prerun), series.times, series.values)
+        want = _stream_outcomes(StreamReference(cfg, prerun), series.times, series.values)
+        assert got == want
