@@ -20,7 +20,7 @@ from .seriesgen import TimeDesign, TimeSeries, design_times
 
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
-_ROW_BLOCK = 512  # bounds the weight-matrix working set
+_ROW_BLOCK = 256  # anchors per block of the batch smoother
 
 
 class DriftwatchError(ValueError):
@@ -78,23 +78,32 @@ def scaled_statistic(value: float, cfg: SmootherConfig, N: int) -> float:
     return value * scaling_factor(cfg, N)
 
 
+def _window_start(times, n: int, cfg: SmootherConfig) -> int:
+    """0-based first record of the kernel-support window at 1-based index n.
+
+    A record whose computed argument (t_i - t_n)/h falls below
+    ``kernel.support[0]`` evaluates to an exact 0.  That argument is
+    nondecreasing in t_i, rounding included, so bisecting on it finds the
+    window without leaving out a nonzero weight.  A support right of 0 gives
+    the empty window, start n.
+    """
+    t_n, h = times[n - 1], cfg.h
+    return bisect_left(times, cfg.kernel.support[0], 0, n, key=lambda t: (t - t_n) / h)
+
+
 def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, np.ndarray]:
     """Smoothing weights at current index n for records start+1..n, with ``start``.
 
     Without a design the observation times anchor the kernel, and only the
-    support window is weighted: a record whose computed argument
-    (t_i - t_n)/h falls below ``kernel.support[0]`` evaluates to an exact 0.
-    That argument is nondecreasing in t_i, rounding included, so bisecting
-    on it finds the window without leaving out a nonzero weight.  Rolling
-    designs re-select the past time points at every current index, so they
-    weight all n; fixed designs use the transformed horizon-wide times
+    support window (``_window_start``) is weighted.  Rolling designs
+    re-select the past time points at every current index, so they weight
+    all n; fixed designs use the transformed times of the given ``horizon``
     (identical to the plain path when the series was generated under that
     design).
     """
     if cfg.design is None:
-        t_n, h = times[n - 1], cfg.h
-        start = bisect_left(times, cfg.kernel.support[0], 0, n, key=lambda t: (t - t_n) / h)
-        args = (np.asarray(times[start:n], dtype=float) - t_n) / h
+        start = _window_start(times, n, cfg)
+        args = (np.asarray(times[start:n], dtype=float) - times[n - 1]) / cfg.h
     else:
         start = 0
         t = design_times(cfg.design, n, horizon)
@@ -102,14 +111,14 @@ def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, 
     return start, cfg.kernel.evaluate(args) / cfg.h
 
 
-def anchored_estimate(times, values, cfg: SmootherConfig, n: int) -> float:
+def anchored_estimate(times, values, cfg: SmootherConfig, n: int, horizon: int) -> float:
     """Kernel-weighted mean of records 1..n of the sequences ``times`` and ``values``.
 
     The one single-anchor smoother, behind ``nw_estimate`` and the streaming
-    monitor; a design's horizon is ``len(times)``.  Its work is the support
-    window, not n, unless a design is set.
+    monitor; ``horizon`` places a fixed design's time points.  Its work is
+    the support window, not n, unless a design is set.
     """
-    start, w = _weights_at(times, cfg, n, len(times))
+    start, w = _weights_at(times, cfg, n, horizon)
     den = w.sum()
     check_weights(den, first=n)
     return float(w @ np.asarray(values[start:n], dtype=float) / den)
@@ -119,7 +128,7 @@ def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
     """Kernel-weighted mean of the first n observations, anchored at index n."""
     if not 1 <= n <= len(series):
         raise ValueError(f"need 1 <= n <= {len(series)}, got {n!r}")
-    return anchored_estimate(series.times, series.values, cfg, n)
+    return anchored_estimate(series.times, series.values, cfg, n, len(series))
 
 
 def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
@@ -129,11 +138,28 @@ def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
     return (num / den)[0]
 
 
+def _unit_spaced(t: np.ndarray) -> bool:
+    """Whether ``t`` is t_0, t_0 + 1, ... with integer t_0, so that the
+    computed t_i - t_n is i - n exactly."""
+    return (len(t) > 0 and float(t[0]).is_integer() and abs(t[0]) + len(t) <= 2.0**53
+            and np.array_equal(t, t[0] + np.arange(len(t))))
+
+
 def _process_parts(times, values, cfg: SmootherConfig):
     """Numerators/denominator of the process for a batch of series (rows).
 
     Returns ``(num, den)`` with ``num`` of shape (batch, N) and ``den`` of
-    shape (N,); the smoother is num/den.  Row blocks keep memory bounded.
+    shape (N,); the smoother is num/den.
+
+    Without a design, anchors go in row blocks [a, b), and a block multiplies
+    only the columns [lo, b) that can carry weight, lo being the support
+    window start of anchor a; weights of later records are exact zeros, so
+    the process stays exactly causal.  On unit-spaced times every weight is
+    K(-d/h)/h for a lag d of the window, so the kernel is evaluated once per
+    lag and each block's weights are a view of one Toeplitz template, equal
+    bit for bit to the kernel at (t_i - t_n)/h.  Other times evaluate the
+    kernel on the block and zero its upper triangle.  A design's weights vary
+    per anchor, so it takes one anchor at a time.
     """
     values = np.asarray(values, dtype=float)
     N = values.shape[1]
@@ -148,12 +174,27 @@ def _process_parts(times, values, cfg: SmootherConfig):
             num[:, n - 1] = values[:, :n] @ w
         return num, den
     t = np.asarray(times, dtype=float)
-    for start in range(0, N, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, N)
-        args = (t[None, :] - t[start:stop, None]) / cfg.h
-        W = cfg.kernel.evaluate(args) / cfg.h
-        # causality: only i <= n contributes
-        W[np.arange(1, N + 1)[None, :] > np.arange(start + 1, stop + 1)[:, None]] = 0.0
-        den[start:stop] = W.sum(axis=1)
-        num[:, start:stop] = values @ W.T
+    kernel, h = cfg.kernel, cfg.h
+    unit = _unit_spaced(t)
+    if unit:
+        # the weight of lag d = n - i is k[lags - 1 - d]
+        lags = N - _window_start(t, N, cfg)
+        k = kernel.evaluate(np.arange(1.0 - lags, 1.0) / h) / h
+        # row r holds k from column r on; in block [a, b) column c is record a - (lags - 1) + c
+        B = min(_ROW_BLOCK, N)
+        template = np.zeros((B, B + lags))
+        for r in range(B):
+            template[r, r : r + lags] = k
+    for a in range(0, N, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, N)
+        lo = _window_start(t, a + 1, cfg)
+        if unit:
+            c = lo - a + lags - 1
+            W = template[: b - a, c : c + b - lo]
+        else:
+            W = kernel.evaluate((t[None, lo:b] - t[a:b, None]) / h) / h
+            # causality: only i <= n contributes
+            W[np.arange(lo, b)[None, :] > np.arange(a, b)[:, None]] = 0.0
+        den[a:b] = W.sum(axis=1)
+        num[:, a:b] = values[:, lo:b] @ W.T
     return num, den

@@ -179,9 +179,11 @@ class StreamMonitor:
     weights only the records within the kernel's support of the newest
     time (8h for Gaussian, 24h for Laplace, h for Epanechnikov, the part of
     the knot span left of 0 for a tabulated kernel), and a
-    ``RunningVariance`` adds one term per record.  A design re-selects past time points at every index, so
-    with one each update weights the whole history.  The kept ``times`` and
-    ``values`` grow by one entry per record, up to the horizon.
+    ``RunningVariance`` adds one term per record.  A design re-selects past
+    time points at every index (a fixed one by the horizon N, as
+    ``run_monitor`` does), so with one each update weights the whole
+    history.  The kept ``times`` and ``values`` grow by one entry per
+    record, up to the horizon.
     """
 
     def __init__(self, cfg: MonitorConfig, prerun: TimeSeries | None = None):
@@ -218,7 +220,7 @@ class StreamMonitor:
         stat = None
         if n >= cfg.start_index and not np.isnan(est):
             try:
-                stat = anchored_estimate(self.times, self.values, cfg.smoother, n)
+                stat = anchored_estimate(self.times, self.values, cfg.smoother, n, cfg.N)
                 check_variance(est, first=n)
             except DriftwatchError:
                 del self.times[-1], self.values[-1]

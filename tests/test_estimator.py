@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import driftwatch as dw
+from driftwatch import estimator
 from driftwatch.estimator import DegenerateWeightsError
 from driftwatch.monitor import monitor_trajectory
 
@@ -135,6 +136,40 @@ def test_degenerate_weights():
     s = make_series([1.0, 2.0])
     with pytest.raises(DegenerateWeightsError):
         dw.nw_estimate(s, cfg, 2)
+
+
+@pytest.mark.parametrize("times", [None, [0.5, 1.0, 2.5, 2.75, 4.0, 6.0]])
+def test_kernel_right_of_zero_raises_at_the_first_eligible_index(times):
+    # no record at or before an anchor lies in the support: the window is
+    # empty, every weight vanishes, and no lag count goes negative
+    k = dw.tabulated_kernel([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+    cfg = dw.SmootherConfig(kernel=k, h=2.0, scaling="null_scale")
+    s = make_series(np.arange(6.0), times)
+    num, den = estimator._process_parts(s.times, s.values[None, :], cfg)
+    assert not num.any() and not den.any()
+    with pytest.raises(DegenerateWeightsError) as err:
+        dw.nw_process(s, cfg)
+    assert err.value.index == 1
+    with pytest.raises(DegenerateWeightsError) as err:
+        dw.run_monitor(s, dw.MonitorConfig(cfg, 0.1, 6, start_fraction=0.5))
+    assert err.value.index == 3
+
+
+def test_unit_time_smoother_evaluates_each_lag_once(monkeypatch):
+    # counts, not timing: on unit times every weight is one of the window's lags
+    N, h = 5000, 5.0
+    series = dw.generate(dw.SeriesSpec(N=N), 12)
+    cfg = dw.SmootherConfig(kernel=G, h=h)
+    points = []
+    evaluate = dw.KernelSpec.evaluate
+
+    def counting_evaluate(self, z):
+        points.append(np.size(z))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(dw.KernelSpec, "evaluate", counting_evaluate)
+    dw.nw_process(series, cfg)
+    assert 0 < sum(points) <= dw.kernels.GAUSSIAN_TRUNCATION * h + 2
 
 
 def test_rolling_uniform_design_matches_plain():

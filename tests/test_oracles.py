@@ -9,7 +9,10 @@ replaced.  All must agree with them bit for bit, since seeded draws and
 calibration results are part of the numeric contract.  The whole-prefix
 streaming update is the reference for the support-window update; only the
 summation order of the smoother changes there, so the two end the same way
-and their statistics agree to 1e-12 relative.
+and their statistics agree to 1e-12 relative.  The dense smoother, which
+weighted every record at every anchor, is the reference for the banded one;
+its weights are unchanged and only the summation order differs, so the two
+agree to a few ulps of the largest term and keep every exact zero.
 """
 
 import numpy as np
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
 from driftwatch.estimator import _process_parts, _weights_at, check_weights, scaling_factor
-from driftwatch.monitor import StreamMonitor, chart
+from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.seriesgen import GARCH_BURN_IN
 from driftwatch.variance import RunningVariance, check_variance, running_estimates
 
@@ -485,15 +488,89 @@ def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, seed):
                                     dw.TimeDesign(gamma=0.5, mode="fixed")])
 @pytest.mark.parametrize("method", [None, "gasser"])
 def test_stream_with_a_design_matches_the_whole_prefix_update_bitwise(design, method):
-    # the step drift makes the chart alarm past index 55 at c = 0.05 and 0.2
+    # the step drift makes the chart alarm past index 55 at c = 0.05 and 0.2;
+    # a rolling design re-selects its time points at every index, so the
+    # whole-prefix update is its reference, while a fixed design places them
+    # by the horizon N, so the stream must end where batch monitoring does
     drift = dw.DriftSpec(m0=dw.alternative_by_name("step"), beta=0.0, cp_model="cp2",
                          theta=0.4, h_link=10.0)
     series = dw.generate(dw.SeriesSpec(N=80, drift=drift), 5)
     prerun = dw.generate(dw.SeriesSpec(N=10), 6)
     smoother = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=6.0, scaling="null_scale",
                                  design=design)
+    ends = []
     for c in (0.05, 0.2, np.inf):
         cfg = dw.MonitorConfig(smoother, c, 80, 0.1, method)
         got = _stream_outcomes(StreamMonitor(cfg, prerun), series.times, series.values)
-        want = _stream_outcomes(StreamReference(cfg, prerun), series.times, series.values)
-        assert got == want
+        if design.mode == "rolling":
+            assert got == _stream_outcomes(StreamReference(cfg, prerun), series.times,
+                                           series.values)
+            continue
+        traj, eligible = monitor_trajectory(series, cfg, prerun)
+        exceed = eligible & (traj > c)
+        alarms = [g for g, *_ in got if g is not None]
+        if not exceed.any():
+            assert alarms == [] and got[-1][1] == 80
+            continue
+        n = int(np.argmax(exceed)) + 1
+        assert alarms == [("alarm", n, alarms[0][2])]
+        assert abs(alarms[0][2] - traj[n - 1]) <= 1e-12 * abs(traj[n - 1])
+        ends.append(n)
+    if design.mode == "fixed":
+        # the whole-prefix update, which placed them by n, alarmed one index early
+        assert ends == ([59, 71] if method is None else [59, 70])
+
+
+def process_parts_reference(times, values, cfg):
+    """The dense no-design smoother that the banded one replaced: every anchor
+    weights all N records, and the upper triangle is zeroed."""
+    values = np.asarray(values, dtype=float)
+    N = values.shape[1]
+    num = np.empty_like(values)
+    den = np.empty(N)
+    t = np.asarray(times, dtype=float)
+    for start in range(0, N, 512):
+        stop = min(start + 512, N)
+        args = (t[None, :] - t[start:stop, None]) / cfg.h
+        W = cfg.kernel.evaluate(args) / cfg.h
+        W[np.arange(1, N + 1)[None, :] > np.arange(start + 1, stop + 1)[:, None]] = 0.0
+        den[start:stop] = W.sum(axis=1)
+        num[:, start:stop] = values @ W.T
+    return num, den
+
+
+# support entirely right of 0: no record at or before an anchor carries weight
+RIGHT = dw.tabulated_kernel([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.integers(1, 3),
+    N=st.integers(1, 600),
+    layout=st.sampled_from(["unit", "irregular", "step 0.1"]),
+    t0=st.sampled_from([-3.0, 0.0, 1.0, 7.0]),
+    kernel=st.sampled_from(_KERNELS + [LEFT, RIGHT]),
+    h_frac=st.floats(0.0, 1.0),
+    flat=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_smoother_matches_the_dense_reference(rows, N, layout, t0, kernel, h_frac, flat,
+                                                     seed):
+    # N spans one to more than two row blocks; h runs log-uniformly from 0.3 to N
+    rng = np.random.default_rng(seed)
+    h = 0.3 * (max(N, 0.3) / 0.3) ** h_frac
+    if layout == "unit":
+        times = t0 + np.arange(N)
+    elif layout == "irregular":
+        times = t0 + np.cumsum(rng.uniform(0.05, 2.0, N))
+    else:  # looks equally spaced, but t_i - t_n is not (i - n) / 10 exactly
+        times = t0 + 0.1 * np.arange(1, N + 1)
+    inc = rng.standard_normal((rows, N))
+    inc[:, :flat] = 0.0
+    values = np.cumsum(inc, axis=1)
+    cfg = dw.SmootherConfig(kernel=kernel, h=h)
+    num, den = _process_parts(times, values, cfg)
+    ref_num, ref_den = process_parts_reference(times, values, cfg)
+    assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
+    assert np.all(np.abs(den - ref_den) <= 1e-14 * ref_den)
+    assert not num[ref_num == 0.0].any() and not den[ref_den == 0.0].any()
