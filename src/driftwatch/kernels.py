@@ -13,7 +13,9 @@ which keeps the density/mean checks valid at their 1e-8 tolerance.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -31,6 +33,8 @@ _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 # quadrature tolerances used throughout the package
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
+
+_FAMILIES = ("gaussian", "epanechnikov", "laplace", "tabulated")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +60,42 @@ class KernelSpec:
     knots_z: np.ndarray | None = field(default=None, repr=False)
     knots_k: np.ndarray | None = field(default=None, repr=False)
 
+    @cached_property
+    def _knots(self) -> tuple[list[float], list[float]]:
+        return self.knots_z.tolist(), self.knots_k.tolist()
+
     def evaluate(self, z) -> np.ndarray:
-        """Vectorized K(z); zero outside the support."""
-        z = np.asarray(z, dtype=float)
+        """Vectorized K(z); zero outside the support.
+
+        A float argument, one quadrature point, takes a scalar branch that
+        applies the same IEEE operations in the same order as the array
+        branch, so it returns bit for bit what a one-element array would.
+        """
         lo, hi = self.support
+        if isinstance(z, float) and self.family in _FAMILIES:
+            if not lo <= z <= hi:
+                return 0.0
+            # np.exp, not math.exp: the two differ in the last bit on some inputs
+            if self.family == "gaussian":
+                return _GAUSS_NORM * np.exp(-0.5 * z * z)
+            if self.family == "epanechnikov":
+                return 0.75 * (1.0 - z * z)
+            if self.family == "laplace":
+                return (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z))
+            # np.interp's rule: a knot (or the last one) keeps its value, otherwise
+            # the left knot's slope; a NaN retries from the right knot, then holds
+            zs, ks = self._knots
+            j = bisect_right(zs, z) - 1
+            if j == len(zs) - 1 or zs[j] == z:
+                return ks[j]
+            slope = (ks[j + 1] - ks[j]) / (zs[j + 1] - zs[j])
+            out = slope * (z - zs[j]) + ks[j]
+            if out != out:
+                out = slope * (z - zs[j + 1]) + ks[j + 1]
+                if out != out and ks[j] == ks[j + 1]:
+                    out = ks[j]
+            return out
+        z = np.asarray(z, dtype=float)
         inside = (z >= lo) & (z <= hi)
         if self.family == "gaussian":
             out = np.where(inside, _GAUSS_NORM * np.exp(-0.5 * z * z), 0.0)

@@ -109,7 +109,7 @@ def _weight_fn(cfg: LimitConfig, s: float):
     K, zeta = cfg.kernel, cfg.zeta
     design = cfg.design
     if design is None:
-        return lambda r: K.evaluate(zeta * (np.asarray(r, dtype=float) - s))
+        return lambda r: K.evaluate(zeta * (r - s))
     if design.mode == "rolling":
         return lambda r: K.evaluate(
             zeta * s * (design.ft_inverse(np.asarray(r, dtype=float) / s) - 1.0)
@@ -261,11 +261,10 @@ def _drift_inner(cfg: LimitConfig):
     design = cfg.design
     if design is None:
         off = _drift_offset(cfg)
-        fn = lambda r: d.m0.integral(zeta * np.asarray(r, dtype=float) - off)
-        return fn, [(off + k) / zeta for k in d.m0.knots()]
+        return (lambda r: d.m0.integral(zeta * r - off)), [(off + k) / zeta for k in d.m0.knots()]
     if design.mode == "rolling":
         # rolled designs keep the change-point-free inner integral int_0^r m0
-        return (lambda r: d.m0.integral(np.asarray(r, dtype=float))), list(d.m0.knots())
+        return d.m0.integral, list(d.m0.knots())
 
     ftheta = float(design.ft_inverse(d.theta))
     # composed-argument jump points: zeta (F^{-1}(t/zeta) - F^{-1}(theta)) = knot
@@ -423,8 +422,9 @@ def check_km_condition(
 
     Evaluates I(x) = int_0^x K(s - x) int_0^s m0(r) dr ds on a grid of x and
     reports whether some I(x) exceeds c while all values stay finite.
-    Divergence (non-finite or beyond the overflow guard) reports False
-    rather than raising.
+    Divergence (non-finite or beyond the overflow guard, or an integrand
+    that raises ArithmeticError or, with warnings as errors, RuntimeWarning)
+    reports False rather than raising; any other exception propagates.
     """
     xs = np.linspace(0.0, x_max, n_grid)
     vals = np.empty(n_grid)
@@ -435,7 +435,9 @@ def check_km_condition(
         breaks = arg_breaks(kernel, 1.0, x)
         try:
             vals[i] = _quad(lambda t: kernel.evaluate(t - x) * m0.integral(t), 0.0, x, breaks)
-        except Exception:
+        except (ArithmeticError, RuntimeWarning):
+            # a divergent integrand: Python float overflow, or numpy's overflow
+            # warning when warnings are errors; anything else is a bug and propagates
             return False
     if np.any(~np.isfinite(vals)) or np.any(np.abs(vals) > OVERFLOW_GUARD):
         return False

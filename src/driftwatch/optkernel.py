@@ -46,6 +46,10 @@ class TruncatedAlternative:
     __call__ = value
 
     def integral(self, x) -> np.ndarray:
+        if isinstance(x, float):
+            # np.minimum(x, t_max) on one value (NaN passes) up to the sign of a
+            # zero, which the base shape's integral maps to 0.0 either way
+            return self.base.integral(min(x, self.t_max))
         x = np.asarray(x, dtype=float)
         return self.base.integral(np.minimum(x, self.t_max))
 

@@ -70,7 +70,20 @@ class GenericAlternative:
         return [0.0]
 
     def integral(self, x) -> np.ndarray:
-        """Cumulative integral int_0^x m0(t) dt."""
+        """Cumulative integral int_0^x m0(t) dt.
+
+        A float argument takes a scalar branch for the closed forms, with
+        the array branch's operations: np.maximum(x, 0.0) keeps NaN and
+        turns -0.0 into 0.0.
+        """
+        if isinstance(x, float) and self.name != "tabulated":
+            xp = x if x > 0.0 or x != x else 0.0
+            if self.name == "zero":
+                return 0.0
+            if self.name == "step":
+                return xp
+            if self.name == "ramp":
+                return 0.5 * xp * xp
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
         if self.name == "zero":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -263,6 +265,40 @@ def test_check_km_condition():
     xs = np.linspace(0.0, 20.0, 81)
     oracle = any(inner(float(x)) > 0.1 for x in xs)
     assert dw.check_km_condition(G, RAMP, 0.1) == oracle
+
+
+class _RaisingKernel:
+    """A kernel stand-in whose every evaluation raises ``exc``."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def breakpoints(self):
+        return np.array([-1.0, 1.0])
+
+    def evaluate(self, z):
+        raise self.exc
+
+
+def test_check_km_condition_propagates_programming_errors():
+    with pytest.raises(TypeError, match="not a divergence"):
+        dw.check_km_condition(_RaisingKernel(TypeError("not a divergence")), STEP, 0.1)
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+def test_check_km_condition_reports_divergence_as_false(warn):
+    # beyond the overflow guard, an integrand that overflows (numpy's
+    # RuntimeWarning is an exception only when warnings are errors), and
+    # one that raises ArithmeticError itself
+    huge = dw.seriesgen.tabulated_alternative([0.0, 1.0], [1e200, 1e200])
+    overflowing = dw.seriesgen.tabulated_alternative([0.0, 1.0], [1e307, 1e307])
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        assert not dw.check_km_condition(G, huge, 0.1)
+        assert not dw.check_km_condition(G, overflowing, 0.1)
+        for exc in (OverflowError("exp"), ZeroDivisionError("1/0")):
+            assert not dw.check_km_condition(_RaisingKernel(exc), STEP, 0.1)
 
 
 def test_design_variants_reduce_to_plain():

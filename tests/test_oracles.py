@@ -12,8 +12,15 @@ summation order of the smoother changes there, so the two end the same way
 and their statistics agree to 1e-12 relative.  The dense smoother, which
 weighted every record at every anchor, is the reference for the banded one;
 its weights are unchanged and only the summation order differs, so the two
-agree to a few ulps of the largest term and keep every exact zero.
+agree to a few ulps of the largest term and keep every exact zero.  The
+quadrature integrands used to pass every point through a 0-d array; the
+float branches of ``KernelSpec.evaluate``, ``GenericAlternative.integral``
+and ``TruncatedAlternative.integral`` must return the same bits, so every
+``quad`` result built on them is unchanged.
 """
+
+import math
+from functools import cache
 
 import numpy as np
 import pytest
@@ -23,7 +30,10 @@ from hypothesis import strategies as st
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
 from driftwatch.estimator import _process_parts, _weights_at, check_weights, scaling_factor
+from driftwatch.kernels import _quad, arg_breaks
+from driftwatch.limitsim import _weight_breaks
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
+from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
 from driftwatch.seriesgen import GARCH_BURN_IN
 from driftwatch.variance import RunningVariance, check_variance, running_estimates
 
@@ -574,3 +584,178 @@ def test_banded_smoother_matches_the_dense_reference(rows, N, layout, t0, kernel
     assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
     assert np.all(np.abs(den - ref_den) <= 1e-14 * ref_den)
     assert not num[ref_num == 0.0].any() and not den[ref_den == 0.0].any()
+
+
+# ---------------------------------------------------------------------------
+# scalar quadrature integrands
+# ---------------------------------------------------------------------------
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@cache
+def _completed_ramp():
+    """The optimal ramp solution at zeta = 1, c = 0.03 and its completed kernel."""
+    sol = dw.optimal_kernel(dw.alternative_by_name("ramp"), 1.0, 0.03)
+    return sol, dw.completed_kernel(sol)
+
+
+_QUAD_KERNELS = ["gaussian", "epanechnikov", "laplace", "completed"]
+
+
+# knots 2e308 apart: z - z_0 overflows to inf, so np.interp's slope times it is
+# NaN, and np.interp retries from the right knot (then holds a flat piece)
+_WIDE = {"wide ramp": [0.0, 1.0], "wide flat": [1.0, 1.0]}
+
+
+def _quad_kernel(name):
+    if name in _WIDE:
+        with np.errstate(over="ignore"):
+            return dw.tabulated_kernel([-1e308, 1e308], _WIDE[name])
+    return _completed_ramp()[1] if name == "completed" else dw.kernel_by_name(name)
+
+
+def _marks(lo, hi, knots=()):
+    """Support ends, knots, signed zeros and non-finite values, with their neighbours."""
+    base = [lo, hi, 0.0, *knots]
+    near = [float(np.nextafter(m, d)) for m in base for d in (-np.inf, np.inf)]
+    return [*base, *near, -0.0, math.nan, -math.nan, math.inf, -math.inf]
+
+
+def _scalar_points(marks, lo, hi):
+    return st.one_of(st.sampled_from(marks), st.floats(lo - 1.0, hi + 1.0), st.floats())
+
+
+@pytest.mark.parametrize("name", _QUAD_KERNELS + list(_WIDE))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), as_numpy=st.booleans())
+def test_scalar_kernel_evaluate_matches_one_element_array(name, data, as_numpy):
+    kernel = _quad_kernel(name)
+    lo, hi = kernel.support
+    knots = kernel.knots_z.tolist() if kernel.family == "tabulated" else ()
+    z = data.draw(_scalar_points(_marks(lo, hi, knots), lo, hi))
+    z = np.float64(z) if as_numpy else z
+    # the array branch squares z outside the support too, and an np.float64
+    # warns where the wide spans overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(kernel.evaluate(z)) == _bits(kernel.evaluate(np.array([z]))[0])
+
+
+@pytest.mark.parametrize("name", _QUAD_KERNELS)
+def test_scalar_kernel_evaluate_matches_the_array_on_a_dense_grid(name):
+    # math.exp differs from np.exp in the last bit on a few percent of inputs,
+    # so a grid this dense catches a scalar branch that swaps them
+    kernel = _quad_kernel(name)
+    lo, hi = kernel.support
+    z = np.linspace(lo - 0.5, hi + 0.5, 4001)
+    want = kernel.evaluate(z)
+    got = [kernel.evaluate(v) for v in z.tolist()]
+    assert [_bits(g) for g in got] == [_bits(w) for w in want]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["zero", "step", "ramp"]),
+    x=_scalar_points(_marks(-1.0, 1.0, [1e154, 1e155]), -3.0, 3.0),
+    t_max=st.none() | st.sampled_from([0.5, 1.0, 20.0]),
+    as_numpy=st.booleans(),
+)
+def test_scalar_drift_integral_matches_one_element_array(name, x, t_max, as_numpy):
+    m0 = dw.alternative_by_name(name)
+    if t_max is not None:
+        m0 = TruncatedAlternative(m0, t_max)
+    x = np.float64(x) if as_numpy else x
+    with np.errstate(over="ignore"):  # ramp squares x; np.float64 warns on overflow
+        assert _bits(m0.integral(x)) == _bits(m0.integral(np.array([x]))[0])
+
+
+# The integrands below are the ones the float branches replaced: each point
+# went through a 0-d array, which takes the array branch.
+
+
+def limit_weight_integral_reference(kernel, zeta, s):
+    val = _quad(lambda r: kernel.evaluate(np.asarray(zeta * (r - s))), 0.0, s,
+                arg_breaks(kernel, zeta, s))
+    return zeta * val
+
+
+def _weight_reference(cfg, s):
+    return lambda r: cfg.kernel.evaluate(cfg.zeta * (np.asarray(r, dtype=float) - s))
+
+
+def sigma_k_sq_reference(cfg, s):
+    f = _weight_reference(cfg, s)
+    breaks = _weight_breaks(cfg, s)
+
+    def inner(v):
+        return _quad(lambda u: u * f(u), 0.0, v, breaks)
+
+    num = 2.0 * _quad(lambda v: f(v) * inner(v), 0.0, s, breaks)
+    return num / (cfg.zeta * _quad(f, 0.0, s, breaks)) ** 2
+
+
+def drift_term_reference(cfg, s):
+    d, zeta = cfg.drift, cfg.zeta
+    off = zeta * d.theta if d.cp_model == "cp2" else 0.0
+    f = _weight_reference(cfg, s)
+    inner = lambda r: d.m0.integral(zeta * np.asarray(r, dtype=float) - off)  # noqa: E731
+    breaks = _weight_breaks(cfg, s) + [(off + k) / zeta for k in d.m0.knots()]
+    num = _quad(lambda r: float(f(r)) * float(inner(r)), 0.0, s, breaks)
+    return num / (zeta**1.5 * _quad(f, 0.0, s, _weight_breaks(cfg, s)))
+
+
+def tau_ratio_reference(kernel, m0, zeta, s_star):
+    breaks = arg_breaks(kernel, zeta, s_star)
+    k = lambda r: float(kernel.evaluate(np.asarray(zeta * (r - s_star))))  # noqa: E731
+    num = _quad(lambda r: k(r) * float(m0.integral(np.asarray(r))), 0.0, s_star, breaks)
+    return num / _quad(k, 0.0, s_star, breaks)
+
+
+def delay_ratio_reference(m0, s):
+    num = _quad(lambda r: float(m0.integral(np.asarray(r))) ** 2, 0.0, s)
+    den = _quad(lambda r: float(m0.integral(np.asarray(r))), 0.0, s)
+    return num / den
+
+
+_QUAD_WARNINGS = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+
+
+@_QUAD_WARNINGS
+@pytest.mark.parametrize("name", _QUAD_KERNELS)
+@pytest.mark.parametrize("zeta", [1.0, 2.0, 10.0])
+def test_limit_weight_and_variance_match_the_array_integrands(name, zeta):
+    kernel = _quad_kernel(name)
+    for s in (0.3, 1.0):
+        assert _bits(dw.limit_weight_integral(kernel, zeta, s)) == _bits(
+            limit_weight_integral_reference(kernel, zeta, s))
+    if name != "completed":  # the nested rule takes minutes on 1001 knots
+        cfg = dw.LimitConfig(zeta=zeta, kernel=kernel)
+        assert _bits(dw.sigma_k_sq(cfg, 1.0)) == _bits(sigma_k_sq_reference(cfg, 1.0))
+
+
+@_QUAD_WARNINGS
+@pytest.mark.parametrize("name", _QUAD_KERNELS)
+@pytest.mark.parametrize("m0", ["zero", "step", "ramp"])
+@pytest.mark.parametrize("cp", [("cp1", None), ("cp2", 0.4)])
+def test_drift_term_matches_the_array_integrand(name, m0, cp):
+    kernel = _quad_kernel(name)
+    drift = dw.LimitDrift(dw.alternative_by_name(m0), *cp)
+    for zeta in (1.0, 4.0):
+        cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, drift=drift)
+        for s in (0.5, 1.0):
+            assert _bits(dw.drift_term(cfg, s)) == _bits(drift_term_reference(cfg, s))
+
+
+@_QUAD_WARNINGS
+@pytest.mark.parametrize("name", _QUAD_KERNELS)
+def test_tau_and_delay_ratios_match_the_array_integrands(name):
+    sol, _ = _completed_ramp()
+    kernel = _quad_kernel(name)
+    trunc = TruncatedAlternative(dw.alternative_by_name("ramp"), sol.t_max)
+    for m0 in (trunc, dw.alternative_by_name("step")):
+        assert _bits(dw.tau_ratio(kernel, m0, 1.0, sol.s_star)) == _bits(
+            tau_ratio_reference(kernel, m0, 1.0, sol.s_star))
+        for s in (sol.s_star, 1.0):
+            assert _bits(_delay_ratio(m0, s)) == _bits(delay_ratio_reference(m0, s))
