@@ -272,6 +272,8 @@ def coverage_sim(
     """
     if reps < 100:
         raise ValueError(f"reps must be >= 100, got {reps!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     zeta = N / h
     sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=zeta, kernel=kernel), 1.0)))
     payloads = [

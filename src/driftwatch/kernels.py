@@ -75,39 +75,34 @@ class KernelSpec:
         if isinstance(z, float) and self.family in _FAMILIES:
             if not lo <= z <= hi:
                 return 0.0
-            # np.exp, not math.exp: the two differ in the last bit on some inputs
-            if self.family == "gaussian":
-                return _GAUSS_NORM * np.exp(-0.5 * z * z)
-            if self.family == "epanechnikov":
-                return 0.75 * (1.0 - z * z)
-            if self.family == "laplace":
-                return (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z))
-            # np.interp's rule: a knot (or the last one) keeps its value, otherwise
-            # the left knot's slope; a NaN retries from the right knot, then holds
-            zs, ks = self._knots
-            j = bisect_right(zs, z) - 1
-            if j == len(zs) - 1 or zs[j] == z:
-                return ks[j]
-            slope = (ks[j + 1] - ks[j]) / (zs[j + 1] - zs[j])
-            out = slope * (z - zs[j]) + ks[j]
-            if out != out:
-                out = slope * (z - zs[j + 1]) + ks[j + 1]
-                if out != out and ks[j] == ks[j + 1]:
-                    out = ks[j]
-            return out
+            if self.family == "tabulated":
+                # np.interp's rule: a knot (or the last one) keeps its value, otherwise the
+                # left knot's slope; knots over 1.8e308 apart give NaN, which np.interp retries
+                zs, ks = self._knots
+                j = bisect_right(zs, z) - 1
+                if j == len(zs) - 1 or zs[j] == z:
+                    return ks[j]
+                out = (ks[j + 1] - ks[j]) / (zs[j + 1] - zs[j]) * (z - zs[j]) + ks[j]
+                if out == out:
+                    return out
+            return self._formula(z)
         z = np.asarray(z, dtype=float)
         inside = (z >= lo) & (z <= hi)
+        # the formula sees 0 outside the support, so it cannot overflow there
+        return np.where(inside, self._formula(np.where(inside, z, 0.0)), 0.0)
+
+    def _formula(self, z):
+        """K(z) on the support for a float or an array: one expression per family."""
+        # np.exp, not math.exp: the two differ in the last bit on some inputs
         if self.family == "gaussian":
-            out = np.where(inside, _GAUSS_NORM * np.exp(-0.5 * z * z), 0.0)
-        elif self.family == "epanechnikov":
-            out = np.where(inside, 0.75 * (1.0 - z * z), 0.0)
-        elif self.family == "laplace":
-            out = np.where(inside, (1.0 / _SQRT2) * np.exp(-_SQRT2 * np.abs(z)), 0.0)
-        elif self.family == "tabulated":
-            out = np.where(inside, np.interp(z, self.knots_z, self.knots_k), 0.0)
-        else:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        return out
+            return _GAUSS_NORM * np.exp(-0.5 * z * z)
+        if self.family == "epanechnikov":
+            return 0.75 * (1.0 - z * z)
+        if self.family == "laplace":
+            return (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z))
+        if self.family == "tabulated":
+            return np.interp(z, self.knots_z, self.knots_k)
+        raise ValueError(f"unknown kernel family {self.family!r}")
 
     __call__ = evaluate
 
@@ -255,6 +250,16 @@ def arg_breaks(kernel: KernelSpec, zeta: float, s: float) -> list[float]:
     return [s + z / zeta for z in kernel.breakpoints()]
 
 
+def _window_integral(kernel: KernelSpec, zeta: float, s: float, g=None) -> float:
+    """int_0^s K(zeta (r - s)) g(r) dr on the kernel's panels; g = 1 when omitted."""
+
+    def f(r):
+        k = kernel.evaluate(zeta * (r - s))
+        return k if g is None else k * g(r)
+
+    return _quad(f, 0.0, s, arg_breaks(kernel, zeta, s))
+
+
 def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
     """Continuum weight mass zeta * int_0^s K(zeta (r - s)) dr.
 
@@ -265,8 +270,7 @@ def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
         raise ValueError(f"zeta must be >= 1, got {zeta!r}")
     if not 0 < s <= 1:
         raise ValueError(f"s must lie in (0, 1], got {s!r}")
-    val = _quad(lambda r: kernel.evaluate(zeta * (r - s)), 0.0, s, arg_breaks(kernel, zeta, s))
-    return zeta * val
+    return zeta * _window_integral(kernel, zeta, s)
 
 
 def validate_kernel(kernel: KernelSpec, seed: int = 0, n_pairs: int = 256) -> dict:
@@ -278,9 +282,11 @@ def validate_kernel(kernel: KernelSpec, seed: int = 0, n_pairs: int = 256) -> di
     """
     lo, hi = kernel.support
     breaks = kernel.breakpoints()
-    mass = _quad(lambda z: kernel.evaluate(z), lo, hi, breaks)
-    mean = _quad(lambda z: z * kernel.evaluate(z), lo, hi, breaks)
-    second = _quad(lambda z: z * z * kernel.evaluate(z), lo, hi, breaks)
+    # z * z, not z ** 2: Python's pow rounds differently on some inputs
+    mass, mean, second = (
+        _quad(lambda z, w=w: w(z) * kernel.evaluate(z), lo, hi, breaks)
+        for w in (lambda z: 1.0, lambda z: z, lambda z: z * z)
+    )
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"kernel mass {mass!r} differs from 1 by more than 1e-8")
     if abs(mean) > 1e-8:

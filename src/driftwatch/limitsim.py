@@ -29,7 +29,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
-from .kernels import KernelSpec, _quad, arg_breaks
+from .kernels import KernelSpec, _quad, _window_integral, arg_breaks
 from .seriesgen import GenericAlternative, TimeDesign, seed_sequence, write_two_columns
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
@@ -120,15 +120,15 @@ def _weight_fn(cfg: LimitConfig, s: float):
 
 def _weight_breaks(cfg: LimitConfig, s: float) -> list[float]:
     # exact kernel kink locations exist in closed form only without a design
-    if cfg.design is not None:
-        return []
-    return arg_breaks(cfg.kernel, cfg.zeta, s)
+    return [] if cfg.design is not None else arg_breaks(cfg.kernel, cfg.zeta, s)
 
 
-def _denominator(cfg: LimitConfig, s: float) -> float:
-    """zeta * int_0^s of the (design-transformed) kernel factor."""
-    f = _weight_fn(cfg, s)
-    return cfg.zeta * _quad(f, 0.0, s, _weight_breaks(cfg, s))
+def _weight_mass(cfg: LimitConfig, s: float) -> float:
+    """int_0^s of the (design-transformed) kernel factor; raises if it is not positive."""
+    mass = _quad(_weight_fn(cfg, s), 0.0, s, _weight_breaks(cfg, s))
+    if mass <= 0.0:
+        raise ValueError(f"weight mass vanishes at s = {s}")
+    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +233,7 @@ def sigma_k_sq(cfg: LimitConfig, s: float) -> float:
         return _quad(lambda u: u * f(u), 0.0, v, breaks)
 
     num = 2.0 * _quad(lambda v: f(v) * inner(v), 0.0, s, breaks)
-    den = _denominator(cfg, s)
-    if den <= 0.0:
-        raise ValueError(f"weight mass vanishes at s = {s}")
+    den = cfg.zeta * _weight_mass(cfg, s)
     return num / den**2
 
 
@@ -295,13 +293,10 @@ def drift_term(cfg: LimitConfig, s: float) -> float:
     f = _weight_fn(cfg, s)
     inner, inner_breaks = _drift_inner(cfg)
     breaks = _weight_breaks(cfg, s) + inner_breaks
-    num = _quad(lambda r: float(f(r)) * float(inner(r)), 0.0, s, breaks)
+    num = _quad(lambda r: f(r) * inner(r), 0.0, s, breaks)
     if not np.isfinite(num) or abs(num) > OVERFLOW_GUARD:
         raise ValueError("drift integrand is not integrable at this configuration")
-    den = cfg.zeta**1.5 * _quad(f, 0.0, s, _weight_breaks(cfg, s))
-    if den <= 0.0:
-        raise ValueError(f"weight mass vanishes at s = {s}")
-    return num / den
+    return num / (cfg.zeta**1.5 * _weight_mass(cfg, s))
 
 
 def _drift_curve(cfg: LimitConfig) -> np.ndarray:
@@ -429,12 +424,8 @@ def check_km_condition(
     xs = np.linspace(0.0, x_max, n_grid)
     vals = np.empty(n_grid)
     for i, x in enumerate(xs):
-        if x == 0.0:
-            vals[i] = 0.0
-            continue
-        breaks = arg_breaks(kernel, 1.0, x)
         try:
-            vals[i] = _quad(lambda t: kernel.evaluate(t - x) * m0.integral(t), 0.0, x, breaks)
+            vals[i] = _window_integral(kernel, 1.0, x, m0.integral) if x != 0.0 else 0.0
         except (ArithmeticError, RuntimeWarning):
             # a divergent integrand: Python float overflow, or numpy's overflow
             # warning when warnings are errors; anything else is a bug and propagates

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import KernelSpec, _candidate_names, _quad, arg_breaks, tabulated_kernel
+from .kernels import KernelSpec, _candidate_names, _quad, _window_integral, tabulated_kernel
 from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay
 from .seriesgen import GenericAlternative, write_two_columns
 
@@ -67,9 +67,13 @@ class OptimalSolution:
     zeta: float
 
 
+def _power_integral(m0, u: float, p: int) -> float:
+    """int_0^u M0(r)^p dr."""
+    return _quad(lambda r: float(m0.integral(r)) ** p, 0.0, u)
+
+
 def _delay_ratio(m0, s: float) -> float:
-    num = _quad(lambda r: float(m0.integral(r)) ** 2, 0.0, s)
-    den = _quad(lambda r: float(m0.integral(r)), 0.0, s)
+    num, den = _power_integral(m0, s, 2), _power_integral(m0, s, 1)
     return num / den if den > 0.0 else 0.0
 
 
@@ -79,8 +83,7 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
     Requires int_0^s M0^2 to be positive and finite on all of (0, 1]
     (checked numerically at the scan scale); 1 when there is no crossing.
     """
-    probe = _quad(lambda r: float(m0.integral(r)) ** 2, 0.0, SCAN_STEP)
-    full = _quad(lambda r: float(m0.integral(r)) ** 2, 0.0, 1.0)
+    probe, full = _power_integral(m0, SCAN_STEP, 2), _power_integral(m0, 1.0, 2)
     if not (probe > 0.0 and np.isfinite(full)):
         raise ValueError(
             "the squared cumulative drift must be positive and finite on (0, 1]; "
@@ -123,7 +126,7 @@ def optimal_kernel(
         raise ValueError(f"t_max must be positive, got {t_max!r}")
     trunc = TruncatedAlternative(m0, t_max)
     s_star = optimal_delay(trunc, c)
-    normalizer = 2.0 * _quad(lambda r: float(trunc.integral(r)), 0.0, t_max)
+    normalizer = 2.0 * _power_integral(trunc, t_max, 1)
     if not (np.isfinite(normalizer) and normalizer > 0.0):
         raise ValueError(f"normalizer is degenerate ({normalizer!r}) after truncation")
     z = np.linspace(-zeta * s_star, zeta * s_star, n_points)
@@ -140,7 +143,7 @@ def completed_kernel(sol: OptimalSolution) -> KernelSpec:
     n = len(sol.z)
     half = n // 2
     mirrored = np.concatenate([
-        sol.kernel_values[: half + 1],
+        sol.kernel_values[: n - half],
         sol.kernel_values[:half][::-1],
     ])
     mass = np.trapezoid(mirrored, sol.z)
@@ -151,12 +154,8 @@ def completed_kernel(sol: OptimalSolution) -> KernelSpec:
 
 def tau_ratio(kernel: KernelSpec, m0, zeta: float, s_star: float) -> float:
     """Detection functional int K(zeta(r-s*)) M0(r) dr / int K(zeta(r-s*)) dr."""
-    breaks = arg_breaks(kernel, zeta, s_star)
-    num = _quad(
-        lambda r: float(kernel.evaluate(zeta * (r - s_star))) * float(m0.integral(r)),
-        0.0, s_star, breaks,
-    )
-    den = _quad(lambda r: float(kernel.evaluate(zeta * (r - s_star))), 0.0, s_star, breaks)
+    num = _window_integral(kernel, zeta, s_star, m0.integral)
+    den = _window_integral(kernel, zeta, s_star)
     if den <= 0.0:
         raise ValueError("kernel places no mass on the averaging window")
     return num / den

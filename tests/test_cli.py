@@ -298,6 +298,12 @@ BAD_INPUTS = {
     "coverage zeta 0": (
         lambda d: (["coverage", "--zeta", "0", "--n", "100", "--reps", "100"], None, None),
         "'--zeta'"),
+    "coverage alpha 1.5": (
+        lambda d: (["coverage", "--zeta", "4", "--n", "100", "--reps", "100", "--alpha", "1.5",
+                    "--variance", "known"], None, None), "alpha must lie in (0, 1), got 1.5"),
+    "coverage alpha 0": (
+        lambda d: (["coverage", "--zeta", "4", "--n", "100", "--reps", "100", "--alpha", "0",
+                    "--variance", "known"], None, None), "alpha must lie in (0, 1), got 0.0"),
     "table1 zeta below 1": (
         lambda d: (["table1", "--zetas", "0.5", "--out", str(d / "t.csv")], None, None), "0.5"),
     "directory as input": (

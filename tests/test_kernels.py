@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,16 @@ def test_eval_outside_support():
     assert dw.eval_kernel(ALL_KERNELS["epanechnikov"], 2.0) == 0.0
     assert dw.eval_kernel(ALL_KERNELS["epanechnikov"], -1.0) == 0.0
     assert dw.eval_kernel(ALL_KERNELS["gaussian"], 9.0) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(ALL_KERNELS))
+def test_array_evaluate_does_not_overflow_outside_the_support(name):
+    # the formula squares (or exponentiates) its argument; outside the support
+    # it must not see the argument at all
+    z = np.array([2e154, -2e154, 1e300, -math.inf, math.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert ALL_KERNELS[name].evaluate(z).tolist() == [0.0] * 5
 
 
 def test_eval_nonfinite_argument():

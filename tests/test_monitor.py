@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,16 @@ from driftwatch.monitor import MonitoringError
 G = dw.gaussian_kernel()
 # a valid kernel with K(0) = 0: at unit spacing and h = 1 the weights vanish at index 1 only
 K0 = dw.tabulated_kernel([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0])
+
+
+def test_tiny_bandwidth_on_irregular_times_does_not_overflow():
+    # (t_i - t_n) / h reaches 8.5e160, which the Gaussian formula would square
+    series = dw.TimeSeries(times=np.array([1.0, 2.5, 3.0, 7.0, 9.5]), values=np.zeros(5))
+    cfg = dw.MonitorConfig(smoother=dw.SmootherConfig(kernel=G, h=1e-160), threshold=1.0, N=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = dw.run_monitor(series, cfg)
+    assert not res.alarmed and res.trajectory.tolist() == [0.0] * 5
 
 
 def make_series(values):

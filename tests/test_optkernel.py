@@ -89,6 +89,16 @@ def test_completed_kernel_is_symmetric_density():
     assert abs(mean) < 1e-9
 
 
+@pytest.mark.parametrize("n_points", [1000, 1001])
+def test_completed_kernel_mirrors_even_and_odd_tabulations(n_points):
+    sol = dw.optimal_kernel(RAMP, 1.0, 0.03, n_points=n_points)
+    k = dw.completed_kernel(sol)
+    assert np.array_equal(k.knots_k, k.knots_k[::-1])
+    assert np.trapezoid(k.knots_k, k.knots_z) == pytest.approx(1.0, abs=1e-12)
+    # the pinned half rises to the middle knot(s)
+    assert np.all(np.diff(k.knots_k[: n_points - n_points // 2]) >= 0.0)
+
+
 def test_tau_identity_for_completed_kernel():
     # tau of the completed kernel equals the closed-form ratio at s*
     sol = dw.optimal_kernel(STEP, 1.0, 0.2, t_max=1.0)

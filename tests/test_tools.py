@@ -36,5 +36,5 @@ def test_quad_cost_runs():
     cases = tool.cases(zetas=(2.0,), table_kernels=("gaussian",), grid_M=64)
     assert len(cases) == 3
     for fn in cases.values():
-        ms, evaluations = tool.quad_cost(fn, repeats=1)
-        assert ms > 0.0 and evaluations > 0
+        ms, calls, evaluations = tool.quad_cost(fn, repeats=1)
+        assert ms > 0.0 and calls > 0 and evaluations > 0

@@ -1,8 +1,8 @@
 """Cost of the scalar quadrature behind the limit objects.
 
-Times three quadrature-bound calls and counts the integrand evaluations
-one call makes (every point scipy's ``quad`` asks for, nested rules
-included):
+Times three quadrature-bound calls and counts the scipy ``quad`` calls
+and integrand evaluations one call makes (every point ``quad`` asks for,
+nested rules included):
 
 * ``drift_term`` at s* on the completed optimal kernel for the ramp shape
   (zeta = 1, c = 0.03), a tabulated kernel with 1001 knots;
@@ -41,10 +41,14 @@ TABLE1_KERNELS = ("gaussian", "laplace", "epanechnikov")
 
 
 def quad_cost(fn, repeats):
-    """Best milliseconds per call of ``fn()`` and integrand evaluations in one call."""
-    evaluations = 0
+    """Best milliseconds per call of ``fn()``, and ``quad`` calls and integrand
+    evaluations in one call."""
+    calls = evaluations = 0
 
     def counting_quad(f, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+
         def counted(x):
             nonlocal evaluations
             evaluations += 1
@@ -65,7 +69,7 @@ def quad_cost(fn, repeats):
             t0 = time.perf_counter()
             fn()
             best = min(best, time.perf_counter() - t0)
-    return best * 1e3, evaluations
+    return best * 1e3, calls, evaluations
 
 
 def cases(zetas=TABLE1_ZETAS, table_kernels=TABLE1_KERNELS, grid_M=2048):
@@ -94,8 +98,9 @@ def main():
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
     for label, fn in cases(grid_M=args.grid_m).items():
-        ms, evaluations = quad_cost(fn, args.repeats)
-        print(f"{label:<36} {ms:10.1f} ms/call  {evaluations:>8} integrand evaluations/call")
+        ms, calls, evaluations = quad_cost(fn, args.repeats)
+        print(f"{label:<36} {ms:10.1f} ms/call  {calls:>6} quad calls/call"
+              f"  {evaluations:>8} integrand evaluations/call")
 
 
 if __name__ == "__main__":
