@@ -94,20 +94,21 @@ def _window_start(times, n: int, cfg: SmootherConfig) -> int:
 def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, np.ndarray]:
     """Smoothing weights at current index n for records start+1..n, with ``start``.
 
-    Without a design the observation times anchor the kernel, and only the
-    support window (``_window_start``) is weighted.  Rolling designs
-    re-select the past time points at every current index, so they weight
-    all n; fixed designs use the transformed times of the given ``horizon``
-    (identical to the plain path when the series was generated under that
-    design).
+    The kernel is anchored at the observation times or, under a fixed
+    design, at the design times of the given ``horizon`` (identical to the
+    observation times when the series was generated under that design), and
+    only the support window (``_window_start``) is weighted.  A rolling
+    design re-selects the past time points at every current index, so it
+    weights all n.
     """
-    if cfg.design is None:
-        start = _window_start(times, n, cfg)
-        args = (np.asarray(times[start:n], dtype=float) - times[n - 1]) / cfg.h
-    else:
-        start = 0
-        t = design_times(cfg.design, n, horizon)
-        args = (t - t[-1]) / cfg.h
+    design = cfg.design
+    if design is not None:
+        if design.mode == "rolling":
+            t = design_times(design, n, horizon)
+            return 0, cfg.kernel.evaluate((t - t[-1]) / cfg.h) / cfg.h
+        times = design_times(design, n, horizon)
+    start = _window_start(times, n, cfg)
+    args = (np.asarray(times[start:n], dtype=float) - times[n - 1]) / cfg.h
     return start, cfg.kernel.evaluate(args) / cfg.h
 
 
@@ -115,8 +116,9 @@ def anchored_estimate(times, values, cfg: SmootherConfig, n: int, horizon: int) 
     """Kernel-weighted mean of records 1..n of the sequences ``times`` and ``values``.
 
     The one single-anchor smoother, behind ``nw_estimate`` and the streaming
-    monitor; ``horizon`` places a fixed design's time points.  Its work is
-    the support window, not n, unless a design is set.
+    monitor; ``horizon`` places a fixed design's time points.  It evaluates
+    the kernel on the support window, not on all n records, unless a rolling
+    design is set.
     """
     start, w = _weights_at(times, cfg, n, horizon)
     den = w.sum()
@@ -151,31 +153,30 @@ def _process_parts(times, values, cfg: SmootherConfig):
     Returns ``(num, den)`` with ``num`` of shape (batch, N) and ``den`` of
     shape (N,); the smoother is num/den.
 
-    Without a design, anchors go in row blocks [a, b), and a block multiplies
-    only the columns [lo, b) that can carry weight, lo being the support
-    window start of anchor a; weights of later records are exact zeros, so
-    the process stays exactly causal.  On unit-spaced times every weight is
-    K(-d/h)/h for a lag d of the window, so the kernel is evaluated once per
-    lag and each block's weights are a view of one Toeplitz template, equal
-    bit for bit to the kernel at (t_i - t_n)/h.  Other times evaluate the
-    kernel on the block and zero its upper triangle.  A design's weights vary
-    per anchor, so it takes one anchor at a time.
+    Anchors go in row blocks [a, b), and a block multiplies only the columns
+    [lo, b) that can carry weight, lo being the support window start of
+    anchor a; weights of later records are exact zeros, so the process stays
+    exactly causal.  A block's weights come from one of three sources.  On
+    unit-spaced times every weight is K(-d/h)/h for a lag d of the window,
+    so the kernel is evaluated once per lag and each block's weights are a
+    view of one Toeplitz template, equal bit for bit to the kernel at
+    (t_i - t_n)/h.  Other times, and a fixed design's times
+    ``design_times(design, N, N)``, evaluate the kernel on the block's time
+    differences and zero its upper triangle.  A rolling design re-selects
+    the time points at every anchor: row n holds n F^{-1}(i/n) for records
+    i <= b, snapped as ``design_times`` does, minus its diagonal entry, and
+    lo = 0.
     """
     values = np.asarray(values, dtype=float)
     N = values.shape[1]
     num = np.empty_like(values)
     den = np.empty(N)
-    design = cfg.design
-    if design is not None:
-        # design weights vary per current index; no shared lower-triangular form
-        for n in range(1, N + 1):
-            _, w = _weights_at(times, cfg, n, N)
-            den[n - 1] = w.sum()
-            num[:, n - 1] = values[:, :n] @ w
-        return num, den
+    kernel, h, design = cfg.kernel, cfg.h, cfg.design
+    rolling = design is not None and design.mode == "rolling"
+    if design is not None and not rolling:
+        times = design_times(design, N, N)
     t = np.asarray(times, dtype=float)
-    kernel, h = cfg.kernel, cfg.h
-    unit = _unit_spaced(t)
+    unit = not rolling and _unit_spaced(t)
     if unit:
         # the weight of lag d = n - i is k[lags - 1 - d]
         lags = N - _window_start(t, N, cfg)
@@ -187,12 +188,18 @@ def _process_parts(times, values, cfg: SmootherConfig):
             template[r, r : r + lags] = k
     for a in range(0, N, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, N)
-        lo = _window_start(t, a + 1, cfg)
+        lo = 0 if rolling else _window_start(t, a + 1, cfg)
         if unit:
             c = lo - a + lags - 1
             W = template[: b - a, c : c + b - lo]
         else:
-            W = kernel.evaluate((t[None, lo:b] - t[a:b, None]) / h) / h
+            if rolling:
+                n = np.arange(a + 1, b + 1)[:, None]
+                rolled = design.snap(n * design.ft_inverse(np.arange(1, b + 1) / n))
+                diff = rolled - rolled.diagonal(a)[:, None]
+            else:
+                diff = t[None, lo:b] - t[a:b, None]
+            W = kernel.evaluate(diff / h) / h
             # causality: only i <= n contributes
             W[np.arange(lo, b)[None, :] > np.arange(a, b)[:, None]] = 0.0
         den[a:b] = W.sum(axis=1)

@@ -17,18 +17,21 @@ by its design-transformed argument.
 
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
-points at once through an FFT convolution.  Below s_min = 4 / grid_M the
-discretization is too coarse to be meaningful and process values are NaN.
+points at once: through an FFT convolution for stationary kernel arguments,
+and through the batch smoother's row blocks under a design.  Below
+s_min = 4 / grid_M the discretization is too coarse to be meaningful and
+process values are NaN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
+from .estimator import SmootherConfig, _process_parts
 from .kernels import KernelSpec, _quad, _window_integral, arg_breaks
 from .seriesgen import GenericAlternative, TimeDesign, seed_sequence, write_two_columns
 
@@ -104,8 +107,8 @@ def sample_bm(grid_M: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _weight_fn(cfg: LimitConfig, s: float):
-    """r -> K(arg(r, s)) with the design-transformed argument."""
+def _weight_fn(cfg: LimitConfig, s):
+    """r -> K(arg(r, s)) with the design-transformed argument; ``s`` may be an array."""
     K, zeta = cfg.kernel, cfg.zeta
     design = cfg.design
     if design is None:
@@ -114,7 +117,7 @@ def _weight_fn(cfg: LimitConfig, s: float):
         return lambda r: K.evaluate(
             zeta * s * (design.ft_inverse(np.asarray(r, dtype=float) / s) - 1.0)
         )
-    fs = float(design.ft_inverse(s))
+    fs = design.ft_inverse(s)
     return lambda r: K.evaluate(zeta * (design.ft_inverse(np.asarray(r, dtype=float)) - fs))
 
 
@@ -136,52 +139,36 @@ def _weight_mass(cfg: LimitConfig, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_samples(cfg: LimitConfig) -> np.ndarray:
-    # k_d = K(-zeta d / M), d = 0..M: stationary weights for the convolution
-    M = cfg.grid_M
-    return cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
-
-
-def _trapezoid_num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trapezoid numerator/denominator of the ratio for stacked paths.
 
-    ``paths`` has shape (batch, M+1) with column 0 at r = 0 (value 0 for
-    Brownian paths).  Returns num (batch, M) and den (M,) on s = j/M,
-    j = 1..M.  Stationary kernel arguments make the j-sweep one FFT
-    convolution per path batch.
+    ``paths`` has shape (batch, M+1) with column 0 at r = 0, where every
+    path is 0 (Brownian paths and drift integrals start there).  Returns
+    num (batch, M) and den (M,) on s = j/M, j = 1..M.  Without a design the
+    kernel arguments are stationary, and the sums over r = 0..s are one FFT
+    convolution per path batch.  With one, the sums over r = 1/M..s are the
+    batch smoother's on grid times 1..M with bandwidth M/zeta (the limit
+    design is continuous, so it is not snapped), rescaled by that bandwidth,
+    and the weight at r = 0 comes from ``_weight_fn``.  The end correction
+    then halves the weights at both ends of every window: w_0 at r = 0,
+    whose path term vanishes, and w_s = K(0) at r = s.
     """
     M = cfg.grid_M
     dt = 1.0 / M
-    k = _kernel_samples(cfg)
-    conv = fftconvolve(paths, k[None, :], axes=1)[:, : M + 1]
-    # trapezoid endpoint corrections; the r=0 endpoint vanishes with paths[:,0]=0
-    num = dt * (conv - 0.5 * k[0] * paths - 0.5 * k[np.newaxis, :] * paths[:, :1])
-    csum = np.cumsum(k) - 0.5 * k - 0.5 * k[0]
-    den = cfg.zeta * dt * csum
-    return num[:, 1:], den[1:]
-
-
-def _design_num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-anchor trapezoid for design-transformed kernel arguments (O(M^2))."""
-    M = cfg.grid_M
-    dt = 1.0 / M
-    r = np.arange(M + 1) / M
-    num = np.empty((paths.shape[0], M))
-    den = np.empty(M)
-    for j in range(1, M + 1):
-        s = j / M
-        w = _weight_fn(cfg, s)(r[: j + 1])
-        tw = w.copy()
-        tw[0] *= 0.5
-        tw[-1] *= 0.5
-        num[:, j - 1] = dt * (paths[:, : j + 1] @ tw)
-        den[j - 1] = cfg.zeta * dt * tw.sum()
+    if cfg.design is None:
+        # k_d = K(-zeta d / M), d = 0..M: the weight at lag d
+        k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
+        sums = fftconvolve(paths, k[None, :], axes=1)[:, 1 : M + 1]
+        mass, w_0, w_s = np.cumsum(k)[1:], k[1:], k[0]
+    else:
+        h = M / cfg.zeta
+        smoother = SmootherConfig(cfg.kernel, h, design=replace(cfg.design, snap_grid=None))
+        num, den = _process_parts(np.arange(1.0, M + 1.0), paths[:, 1:], smoother)
+        w_0 = _weight_fn(cfg, cfg.s_grid)(0.0)
+        sums, mass, w_s = h * num, h * den + w_0, cfg.kernel.evaluate(0.0)
+    num = dt * (sums - 0.5 * w_s * paths[:, 1:])
+    den = cfg.zeta * dt * (mass - 0.5 * w_0 - 0.5 * w_s)
     return num, den
-
-
-def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid numerator/denominator for stacked paths, with or without a design."""
-    return (_trapezoid_num_den if cfg.design is None else _design_num_den)(cfg, paths)
 
 
 def _null_values(cfg: LimitConfig, paths: np.ndarray) -> np.ndarray:

@@ -152,7 +152,8 @@ def false_alarm_rate(
     if not 1 <= n <= cfg.N:
         raise ValueError(f"need 1 <= n <= N, got n={n}")
     innovations = innovations or InnovationSpec()
-    spec = SeriesSpec(N=max(n, 2), innovations=innovations)
+    # the monitor's horizon places a fixed design; the first n values do not depend on it
+    spec = SeriesSpec(N=max(cfg.N, 2), innovations=innovations)
     scale = scaling_factor(cfg.smoother, cfg.N)
     hits = 0
     total = 0
@@ -175,14 +176,14 @@ def false_alarm_rate(
 class StreamMonitor:
     """Online monitor: feed (t, y) records, get an alarm dict on first exceedance.
 
-    Each update does bounded work.  Without a time design the smoother
-    weights only the records within the kernel's support of the newest
-    time (8h for Gaussian, 24h for Laplace, h for Epanechnikov, the part of
-    the knot span left of 0 for a tabulated kernel), and a
-    ``RunningVariance`` adds one term per record.  A design re-selects past
-    time points at every index (a fixed one by the horizon N, as
-    ``run_monitor`` does), so with one each update weights the whole
-    history.  The kept ``times`` and ``values`` grow by one entry per
+    Each update does bounded work.  The smoother weights only the records
+    within the kernel's support of the newest time (8h for Gaussian, 24h
+    for Laplace, h for Epanechnikov, the part of the knot span left of 0
+    for a tabulated kernel), and a ``RunningVariance`` adds one term per
+    record.  A fixed design takes that window on its design times, placed
+    by the horizon N as ``run_monitor`` does.  A rolling design re-selects
+    past time points at every index, so with one each update weights the
+    whole history.  The kept ``times`` and ``values`` grow by one entry per
     record, up to the horizon.
     """
 

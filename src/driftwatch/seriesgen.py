@@ -72,28 +72,13 @@ class GenericAlternative:
     def integral(self, x) -> np.ndarray:
         """Cumulative integral int_0^x m0(t) dt.
 
-        A float argument takes a scalar branch for the closed forms, with
-        the array branch's operations: np.maximum(x, 0.0) keeps NaN and
-        turns -0.0 into 0.0.
+        One closed form per built-in shape serves a float argument and an
+        array alike.  A float is clamped at 0 as np.maximum(x, 0.0) clamps
+        an array: NaN stays NaN and -0.0 becomes 0.0.
         """
-        if isinstance(x, float) and self.name != "tabulated":
-            xp = x if x > 0.0 or x != x else 0.0
-            if self.name == "zero":
-                return 0.0
-            if self.name == "step":
-                return xp
-            if self.name == "ramp":
-                return 0.5 * xp * xp
-        x = np.asarray(x, dtype=float)
-        xp = np.maximum(x, 0.0)
-        if self.name == "zero":
-            return np.zeros_like(xp)
-        if self.name == "step":
-            return xp
-        if self.name == "ramp":
-            return 0.5 * xp * xp
         if self.name == "tabulated":
             t, m, cum = self.knots_t, self.knots_m, self._cum
+            xp = np.maximum(np.asarray(x, dtype=float), 0.0)
             xc = np.clip(xp, t[0], None)
             idx = np.clip(np.searchsorted(t, xc, side="right") - 1, 0, len(t) - 2)
             t0, t1 = t[idx], t[idx + 1]
@@ -104,6 +89,16 @@ class GenericAlternative:
             partial = (end - t0) * 0.5 * (m0v + m_end)
             tail = np.where(xc > t[-1], (xc - t[-1]) * m[-1], 0.0)
             return np.where(xp <= t[0], 0.0, cum[idx] + partial + tail)
+        if isinstance(x, float):
+            xp = x if x > 0.0 or x != x else 0.0
+        else:
+            xp = np.maximum(np.asarray(x, dtype=float), 0.0)
+        if self.name == "zero":
+            return 0.0 if isinstance(x, float) else np.zeros_like(xp)
+        if self.name == "step":
+            return xp
+        if self.name == "ramp":
+            return 0.5 * xp * xp
         raise ValueError(f"unknown alternative {self.name!r}")
 
 
@@ -310,13 +305,9 @@ def design_times(design: TimeDesign, n: int, horizon: int) -> np.ndarray:
     """
     if not 1 <= n <= horizon:
         raise ValueError(f"need 1 <= n <= horizon, got n={n}, horizon={horizon}")
-    if design.mode == "rolling":
-        i = np.arange(1, n + 1)
-        t = n * design.ft_inverse(i / n)
-    else:
-        i = np.arange(1, n + 1)
-        t = horizon * design.ft_inverse(i / horizon)
-    return design.snap(t)
+    i = np.arange(1, n + 1)
+    m = n if design.mode == "rolling" else horizon
+    return design.snap(m * design.ft_inverse(i / m))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_causality():
     assert dw.nw_estimate(make_series(y2), cfg, 8) == at_8
 
 
-@pytest.mark.parametrize("layout", ["unit", "irregular", "fixed_design"])
+@pytest.mark.parametrize("layout", ["unit", "irregular", "fixed_design", "rolling_design"])
 def test_batch_smoother_is_exactly_causal(layout):
     # rewriting the future must leave every earlier anchor bit-for-bit equal
     rng = np.random.default_rng(5)
@@ -115,6 +115,8 @@ def test_batch_smoother_is_exactly_causal(layout):
         times = np.cumsum(rng.uniform(0.2, 2.0, N))
     elif layout == "fixed_design":
         design = dw.TimeDesign(gamma=1.7, mode="fixed")
+    elif layout == "rolling_design":
+        design = dw.TimeDesign(gamma=1.7)
     cfg = dw.SmootherConfig(kernel=G, h=h, scaling="null_scale", design=design)
     mcfg = dw.MonitorConfig(smoother=cfg, threshold=0.5, N=N, variance_method="gasser")
     prerun = make_series(np.cumsum(rng.standard_normal(8)))

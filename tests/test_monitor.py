@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -154,6 +155,17 @@ def test_false_alarm_rate_extremes():
     assert dw.false_alarm_rate(cfg, 50, 50, 1) == 1.0
 
 
+def test_false_alarm_rate_places_a_fixed_design_by_the_horizon():
+    # the rate is the share of replicate charts above c at n, as the monitor computes them
+    N, n, reps, seed, c = 80, 40, 400, 3, 0.05
+    smoother = dw.SmootherConfig(kernel=G, h=6.0, scaling="null_scale",
+                                 design=dw.TimeDesign(gamma=0.5, mode="fixed"))
+    cfg = dw.MonitorConfig(smoother=smoother, threshold=c, N=N)
+    charts = [monitor.monitor_trajectory(dw.generate(dw.SeriesSpec(N=N), dw.substream(seed, i)),
+                                         cfg)[0][n - 1] for i in range(reps)]
+    assert dw.false_alarm_rate(cfg, n, reps, seed) == np.mean(np.array(charts) > c)
+
+
 def test_false_alarm_rate_decreases_with_horizon():
     # at fixed zeta and fixed c the early-index rate shrinks as N grows:
     # the discrete walk's inflation of the statistic variance fades like 1/n
@@ -189,10 +201,10 @@ def test_stream_monitor_matches_batch():
 
 def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
     # counts, not timing: each update evaluates the kernel on the support
-    # window only, and never recomputes the running variance over the prefix
+    # window only, and never recomputes the running variance over the prefix;
+    # a fixed design's window is taken on its own time points
     N, h = 5000, 5.0
     series = dw.generate(dw.SeriesSpec(N=N), 12)
-    cfg = config(N, h=h, c=np.inf, variance="naive")
     sizes, running_calls = [], []
     evaluate, running = dw.KernelSpec.evaluate, variance.running_estimates
 
@@ -207,11 +219,18 @@ def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
     monkeypatch.setattr(dw.KernelSpec, "evaluate", counting_evaluate)
     monkeypatch.setattr(monitor, "running_estimates", counting_running)
     monkeypatch.setattr(variance, "running_estimates", counting_running)
-    stream = dw.StreamMonitor(cfg)
-    for t, y in zip(series.times.tolist(), series.values.tolist()):
-        stream.update(t, y)
-    assert stream.n == N and len(sizes) == N - 1  # index 1 has no variance estimate
-    assert max(sizes) <= dw.kernels.GAUSSIAN_TRUNCATION * h + 2
+    for design in (None, dw.TimeDesign(gamma=2.0, mode="fixed")):
+        cfg = config(N, h=h, c=np.inf, variance="naive")
+        cfg = dataclasses.replace(cfg, smoother=dataclasses.replace(cfg.smoother, design=design))
+        t = series.times if design is None else dw.design_times(design, N, N)
+        # the most records within the support, 8h, of any anchor
+        window = np.arange(1, N + 1) - np.searchsorted(t, t - dw.kernels.GAUSSIAN_TRUNCATION * h)
+        sizes.clear()
+        stream = dw.StreamMonitor(cfg)
+        for record in zip(series.times.tolist(), series.values.tolist()):
+            stream.update(*record)
+        assert stream.n == N and len(sizes) == N - 1  # index 1 has no variance estimate
+        assert max(sizes) <= window.max() + 1 <= 100
     assert running_calls == []
 
 

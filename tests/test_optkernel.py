@@ -99,6 +99,18 @@ def test_completed_kernel_mirrors_even_and_odd_tabulations(n_points):
     assert np.all(np.diff(k.knots_k[: n_points - n_points // 2]) >= 0.0)
 
 
+@pytest.mark.parametrize("zeta", [1.0, 2.0, 4.0])
+def test_completed_kernel_passes_the_density_contract(zeta):
+    # a piecewise-linear kernel's moments are exact, however many knots it has
+    report = dw.validate_kernel(dw.completed_kernel(dw.optimal_kernel(RAMP, zeta, 0.03)))
+    assert abs(report["mass"] - 1.0) < 1e-14 and abs(report["mean"]) < 1e-14
+
+
+def test_tabulated_triangle_moments_are_exact():
+    report = dw.validate_kernel(dw.tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]))
+    assert report == {"mass": 1.0, "mean": 0.0, "second_moment": 1.0 / 6.0}
+
+
 def test_tau_identity_for_completed_kernel():
     # tau of the completed kernel equals the closed-form ratio at s*
     sol = dw.optimal_kernel(STEP, 1.0, 0.2, t_max=1.0)

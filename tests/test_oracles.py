@@ -12,16 +12,20 @@ summation order of the smoother changes there, so the two end the same way
 and their statistics agree to 1e-12 relative.  The dense smoother, which
 weighted every record at every anchor, is the reference for the banded one;
 its weights are unchanged and only the summation order differs, so the two
-agree to a few ulps of the largest term and keep every exact zero.  The
-quadrature integrands used to pass every point through a 0-d array; the
-float branches of ``KernelSpec.evaluate``, ``GenericAlternative.integral``
-and ``TruncatedAlternative.integral`` must return the same bits, so every
-``quad`` result built on them is unchanged.
+agree to a few ulps of the largest term and keep every exact zero.  The same
+holds for the per-anchor loops that smoothed a time design, in the batch
+smoother and in the limit layer's trapezoid, against the row-block loop that
+replaced them.  The quadrature integrands used to pass every point through
+a 0-d array; the float branches of ``KernelSpec.evaluate``,
+``GenericAlternative.integral`` and ``TruncatedAlternative.integral`` must
+return the same bits, so every ``quad`` result built on them is unchanged.
 """
 
+import dataclasses
 import math
 from contextlib import nullcontext
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,10 +36,10 @@ import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
 from driftwatch.estimator import _process_parts, _weights_at, check_weights, scaling_factor
 from driftwatch.kernels import _quad, arg_breaks
-from driftwatch.limitsim import _weight_breaks
+from driftwatch.limitsim import _num_den, _weight_breaks, _weight_fn
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
-from driftwatch.seriesgen import GARCH_BURN_IN
+from driftwatch.seriesgen import GARCH_BURN_IN, design_times
 from driftwatch.variance import RunningVariance, check_variance, running_estimates
 
 
@@ -480,13 +484,16 @@ def test_stream_update_ends_like_the_whole_prefix_update(
     kernel=st.sampled_from(_STREAM_KERNELS),
     h=st.sampled_from([0.3, 1.0, 2.5]),
     N=st.integers(1, 60),
+    fixed_design=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, seed):
+def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, fixed_design, seed):
+    # a fixed design anchors the kernel at its own time points, with ties once snapped
     rng = np.random.default_rng(seed)
     times = _edge_times(rng, N, kernel.support[0] * h, True)
-    cfg = dw.SmootherConfig(kernel=kernel, h=h)
-    arr = np.array(times)
+    design = dw.TimeDesign(gamma=0.6, mode="fixed", snap_grid=0.25) if fixed_design else None
+    cfg = dw.SmootherConfig(kernel=kernel, h=h, design=design)
+    arr = np.array(times) if design is None else design_times(design, N, N)
     for n in range(1, N + 1):
         full = kernel.evaluate((arr[:n] - arr[n - 1]) / h) / h
         for seq in (times, arr):
@@ -585,6 +592,117 @@ def test_banded_smoother_matches_the_dense_reference(rows, N, layout, t0, kernel
     assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
     assert np.all(np.abs(den - ref_den) <= 1e-14 * ref_den)
     assert not num[ref_num == 0.0].any() and not den[ref_den == 0.0].any()
+
+
+def process_parts_design_reference(values, cfg):
+    """The per-anchor design loop that the block loop replaced: anchor n
+    weights records 1..n at ``design_times(design, n, N)``."""
+    values = np.asarray(values, dtype=float)
+    N = values.shape[1]
+    num = np.empty_like(values)
+    den = np.empty(N)
+    for n in range(1, N + 1):
+        t = design_times(cfg.design, n, N)
+        w = cfg.kernel.evaluate((t - t[-1]) / cfg.h) / cfg.h
+        den[n - 1] = w.sum()
+        num[:, n - 1] = values[:, :n] @ w
+    return num, den
+
+
+def design_num_den_reference(cfg, paths):
+    """The per-anchor trapezoid that the limit layer's block path replaced."""
+    M = cfg.grid_M
+    dt = 1.0 / M
+    r = np.arange(M + 1) / M
+    num = np.empty((paths.shape[0], M))
+    den = np.empty(M)
+    for j in range(1, M + 1):
+        s = j / M
+        w = _weight_fn(cfg, s)(r[: j + 1])
+        tw = w.copy()
+        tw[0] *= 0.5
+        tw[-1] *= 0.5
+        num[:, j - 1] = dt * (paths[:, : j + 1] @ tw)
+        den[j - 1] = cfg.zeta * dt * tw.sum()
+    return num, den
+
+
+# power, snapped and tabulated maps; the snapped one has tied time points
+_DESIGN_MAPS = [
+    {"gamma": 2.0},
+    {"gamma": 0.5},
+    {"gamma": 0.7, "snap_grid": 0.5},
+    {"knots_u": np.array([0.0, 0.3, 0.7, 1.0]), "knots_v": np.array([0.0, 0.1, 0.6, 1.0])},
+]
+_DESIGNS = st.builds(lambda m, mode: dw.TimeDesign(**m, mode=mode),
+                     st.sampled_from(_DESIGN_MAPS), st.sampled_from(["rolling", "fixed"]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=st.integers(1, 3),
+    N=st.integers(1, 600),
+    design=_DESIGNS,
+    kernel=st.sampled_from(_KERNELS),
+    h_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_design_smoother_matches_the_per_anchor_loop(rows, N, design, kernel, h_frac, seed):
+    # N spans one to more than two row blocks; h runs log-uniformly from 0.3 to N
+    rng = np.random.default_rng(seed)
+    h = 0.3 * (max(N, 0.3) / 0.3) ** h_frac
+    values = np.cumsum(rng.standard_normal((rows, N)), axis=1)
+    cfg = dw.SmootherConfig(kernel=kernel, h=h, design=design)
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, cfg)
+    ref_num, ref_den = process_parts_design_reference(values, cfg)
+    assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
+    assert np.all(np.abs(den - ref_den) <= 1e-14 * ref_den)
+    assert not num[ref_num == 0.0].any() and not den[ref_den == 0.0].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 600), design_map=st.sampled_from(_DESIGN_MAPS))
+def test_rolled_block_times_are_the_design_times_of_each_anchor(N, design_map):
+    # the last step of a block's rolled times is the design's snap; record its output
+    design = dw.TimeDesign(**design_map)
+    blocks = []
+    snap = dw.TimeDesign.snap
+
+    def recording_snap(self, t):
+        out = snap(self, t)
+        if np.ndim(out) == 2:
+            blocks.append(out)
+        return out
+
+    with mock.patch.object(dw.TimeDesign, "snap", recording_snap):
+        _process_parts(np.arange(1.0, N + 1.0), np.zeros((1, N)), dw.SmootherConfig(
+            kernel=dw.gaussian_kernel(), h=1.0, design=design))
+    assert sum(len(block) for block in blocks) == N
+    n = 0
+    for block in blocks:
+        for row in block:
+            n += 1
+            assert row[:n].tobytes() == design_times(design, n, N).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    grid_M=st.sampled_from([64, 300, 600]),
+    design=_DESIGNS,
+    kernel=st.sampled_from(_KERNELS),
+    zeta=st.sampled_from([1.0, 4.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_limit_design_process_matches_the_per_anchor_trapezoid(grid_M, design, kernel, zeta,
+                                                              seed):
+    design = dataclasses.replace(design, snap_grid=None)  # the limit design is not snapped
+    cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M, design=design)
+    paths = np.stack([dw.sample_bm(grid_M, dw.substream(seed, i)) for i in range(2)])
+    num, den = _num_den(cfg, paths)
+    ref_num, ref_den = design_num_den_reference(cfg, paths)
+    assert np.all(np.abs(den - ref_den) <= 1e-13 * ref_den)
+    assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
+    assert not den[ref_den == 0.0].any()
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,15 @@ def _load(name):
 
 
 def test_batch_cost_runs():
-    ms, points = _load("batch_cost").batch_cost(N=100, rows=2, repeats=1, seed=1)
+    tool = _load("batch_cost")
+    ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1)
     assert ms > 0.0
     # one kernel point per lag of the Gaussian's support window, h = N/10
     assert points == 81
+    ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1,
+                                 design=tool.LAYOUTS["rolling design"])
+    # one row block: every anchor's row reaches the block's last record
+    assert ms > 0.0 and points == 100 * 100
 
 
 def test_stream_cost_runs():

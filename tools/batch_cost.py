@@ -1,10 +1,13 @@
 """Cost of the batch smoother as the horizon grows.
 
-Runs ``estimator._process_parts`` on (rows, N) null random walks at unit
-times (Gaussian kernel, h = N/10) and prints, per N in ``--sizes``, the best
-wall time over ``--repeats`` calls and the kernel points one call
-evaluates.  A smoother that evaluates the kernel once per lag of its
-support window shows about 8h + 1 points, not N².  BLAS runs on one thread.
+Runs ``estimator._process_parts`` on (rows, N) null random walks (Gaussian
+kernel, h = N/10) in three time layouts: unit times, a fixed design and a
+rolling design (both F^{-1}(u) = u**(1/2)).  Prints, per N in ``--sizes``
+and layout, the best wall time over ``--repeats`` calls and the kernel
+points one call evaluates.  On unit times a smoother that evaluates the
+kernel once per lag of its support window shows about 8h + 1 points, not
+N²; a rolling design weights every past record at every anchor, so it
+shows about N²/2.  BLAS runs on one thread.
 
     python tools/batch_cost.py [--sizes 1000,4000,16000] [--rows 256] [--repeats 3] [--seed 1]
 
@@ -26,12 +29,19 @@ import driftwatch as dw  # noqa: E402
 from driftwatch.estimator import _process_parts  # noqa: E402
 
 
-def batch_cost(N, rows, repeats, seed):
+LAYOUTS = {
+    "unit times": None,
+    "fixed design": dw.TimeDesign(gamma=2.0, mode="fixed"),
+    "rolling design": dw.TimeDesign(gamma=2.0, mode="rolling"),
+}
+
+
+def batch_cost(N, rows, repeats, seed, design=None):
     """Best milliseconds per call and kernel points per call at horizon N."""
     rng = np.random.default_rng(seed)
     values = np.cumsum(rng.standard_normal((rows, N)), axis=1)
     times = np.arange(1.0, N + 1.0)
-    cfg = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=N / 10)
+    cfg = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=N / 10, design=design)
     points = 0
     evaluate = dw.KernelSpec.evaluate
 
@@ -63,8 +73,10 @@ def main():
     if args.rows < 1 or args.repeats < 1:
         parser.error("--rows and --repeats must be >= 1")
     for N in sorted(int(s) for s in args.sizes.split(",")):
-        ms, points = batch_cost(N, args.rows, args.repeats, args.seed)
-        print(f"N={N:>6}  {ms:10.1f} ms/call  {points:>11} kernel points  ({points / N**2:.2e} N^2)")
+        for layout, design in LAYOUTS.items():
+            ms, points = batch_cost(N, args.rows, args.repeats, args.seed, design)
+            print(f"N={N:>6}  {layout:<14}  {ms:10.1f} ms/call  {points:>11} kernel points"
+                  f"  ({points / N**2:.2e} N^2)")
 
 
 if __name__ == "__main__":
