@@ -151,9 +151,9 @@ def _limit_chunk(payload) -> np.ndarray:
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
     vals = _batch_null_values(cfg, seeds)
     if cfg.drift is not None:
-        vals = vals + _drift_curve(cfg)
+        vals += _drift_curve(cfg)
     # cells below s_min are NaN, hence never eligible
-    vals = np.where(np.isnan(vals), -np.inf, vals)
+    np.copyto(vals, -np.inf, where=np.isnan(vals))
     return _stops_from_values(vals, c_grid, cfg.s_grid)
 
 

@@ -26,6 +26,7 @@ process values are NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -93,13 +94,31 @@ class LimitConfig:
         return np.arange(1, self.grid_M + 1) / self.grid_M
 
 
-def sample_bm(grid_M: int, seed) -> np.ndarray:
-    """Standard Brownian path on {j/grid_M}, j = 0..grid_M; B(0) = 0."""
+def _bm_paths(grid_M: int, seeds) -> np.ndarray:
+    """Standard Brownian paths on {j/grid_M}, one row per seed; column 0 is B(0) = 0.
+
+    Row i draws its grid_M increments from one stream, the one ``seeds[i]``
+    stands for, so it equals ``sample_bm(grid_M, seeds[i])`` bit for bit.
+    The increments are drawn into the rows, scaled and summed in place: the
+    rows are the only array the builder allocates.
+    """
     if grid_M < 1:
         raise ValueError(f"grid_M must be >= 1, got {grid_M!r}")
-    rng = np.random.default_rng(seed_sequence(seed))
-    inc = rng.standard_normal(grid_M) * np.sqrt(1.0 / grid_M)
-    return np.concatenate([[0.0], np.cumsum(inc)])
+    paths = np.zeros((len(seeds), grid_M + 1))
+    inc = paths[:, 1:]
+    for row, seed in zip(inc, seeds):
+        np.random.default_rng(seed_sequence(seed)).standard_normal(out=row)
+    inc *= np.sqrt(1.0 / grid_M)
+    np.cumsum(inc, axis=1, out=inc)
+    return paths
+
+
+def sample_bm(grid_M: int, seed) -> np.ndarray:
+    """Standard Brownian path on {j/grid_M}, j = 0..grid_M; B(0) = 0.
+
+    The row of ``_bm_paths`` for this seed: the same stream, the same bits.
+    """
+    return _bm_paths(grid_M, [seed])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +185,20 @@ def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarra
         num, den = _process_parts(np.arange(1.0, M + 1.0), paths[:, 1:], smoother)
         w_0 = _weight_fn(cfg, cfg.s_grid)(0.0)
         sums, mass, w_s = h * num, h * den + w_0, cfg.kernel.evaluate(0.0)
-    num = dt * (sums - 0.5 * w_s * paths[:, 1:])
+    # dt * (sums - 0.5 w_s path), one array: the same operations, in place
+    num = np.multiply(0.5 * w_s, paths[:, 1:])
+    np.subtract(sums, num, out=num)
+    num *= dt
     den = cfg.zeta * dt * (mass - 0.5 * w_0 - 0.5 * w_s)
     return num, den
 
 
 def _null_values(cfg: LimitConfig, paths: np.ndarray) -> np.ndarray:
     """sigma * num / den with entries below s_min masked to NaN."""
-    num, den = _num_den(cfg, paths)
+    vals, den = _num_den(cfg, paths)
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = cfg.sigma * num / den
+        vals *= cfg.sigma
+        vals /= den
     vals[:, : S_MIN_CELLS - 1] = np.nan
     return vals
 
@@ -191,11 +214,7 @@ def null_limit_process(cfg: LimitConfig, seed) -> np.ndarray:
 
 def _batch_null_values(cfg: LimitConfig, seeds) -> np.ndarray:
     """Null-process values for many paths (rows); used by calibration."""
-    M = cfg.grid_M
-    paths = np.empty((len(seeds), M + 1))
-    for i, s in enumerate(seeds):
-        paths[i] = sample_bm(M, s)
-    return _null_values(cfg, paths)
+    return _null_values(cfg, _bm_paths(cfg.grid_M, seeds))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +361,8 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
     """First s in [a, 1] where the deterministic drift term exceeds c; 1 if none.
 
     Grid scan for a bracket, then root refinement against the quadrature
-    drift term to tolerance 1e-6.
+    drift term to tolerance 1e-6.  Each s is evaluated once per call: the
+    bracket checks and the root search share one memo of the drift term.
     """
     if cfg.drift is None:
         raise ValueError("asymptotic_normed_delay needs a LimitConfig with a drift")
@@ -351,6 +371,7 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
     M = cfg.grid_M
     floor = max(a, 1e-6)
 
+    @cache
     def g(s: float) -> float:
         return drift_term(cfg, s) - c
 

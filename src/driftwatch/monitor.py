@@ -13,7 +13,7 @@ monitors raise DriftwatchError at a degenerate eligible index they reach.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -22,7 +22,7 @@ from .estimator import (
     DriftwatchError, SmootherConfig, _process_parts, anchored_estimate, check_weights, nw_estimate,
     scaling_factor,
 )
-from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, generate, substream
+from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, design_times, generate, substream
 from .variance import RunningVariance, check_variance, running_estimates
 
 MonitoringError = DriftwatchError
@@ -181,7 +181,7 @@ class StreamMonitor:
     for Laplace, h for Epanechnikov, the part of the knot span left of 0
     for a tabulated kernel), and a ``RunningVariance`` adds one term per
     record.  A fixed design takes that window on its design times, placed
-    by the horizon N as ``run_monitor`` does.  A rolling design re-selects
+    once by the horizon N as ``run_monitor`` does.  A rolling design re-selects
     past time points at every index, so with one each update weights the
     whole history.  The kept ``times`` and ``values`` grow by one entry per
     record, up to the horizon.
@@ -191,6 +191,13 @@ class StreamMonitor:
         self.cfg = cfg
         self.times: list[float] = []
         self.values: list[float] = []
+        # the times the kernel is anchored at; a fixed design's first n points
+        # do not depend on n, so they are placed for the whole horizon here
+        self._smoother, self._anchor_times = cfg.smoother, self.times
+        design = cfg.smoother.design
+        if design is not None and design.mode == "fixed":
+            self._anchor_times = design_times(design, cfg.N, cfg.N)
+            self._smoother = replace(cfg.smoother, design=None)
         self._variance = None
         if cfg.variance_method is not None:
             pre_inc = np.diff(prerun.values) if prerun is not None else None
@@ -221,7 +228,7 @@ class StreamMonitor:
         stat = None
         if n >= cfg.start_index and not np.isnan(est):
             try:
-                stat = anchored_estimate(self.times, self.values, cfg.smoother, n, cfg.N)
+                stat = anchored_estimate(self._anchor_times, self.values, self._smoother, n, cfg.N)
                 check_variance(est, first=n)
             except DriftwatchError:
                 del self.times[-1], self.values[-1]

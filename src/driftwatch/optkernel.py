@@ -16,6 +16,7 @@ truncated at t_max and the truncation is part of the reported solution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -82,6 +83,8 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
 
     Requires int_0^s M0^2 to be positive and finite on all of (0, 1]
     (checked numerically at the scan scale); 1 when there is no crossing.
+    Each s is evaluated once per call: the scan and the root search share
+    one memo of the delay ratio.
     """
     probe, full = _power_integral(m0, SCAN_STEP, 2), _power_integral(m0, 1.0, 2)
     if not (probe > 0.0 and np.isfinite(full)):
@@ -92,6 +95,7 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
     if c < 0.0:
         return 0.0
 
+    @cache
     def g(s: float) -> float:
         return _delay_ratio(m0, s) - c
 

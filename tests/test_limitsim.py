@@ -6,7 +6,8 @@ from scipy import integrate
 from scipy.stats import norm
 
 import driftwatch as dw
-from driftwatch.limitsim import _drift_curve
+from driftwatch import limitsim
+from driftwatch.limitsim import _batch_null_values, _bm_paths, _drift_curve
 
 G = dw.gaussian_kernel()
 E = dw.epanechnikov_kernel()
@@ -33,6 +34,22 @@ def test_bm_moments():
         mid[i] = b[M // 2]
     assert end.var() == pytest.approx(1.0, rel=0.05)
     assert np.mean(mid * end) == pytest.approx(0.5, rel=0.07)
+
+
+def test_bm_paths_rows_are_sample_bm():
+    seeds = [dw.substream(7, i) for i in range(3)] + [11]
+    paths = _bm_paths(256, seeds)
+    assert paths.shape == (4, 257)
+    for row, seed in zip(paths, seeds):
+        assert row.tobytes() == dw.sample_bm(256, seed).tobytes()
+
+
+def test_batch_null_values_do_not_depend_on_chunking():
+    cfg = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=128)
+    seeds = [dw.substream(3, i) for i in range(10)]
+    whole = _batch_null_values(cfg, seeds)
+    chunks = [_batch_null_values(cfg, seeds[a:b]) for a, b in ((0, 1), (1, 7), (7, 10))]
+    assert whole.tobytes() == np.concatenate(chunks).tobytes()
 
 
 def test_null_process_trapezoid_oracle():
@@ -251,6 +268,21 @@ def test_asymptotic_normed_delay_dense_scan_oracle():
     mu_d = np.array([dw.drift_term(cfg, float(s)) for s in dense])
     oracle = dense[int(np.argmax(mu_d > c))]
     assert abs(got - oracle) <= 1e-4
+
+
+def test_asymptotic_normed_delay_evaluates_each_s_once(monkeypatch):
+    drift_term = limitsim.drift_term
+    calls = []
+
+    def counting(cfg, s):
+        calls.append(s)
+        return drift_term(cfg, s)
+
+    monkeypatch.setattr(limitsim, "drift_term", counting)
+    cfg = dw.LimitConfig(zeta=1.0, kernel=G, drift=dw.LimitDrift(STEP, "cp1"), grid_M=256)
+    got = dw.asymptotic_normed_delay(cfg, 0.5 * drift_term(cfg, 1.0))
+    assert 0.0 < got < 1.0
+    assert len(calls) > 2 and len(calls) == len(set(calls))
 
 
 def test_check_km_condition():

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate
 
 import driftwatch as dw
+from driftwatch import limitsim, optkernel
 from driftwatch.optkernel import TruncatedAlternative, tau_ratio
 
 STEP = dw.alternative_by_name("step")
@@ -53,6 +54,19 @@ def test_optimal_delay_scaling_invariance(lam):
     scaled = dw.seriesgen.tabulated_alternative(t, lam * STEP.value(t + 1e-12))
     base = dw.optimal_delay(STEP, 0.2)
     assert dw.optimal_delay(scaled, lam * 0.2) == pytest.approx(base, abs=1e-5)
+
+
+def test_optimal_delay_evaluates_each_s_once(monkeypatch):
+    delay_ratio = optkernel._delay_ratio
+    calls = []
+
+    def counting(m0, s):
+        calls.append(s)
+        return delay_ratio(m0, s)
+
+    monkeypatch.setattr(optkernel, "_delay_ratio", counting)
+    assert dw.optimal_delay(RAMP, 0.03) == pytest.approx(np.sqrt(0.1), abs=1e-6)
+    assert len(calls) > 2 and len(calls) == len(set(calls))
 
 
 def test_optimal_kernel_step_example():
@@ -134,6 +148,21 @@ def test_cauchy_schwarz_bound():
             lambda r: float(kernel.evaluate(zeta * (r - s_star))), 0.0, s_star, limit=200
         )
         assert tau <= np.sqrt(ksq) * np.sqrt(msq) / kint + 1e-12
+
+
+def test_completed_kernel_delay_evaluates_each_s_once(monkeypatch):
+    drift_term = limitsim.drift_term
+    calls = []
+
+    def counting(cfg, s):
+        calls.append(s)
+        return drift_term(cfg, s)
+
+    monkeypatch.setattr(limitsim, "drift_term", counting)
+    completed = dw.completed_kernel(dw.optimal_kernel(RAMP, 1.0, 0.03, n_points=101))
+    cfg = dw.LimitConfig(zeta=1.0, kernel=completed, grid_M=256, drift=dw.LimitDrift(RAMP, "cp1"))
+    assert dw.asymptotic_normed_delay(cfg, 0.03) == pytest.approx(np.sqrt(0.1), abs=2e-2)
+    assert len(calls) > 2 and len(calls) == len(set(calls))
 
 
 def test_verify_optimality_self_candidate():

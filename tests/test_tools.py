@@ -31,8 +31,16 @@ def test_batch_cost_runs():
 
 
 def test_stream_cost_runs():
-    cost = _load("stream_cost").per_update_us([20, 60], window=10, seed=1)
-    assert sorted(cost) == [20, 60] and all(v > 0.0 for v in cost.values())
+    tool = _load("stream_cost")
+    for h, design in tool.LAYOUTS.values():
+        cost = tool.per_update_us([20, 60], window=10, seed=1, h=h, design=design)
+        assert sorted(cost) == [20, 60] and all(v > 0.0 for v in cost.values())
+
+
+def test_limit_cost_runs():
+    cost = _load("limit_cost").limit_cost(paths=4, grid_M=64, repeats=1, seed=1)
+    assert list(cost) == ["path sampling", "FFT num/den", "stop extraction"]
+    assert all(ms > 0.0 for ms in cost.values())
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

@@ -1,9 +1,13 @@
 """Per-update cost of the streaming monitor as the stream grows.
 
 Feeds one null random walk record by record to ``StreamMonitor.update``
-(Gaussian kernel, h = 50, null scaling, ``naive`` variance, a threshold of
-+inf so the stream never stops) and prints the mean wall time per update
-over the last ``--window`` updates before each size in ``--sizes``.  A
+(Gaussian kernel, null scaling, ``naive`` variance, a threshold of +inf so
+the stream never stops) and prints the mean wall time per update over the
+last ``--window`` updates before each size in ``--sizes``.  Two layouts:
+the observation times with h = 50, and a fixed design F^{-1}(u) = u**(1/2)
+placed by the largest size with h = 5 (its design times lie 1/2 apart
+at the horizon and further apart before it, so the Gaussian's 8h support
+window holds at most about 80 records).  A
 streaming monitor whose work per record is bounded shows about the same
 cost at every size.  BLAS runs on one thread.
 
@@ -25,14 +29,19 @@ import numpy as np  # noqa: E402
 
 import driftwatch as dw  # noqa: E402
 
-H = 50.0
+# layout -> (bandwidth, time design)
+LAYOUTS = {
+    "no design, h = 50": (50.0, None),
+    "fixed design, h = 5": (5.0, dw.TimeDesign(gamma=2.0, mode="fixed")),
+}
 
 
-def per_update_us(sizes, window, seed):
+def per_update_us(sizes, window, seed, h=50.0, design=None):
     """Mean microseconds per update over the ``window`` updates ending at each size."""
     N = max(sizes)
     series = dw.generate(dw.SeriesSpec(N=N), seed)
-    smoother = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=H, scaling="null_scale")
+    smoother = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=h, scaling="null_scale",
+                                 design=design)
     mon = dw.StreamMonitor(dw.MonitorConfig(smoother, np.inf, N, variance_method="naive"))
     elapsed = np.empty(N)
     clock = time.perf_counter
@@ -53,9 +62,11 @@ def main():
     sizes = sorted(int(s) for s in args.sizes.split(","))
     if not 1 <= args.window <= sizes[0]:
         parser.error(f"--window must lie in [1, {sizes[0]}]")
-    cost = per_update_us(sizes, args.window, args.seed)
-    for n in sizes:
-        print(f"n={n:>7}  {cost[n]:9.1f} us/update  ({cost[n] / cost[sizes[0]]:.2f}x n={sizes[0]})")
+    for layout, (h, design) in LAYOUTS.items():
+        cost = per_update_us(sizes, args.window, args.seed, h, design)
+        for n in sizes:
+            print(f"{layout:<20}  n={n:>7}  {cost[n]:9.1f} us/update"
+                  f"  ({cost[n] / cost[sizes[0]]:.2f}x n={sizes[0]})")
 
 
 if __name__ == "__main__":
