@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
 from .kernels import KernelSpec, _candidate_names
@@ -238,6 +237,8 @@ def _coverage_chunk(payload) -> int:
     N, h, kernel, alpha, seed, start, stop, variance_method, sigma, sk = payload
     cfg = SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
     scale = scaling_factor(cfg, N)
+    from scipy.stats import norm  # imported here: it is the module's only user
+
     z = norm.ppf(1.0 - alpha / 2.0)
     inno = InnovationSpec(sigma=sigma)
     values = _null_walks(inno, N, seed, start, stop)

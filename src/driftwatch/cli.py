@@ -211,6 +211,8 @@ def monitor_cmd(ctx, input_path, h, kernel, scaling, threshold, start_fraction,
                 ctx.exit(EXIT_ALARM)
             if stream.n >= horizon:
                 break
+        if stream.n < horizon:
+            raise ValueError(f"stream ended after {stream.n} records, horizon is {horizon}")
         click.echo(monitor.format_record(stream.truncation_record()))
         ctx.exit(0)
 

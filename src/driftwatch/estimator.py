@@ -34,6 +34,10 @@ class DriftwatchError(ValueError):
     @classmethod
     def raise_first(cls, bad, what: str, first: int = 1) -> None:
         """Raise at the first column of ``bad`` set in any row; column j is index first + j."""
+        if isinstance(bad, bool):  # one index: skip the array set-up
+            if bad:
+                raise cls(f"{what} at index {first}", index=first)
+            return
         bad = np.asarray(bad)
         if bad.any():
             index = first + int(np.argmax(np.atleast_2d(bad).any(axis=0)))
@@ -91,6 +95,18 @@ def _window_start(times, n: int, cfg: SmootherConfig) -> int:
     return bisect_left(times, cfg.kernel.support[0], 0, n, key=lambda t: (t - t_n) / h)
 
 
+def _lag_template(cfg: SmootherConfig, N: int) -> np.ndarray:
+    """Unit-time weights K(-d/h)/h for the lags d = L-1, ..., 1, 0 of the support window.
+
+    On unit-spaced times (``_unit_spaced``) the computed (t_i - t_n)/h is
+    -d/h for the lag d = n - i exactly, so every anchor's window weights are
+    the last entries of this template, bit for bit.  L, at most N, is the
+    window length that ``_window_start`` gives at index N.
+    """
+    lags = N - _window_start(range(N), N, cfg)
+    return cfg.kernel.evaluate(np.arange(1.0 - lags, 1.0) / cfg.h) / cfg.h
+
+
 def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, np.ndarray]:
     """Smoothing weights at current index n for records start+1..n, with ``start``.
 
@@ -112,16 +128,14 @@ def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, 
     return start, cfg.kernel.evaluate(args) / cfg.h
 
 
-def anchored_estimate(times, values, cfg: SmootherConfig, n: int, horizon: int) -> float:
-    """Kernel-weighted mean of records 1..n of the sequences ``times`` and ``values``.
+def _window_mean(start: int, w: np.ndarray, values, n: int) -> float:
+    """Mean of ``values[start:n]`` under the weights ``w`` of ``_weights_at``.
 
     The one single-anchor smoother, behind ``nw_estimate`` and the streaming
-    monitor; ``horizon`` places a fixed design's time points.  It evaluates
-    the kernel on the support window, not on all n records, unless a rolling
-    design is set.
+    monitor, which may pass its weights as a slice of ``_lag_template``
+    instead; raises DriftwatchError at index n when the weights vanish.
     """
-    start, w = _weights_at(times, cfg, n, horizon)
-    den = w.sum()
+    den = float(w.sum())  # a float takes check_weights' scalar path
     check_weights(den, first=n)
     return float(w @ np.asarray(values[start:n], dtype=float) / den)
 
@@ -130,7 +144,7 @@ def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
     """Kernel-weighted mean of the first n observations, anchored at index n."""
     if not 1 <= n <= len(series):
         raise ValueError(f"need 1 <= n <= {len(series)}, got {n!r}")
-    return anchored_estimate(series.times, series.values, cfg, n, len(series))
+    return _window_mean(*_weights_at(series.times, cfg, n, len(series)), series.values, n)
 
 
 def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
@@ -158,9 +172,9 @@ def _process_parts(times, values, cfg: SmootherConfig):
     anchor a; weights of later records are exact zeros, so the process stays
     exactly causal.  A block's weights come from one of three sources.  On
     unit-spaced times every weight is K(-d/h)/h for a lag d of the window,
-    so the kernel is evaluated once per lag and each block's weights are a
-    view of one Toeplitz template, equal bit for bit to the kernel at
-    (t_i - t_n)/h.  Other times, and a fixed design's times
+    so the kernel is evaluated once per lag (``_lag_template``) and each
+    block's weights are a view of one Toeplitz template, equal bit for bit to
+    the kernel at (t_i - t_n)/h.  Other times, and a fixed design's times
     ``design_times(design, N, N)``, evaluate the kernel on the block's time
     differences and zero its upper triangle.  A rolling design re-selects
     the time points at every anchor: row n holds n F^{-1}(i/n) for records
@@ -179,8 +193,8 @@ def _process_parts(times, values, cfg: SmootherConfig):
     unit = not rolling and _unit_spaced(t)
     if unit:
         # the weight of lag d = n - i is k[lags - 1 - d]
-        lags = N - _window_start(t, N, cfg)
-        k = kernel.evaluate(np.arange(1.0 - lags, 1.0) / h) / h
+        k = _lag_template(cfg, N)
+        lags = len(k)
         # row r holds k from column r on; in block [a, b) column c is record a - (lags - 1) + c
         B = min(_ROW_BLOCK, N)
         template = np.zeros((B, B + lags))

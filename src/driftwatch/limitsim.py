@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
+from scipy import fft
 from scipy.optimize import brentq
-from scipy.signal import fftconvolve
 
 from .estimator import SmootherConfig, _process_parts
 from .kernels import KernelSpec, _quad, _window_integral, arg_breaks
@@ -177,7 +177,10 @@ def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if cfg.design is None:
         # k_d = K(-zeta d / M), d = 0..M: the weight at lag d
         k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
-        sums = fftconvolve(paths, k[None, :], axes=1)[:, 1 : M + 1]
+        # the full linear convolution of each path with k, as scipy.signal.fftconvolve
+        # computes it (a real FFT of the next fast length from 2M + 1), bit for bit
+        L = fft.next_fast_len(2 * M + 1, True)
+        sums = fft.irfft(fft.rfft(paths, L, axis=1) * fft.rfft(k, L), L, axis=1)[:, 1 : M + 1]
         mass, w_0, w_s = np.cumsum(k)[1:], k[1:], k[0]
     else:
         h = M / cfg.zeta

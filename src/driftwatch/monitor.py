@@ -13,14 +13,14 @@ monitors raise DriftwatchError at a degenerate eligible index they reach.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import norm
 
 from .estimator import (
-    DriftwatchError, SmootherConfig, _process_parts, anchored_estimate, check_weights, nw_estimate,
-    scaling_factor,
+    DriftwatchError, SmootherConfig, _lag_template, _process_parts, _weights_at, _window_mean,
+    check_weights, nw_estimate, scaling_factor,
 )
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, design_times, generate, substream
 from .variance import RunningVariance, check_variance, running_estimates
@@ -131,6 +131,8 @@ def confidence_interval(
     for name, v in (("sigma_k", sigma_k), ("sigma_hat", sigma_hat), ("h", h), ("N", N)):
         if not v > 0:
             raise ValueError(f"{name} must be positive, got {v!r}")
+    from scipy.stats import norm  # imported here: it is the module's only user
+
     z = norm.ppf(1.0 - alpha / 2.0)
     half = z * sigma_k * sigma_hat * N**1.5 / h
     return (m_hat - half, m_hat + half)
@@ -173,6 +175,10 @@ def false_alarm_rate(
     return hits / total if total else 0.0
 
 
+_FIRST_CAPACITY = 256  # records the stream buffers hold before they first double
+_EXACT = 2.0**53  # in a unit-spaced run of integer times below this, t_i - t_n is exact
+
+
 class StreamMonitor:
     """Online monitor: feed (t, y) records, get an alarm dict on first exceedance.
 
@@ -180,30 +186,55 @@ class StreamMonitor:
     within the kernel's support of the newest time (8h for Gaussian, 24h
     for Laplace, h for Epanechnikov, the part of the knot span left of 0
     for a tabulated kernel), and a ``RunningVariance`` adds one term per
-    record.  A fixed design takes that window on its design times, placed
-    once by the horizon N as ``run_monitor`` does.  A rolling design re-selects
-    past time points at every index, so with one each update weights the
-    whole history.  The kept ``times`` and ``values`` grow by one entry per
-    record, up to the horizon.
+    record.  While the times run t_0, t_0 + 1, ... with integer t_0, the
+    window's weights are a slice of the lag template that the monitor
+    evaluates once (``estimator._lag_template``), so an update costs a few
+    slices and one dot product.  Other times, and windows that reach back
+    before the current unit-spaced run, evaluate the kernel on the window.
+    A fixed design takes the window on its design times, placed once by the
+    horizon N as ``run_monitor`` does.  A rolling design re-selects past
+    time points at every index, so with one each update weights the whole
+    history.  The records are kept in two float arrays whose capacity
+    doubles as records arrive, up to the horizon; ``times`` and ``values``
+    return the records seen as lists.
     """
 
     def __init__(self, cfg: MonitorConfig, prerun: TimeSeries | None = None):
         self.cfg = cfg
-        self.times: list[float] = []
-        self.values: list[float] = []
-        # the times the kernel is anchored at; a fixed design's first n points
-        # do not depend on n, so they are placed for the whole horizon here
-        self._smoother, self._anchor_times = cfg.smoother, self.times
+        capacity = min(cfg.N, _FIRST_CAPACITY)
+        self._times, self._values = np.empty(capacity), np.empty(capacity)
+        self._start_index = cfg.start_index
+        self._scale = scaling_factor(cfg.smoother, cfg.N)
+        # the times the kernel is anchored at (None: the observation times); a
+        # fixed design's first n points do not depend on n, so they are placed
+        # for the whole horizon here
+        self._smoother, self._anchor_times, self._template = cfg.smoother, None, None
         design = cfg.smoother.design
-        if design is not None and design.mode == "fixed":
+        if design is None:
+            self._template = _lag_template(cfg.smoother, cfg.N)
+        elif design.mode == "fixed":
             self._anchor_times = design_times(design, cfg.N, cfg.N)
             self._smoother = replace(cfg.smoother, design=None)
         self._variance = None
         if cfg.variance_method is not None:
             pre_inc = np.diff(prerun.values) if prerun is not None else None
             self._variance = RunningVariance.start(cfg.variance_method, pre_inc)
+        # without a design, the 0-based first record of the unit-spaced run
+        # that the last record ends, or None
+        self._run = None
+        self._last_t = None
         self.alarmed = False
         self.n = 0
+
+    @property
+    def times(self) -> list[float]:
+        """The times of the records seen, oldest first."""
+        return self._times[: self.n].tolist()
+
+    @property
+    def values(self) -> list[float]:
+        """The values of the records seen, oldest first."""
+        return self._values[: self.n].tolist()
 
     def update(self, t: float, y: float) -> dict | None:
         """Ingest one observation; returns the alarm record on first exceedance.
@@ -215,46 +246,67 @@ class StreamMonitor:
         if self.alarmed or self.n >= self.cfg.N:
             return None
         t, y = float(t), float(y)
-        if not (np.isfinite(t) and np.isfinite(y)):
+        if not (math.isfinite(t) and math.isfinite(y)):
             raise ValueError(f"stream record must be finite, got t={t!r}, y={y!r}")
-        if self.times and t <= self.times[-1]:
-            raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
-        cfg = self.cfg
+        if self.n and t <= self._last_t:
+            raise ValueError(f"times must be strictly increasing, got {t} after {self._last_t}")
         n = self.n + 1
         variance = self._variance.push(y) if self._variance is not None else None
         est = 1.0 if variance is None else variance.value  # unit variance unless standardized
-        self.times.append(t)
-        self.values.append(y)
+        run = None
+        if self._template is not None and abs(t) < _EXACT and t.is_integer():
+            run = self._run if self._run is not None and t == self._last_t + 1.0 else n - 1
+        if n > len(self._times):
+            self._times = _grown(self._times, self.cfg.N)
+            self._values = _grown(self._values, self.cfg.N)
+        # written past the records seen, so a record that raises below is not kept
+        self._times[n - 1], self._values[n - 1] = t, y
         stat = None
-        if n >= cfg.start_index and not np.isnan(est):
-            try:
-                stat = anchored_estimate(self._anchor_times, self.values, self._smoother, n, cfg.N)
-                check_variance(est, first=n)
-            except DriftwatchError:
-                del self.times[-1], self.values[-1]
-                raise
-            stat = stat * scaling_factor(cfg.smoother, cfg.N) / float(np.sqrt(est))
-        self._variance = variance
-        self.n = n
-        if stat is not None and stat > cfg.threshold:
+        if n >= self._start_index and not math.isnan(est):
+            stat = _window_mean(*self._weights(n, run), self._values, n)
+            check_variance(est, first=n)
+            stat = stat * self._scale / math.sqrt(est)
+        self._variance, self._run, self._last_t, self.n = variance, run, t, n
+        if stat is not None and stat > self.cfg.threshold:
             self.alarmed = True
             return {
                 "alarmed": True,
                 "index": n,
-                "time": float(t),
-                "statistic": float(stat),
-                "threshold": cfg.threshold,
+                "time": t,
+                "statistic": stat,
+                "threshold": self.cfg.threshold,
             }
         return None
+
+    def _weights(self, n: int, run: int | None) -> tuple[int, np.ndarray]:
+        """What ``_weights_at`` gives at index n, as a template slice when the
+        unit-spaced run from 0-based record ``run`` holds the window and the
+        record just before it, or when the run starts at the first record."""
+        if run is not None:
+            k = self._template
+            start = n - len(k)
+            if start > run:
+                return start, k
+            if run == 0:
+                return 0, k[len(k) - n :]
+        anchors = self._times if self._anchor_times is None else self._anchor_times
+        return _weights_at(anchors, self._smoother, n, self.cfg.N)
 
     def truncation_record(self) -> dict:
         return {
             "alarmed": False,
             "index": self.cfg.N,
-            "time": self.times[-1] if self.times else None,
+            "time": self._last_t,
             "statistic": None,
             "threshold": self.cfg.threshold,
         }
+
+
+def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
+    """``buffer`` copied into one of twice its length, at most ``limit``."""
+    out = np.empty(min(2 * len(buffer), limit))
+    out[: len(buffer)] = buffer
+    return out
 
 
 def format_record(record: dict) -> str:

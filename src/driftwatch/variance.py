@@ -40,11 +40,12 @@ class VarianceEstimate:
             raise ValueError(f"variance estimate must be >= 0, got {self.value!r}")
 
 
-# method -> (terms from rows of first differences, increments one term spans, factor)
+# method -> (a term from ``span`` consecutive first differences, span, factor); the
+# differences are floats for one term or equal-shape columns for many
 _METHODS = {
-    "naive": (lambda d: d, 1, 1.0),
-    "rice": (lambda d: np.diff(d, axis=1), 2, 0.5),
-    "gasser": (lambda d: 0.5 * d[:, :-2] + 0.5 * d[:, 2:] - d[:, 1:-1], 3, 2.0 / 3.0),
+    "naive": (lambda d0: d0, 1, 1.0),
+    "rice": (lambda d0, d1: d1 - d0, 2, 0.5),
+    "gasser": (lambda d0, d1, d2: 0.5 * d0 + 0.5 * d2 - d1, 3, 2.0 / 3.0),
 }
 
 
@@ -104,18 +105,25 @@ def nuisance_free(statistic: float, est: VarianceEstimate) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _terms(method: str, d: np.ndarray) -> np.ndarray:
+    """Every term of the rows of first differences ``d``: columns j.. of each span slot."""
+    terms_of, span, _ = _method(method)
+    m = max(d.shape[1] - span + 1, 0)
+    return terms_of(*(d[:, j : j + m] for j in range(span)))
+
+
 def _prerun_head(prerun_increments, method: str, batch: int) -> tuple[np.ndarray, int]:
     """Sum of squared prerun terms for each of ``batch`` rows, and the prerun's term count.
 
     A one-row prerun serves every row.
     """
-    terms_of, span, _ = _method(method)
+    span = _method(method)[1]
     p = np.zeros((batch, 0)) if prerun_increments is None else np.atleast_2d(
         np.asarray(prerun_increments, dtype=float)
     )
     if p.shape[0] == 1 and batch > 1:
         p = np.broadcast_to(p, (batch, p.shape[1]))
-    t = terms_of(p)
+    t = _terms(method, p)
     # the prerun alone carries max(m_p - span + 1, 0) terms
     return np.sum(t * t, axis=1), max(p.shape[1] - span + 1, 0)
 
@@ -129,7 +137,7 @@ def running_estimates(
     a separate segment: they contribute their own terms but no term that
     spans the junction with the series.
     """
-    terms_of, span, factor = _method(method)
+    _, span, factor = _method(method)
     values = np.asarray(values, dtype=float)
     squeeze = values.ndim == 1
     values = np.atleast_2d(values)
@@ -141,7 +149,7 @@ def running_estimates(
     if cnt0:
         out[:, :span] = (factor * head / cnt0)[:, None]
     if N > span:
-        terms = terms_of(np.diff(values, axis=1))
+        terms = _terms(method, np.diff(values, axis=1))
         counts = cnt0 + np.arange(1, N - span + 1)
         out[:, span:] = factor * (head[:, None] + np.cumsum(terms * terms, axis=1)) / counts
     return out[0] if squeeze else out
@@ -152,12 +160,13 @@ class RunningVariance:
     """The running estimate of ``running_estimates`` one value at a time.
 
     Holds the prerun head (its squared-term sum and term count), the number
-    of values seen, the running sum of the series' squared terms and the
-    last ``span`` + 1 values, which form the next term.  ``push`` returns
-    the state after one more value and leaves this one as it is.  After n
-    values, ``value`` is bitwise ``running_estimates(values[:n], method,
-    prerun_increments)[n - 1]``: each term comes from the same method-table
-    entry, and the sum grows in the order ``cumsum`` adds.
+    of values seen, the running sum of the series' squared terms, the last
+    value and the last ``span`` first differences, which form the newest
+    term.  ``push`` returns the state after one more value and leaves this
+    one as it is; it works on Python floats.  After n values, ``value`` is
+    bitwise ``running_estimates(values[:n], method, prerun_increments)[n -
+    1]``: each term comes from the same method-table entry, on the same
+    differences, and the sum grows in the order ``cumsum`` adds.
     """
 
     method: str
@@ -165,7 +174,8 @@ class RunningVariance:
     cnt0: int
     n: int = 0
     total: float = 0.0
-    last: tuple[float, ...] = ()
+    last: float = 0.0
+    diffs: tuple[float, ...] = ()
 
     @classmethod
     def start(cls, method: str, prerun_increments=None) -> RunningVariance:
@@ -173,13 +183,14 @@ class RunningVariance:
         return cls(method, float(head[0]), cnt0)
 
     def push(self, y: float) -> RunningVariance:
-        terms_of, span, _ = _method(self.method)
-        last = (self.last + (y,))[-span - 1 :]
-        total = self.total
-        if len(last) > span:
-            t = terms_of(np.diff(np.array([last]), axis=1))
-            total = total + float((t * t)[0, 0])
-        return RunningVariance(self.method, self.head, self.cnt0, self.n + 1, total, last)
+        total, diffs = self.total, self.diffs
+        if self.n:
+            terms_of, span, _ = _method(self.method)
+            diffs = (diffs + (y - self.last,))[-span:]
+            if len(diffs) == span:
+                t = terms_of(*diffs)
+                total = total + t * t
+        return RunningVariance(self.method, self.head, self.cnt0, self.n + 1, total, y, diffs)
 
     @property
     def value(self) -> float:

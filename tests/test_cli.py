@@ -265,6 +265,9 @@ BAD_INPUTS = {
     "horizon beyond series": (
         lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(20)), "--h", "5",
                     "-c", "0.1", "--horizon", "50"], None, None), "horizon is 50"),
+    "stream shorter than horizon": (
+        lambda d: (["monitor", "--input", "-", "--h", "5", "-c", "100", "--horizon", "50"],
+                   "t,y\n1,0.1\n2,0.2\n", None), "stream ended after 2 records, horizon is 50"),
     "non-numeric stream field": (lambda d: (STREAM, "t,y\n1,abc\n", None), "'abc'"),
     "repeated stream time": (lambda d: (STREAM, "1,0\n1,0\n", None), "1.0 after 1.0"),
     "NaN stream value": (lambda d: (STREAM, "1,0\n2,nan\n", None), "y=nan"),

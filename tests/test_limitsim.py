@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,17 @@ L = dw.laplace_kernel()
 STEP = dw.alternative_by_name("step")
 RAMP = dw.alternative_by_name("ramp")
 ZERO = dw.alternative_by_name("zero")
+
+
+def test_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # both are imported by their one user when it runs, which keeps import
+    # time and resident memory down for every command that does not need them
+    code = "import sys, driftwatch; print(sorted(m for m in ('scipy.signal', 'scipy.stats') " \
+           "if m in sys.modules))"
+    src = str(Path(dw.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 def test_bm_starts_at_zero():

@@ -200,11 +200,14 @@ def test_stream_monitor_matches_batch():
 
 
 def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
-    # counts, not timing: each update evaluates the kernel on the support
-    # window only, and never recomputes the running variance over the prefix;
-    # a fixed design's window is taken on its own time points
+    # counts, not timing: on unit-spaced times the monitor evaluates the kernel
+    # once, on its lag template; irregular times and a fixed design evaluate it
+    # on the support window of each update, the fixed design on its own time
+    # points; no update recomputes the running variance over the prefix
     N, h = 5000, 5.0
     series = dw.generate(dw.SeriesSpec(N=N), 12)
+    irregular = np.cumsum(np.random.default_rng(12).uniform(0.5, 1.5, N))
+    fixed = dw.TimeDesign(gamma=2.0, mode="fixed")
     sizes, running_calls = [], []
     evaluate, running = dw.KernelSpec.evaluate, variance.running_estimates
 
@@ -219,17 +222,21 @@ def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
     monkeypatch.setattr(dw.KernelSpec, "evaluate", counting_evaluate)
     monkeypatch.setattr(monitor, "running_estimates", counting_running)
     monkeypatch.setattr(variance, "running_estimates", counting_running)
-    for design in (None, dw.TimeDesign(gamma=2.0, mode="fixed")):
+    # layout -> (times, design, evaluate calls: the template's, then one per
+    # update from index 2 on, where the variance estimate is first defined)
+    layouts = {"unit": (series.times, None, 1), "irregular": (irregular, None, 1 + N - 1),
+               "fixed design": (series.times, fixed, N - 1)}
+    for times, design, calls in layouts.values():
         cfg = config(N, h=h, c=np.inf, variance="naive")
         cfg = dataclasses.replace(cfg, smoother=dataclasses.replace(cfg.smoother, design=design))
-        t = series.times if design is None else dw.design_times(design, N, N)
+        t = times if design is None else dw.design_times(design, N, N)
         # the most records within the support, 8h, of any anchor
         window = np.arange(1, N + 1) - np.searchsorted(t, t - dw.kernels.GAUSSIAN_TRUNCATION * h)
         sizes.clear()
         stream = dw.StreamMonitor(cfg)
-        for record in zip(series.times.tolist(), series.values.tolist()):
+        for record in zip(times.tolist(), series.values.tolist()):
             stream.update(*record)
-        assert stream.n == N and len(sizes) == N - 1  # index 1 has no variance estimate
+        assert stream.n == N and len(sizes) == calls
         assert max(sizes) <= window.max() + 1 <= 100
     assert running_calls == []
 

@@ -9,7 +9,11 @@ replaced.  All must agree with them bit for bit, since seeded draws and
 calibration results are part of the numeric contract.  The whole-prefix
 streaming update is the reference for the support-window update; only the
 summation order of the smoother changes there, so the two end the same way
-and their statistics agree to 1e-12 relative.  The dense smoother, which
+and their statistics agree to 1e-12 relative.  The support-window update,
+which kept its records in lists and evaluated the kernel on every window,
+is the reference for the update that slices a lag template, bit for bit.
+``scipy.signal.fftconvolve`` is the reference for the stationary limit's
+direct real FFT, bit for bit.  The dense smoother, which
 weighted every record at every anchor, is the reference for the banded one;
 its weights are unchanged and only the summation order differs, so the two
 agree to a few ulps of the largest term and keep every exact zero.  The same
@@ -539,6 +543,110 @@ def test_stream_with_a_design_matches_the_whole_prefix_update_bitwise(design, me
         assert ends == ([59, 71] if method is None else [59, 70])
 
 
+def stream_window_update_reference(self, t, y):
+    """The support-window ``StreamMonitor.update`` that the lag template, the
+    array buffers and the float variance terms replaced: the records in
+    lists, the kernel evaluated on every window, the running variance from
+    ``running_estimates`` over the prefix."""
+    if self.alarmed or self.n >= self.cfg.N:
+        return None
+    t, y = float(t), float(y)
+    if not (np.isfinite(t) and np.isfinite(y)):
+        raise ValueError(f"stream record must be finite, got t={t!r}, y={y!r}")
+    if self.times and t <= self.times[-1]:
+        raise ValueError(f"times must be strictly increasing, got {t} after {self.times[-1]}")
+    cfg = self.cfg
+    n = self.n + 1
+    times, values = self.times + [t], self.values + [y]
+    est = 1.0  # unit variance unless standardized
+    if cfg.variance_method is not None:
+        est = running_estimates(np.array(values), cfg.variance_method, self._pre_inc)[n - 1]
+    stat = None
+    if n >= cfg.start_index and not np.isnan(est):
+        start, w = _weights_at(times, cfg.smoother, n, cfg.N)
+        den = w.sum()
+        check_weights(den, first=n)
+        stat = float(w @ np.asarray(values[start:n], dtype=float) / den)
+        check_variance(est, first=n)
+        stat = stat * scaling_factor(cfg.smoother, cfg.N) / float(np.sqrt(est))
+    self.times, self.values, self.n = times, values, n
+    if stat is not None and stat > cfg.threshold:
+        self.alarmed = True
+        return {"alarmed": True, "index": n, "time": float(t), "statistic": float(stat),
+                "threshold": cfg.threshold}
+    return None
+
+
+class StreamWindowReference(StreamReference):
+    """A stream monitor that updates with ``stream_window_update_reference``."""
+
+    update = stream_window_update_reference
+
+
+@st.composite
+def _mixed_times(draw):
+    """Increasing times in segments: unit-spaced runs from an integer start
+    (the first at -7, 0 or 7), unit steps from a half-integer offset, and
+    irregular steps, joined by gaps of 1 (a run that carries on), 2 or 5."""
+    times = [float(draw(st.sampled_from([-7, 0, 7])))]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["unit", "half", "irregular"]))
+        length = draw(st.integers(1, 30))
+        if kind == "irregular":
+            steps = draw(st.lists(st.floats(0.05, 2.0), min_size=length, max_size=length))
+            times += list(times[-1] + np.cumsum(steps))
+            continue
+        first = math.floor(times[-1]) + draw(st.sampled_from([1, 2, 5]))
+        first += 0.5 if kind == "half" else 0.0
+        times += [first + i for i in range(length)]
+    return times
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kernel=st.sampled_from(_STREAM_KERNELS),
+    h=st.sampled_from([0.3, 1.0, 2.5, 3.0]),
+    times=_mixed_times(),
+    method=st.sampled_from([None, "naive", "rice", "gasser"]),
+    prerun=st.none() | st.integers(0, 2) | st.integers(3, 12),
+    flat=st.integers(0, 10),
+    start_fraction=st.sampled_from([0.0, 0.2, 0.5]),
+    capacity=st.sampled_from([1, 3, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stream_update_matches_the_window_update_bitwise(
+        kernel, h, times, method, prerun, flat, start_fraction, capacity, seed):
+    # at threshold -inf every eligible index alarms; clearing ``alarmed`` after
+    # each one lets the stream go on, so every statistic is compared; small
+    # first capacities make the buffers grow within the stream
+    rng = np.random.default_rng(seed)
+    N = len(times)
+    inc = rng.standard_normal(N)
+    inc[:flat] = 0.0
+    values = np.cumsum(inc).tolist()
+    pre = None if prerun is None else dw.TimeSeries(
+        np.arange(1.0, prerun + 1.0), np.cumsum(rng.standard_normal(prerun)) * (flat == 0))
+    cfg = dw.MonitorConfig(dw.SmootherConfig(kernel=kernel, h=h), -np.inf, N, start_fraction,
+                           method)
+
+    def outcomes(mon):
+        out = []
+        for t, y in zip(times, values):
+            try:
+                rec = mon.update(t, y)
+                out.append(None if rec is None else
+                           (rec["index"], rec["time"], np.float64(rec["statistic"]).tobytes()))
+                mon.alarmed = False
+            except dw.DriftwatchError as exc:
+                out.append(("error", exc.index))
+            out[-1] = (out[-1], mon.n, list(mon.times), list(mon.values))
+        return out
+
+    with mock.patch("driftwatch.monitor._FIRST_CAPACITY", capacity):
+        mon = StreamMonitor(cfg, pre)
+    assert outcomes(mon) == outcomes(StreamWindowReference(cfg, pre))
+
+
 def process_parts_reference(times, values, cfg):
     """The dense no-design smoother that the banded one replaced: every anchor
     weights all N records, and the upper triangle is zeroed."""
@@ -703,6 +811,30 @@ def test_limit_design_process_matches_the_per_anchor_trapezoid(grid_M, design, k
     assert np.all(np.abs(den - ref_den) <= 1e-13 * ref_den)
     assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
     assert not den[ref_den == 0.0].any()
+
+
+def stationary_num_den_reference(cfg, paths):
+    """The stationary limit num/den with the window sums from
+    ``scipy.signal.fftconvolve``, which the direct real FFT replaced."""
+    from scipy.signal import fftconvolve
+
+    M = cfg.grid_M
+    dt = 1.0 / M
+    k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
+    sums = fftconvolve(paths, k[None, :], axes=1)[:, 1 : M + 1]
+    mass, w_0, w_s = np.cumsum(k)[1:], k[1:], k[0]
+    num = dt * (sums - 0.5 * w_s * paths[:, 1:])
+    return num, cfg.zeta * dt * (mass - 0.5 * w_0 - 0.5 * w_s)
+
+
+@pytest.mark.parametrize("grid_M", [64, 257, 1000, 4096])
+@pytest.mark.parametrize("kernel", _KERNELS[:3])
+@pytest.mark.parametrize("zeta", [1.0, 2.0, 10.0])
+def test_stationary_limit_process_matches_fftconvolve_bitwise(grid_M, kernel, zeta):
+    cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M)
+    paths = np.stack([dw.sample_bm(grid_M, dw.substream(7, i)) for i in range(3)])
+    for got, want in zip(_num_den(cfg, paths), stationary_num_den_reference(cfg, paths)):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

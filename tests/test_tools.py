@@ -32,9 +32,15 @@ def test_batch_cost_runs():
 
 def test_stream_cost_runs():
     tool = _load("stream_cost")
-    for h, design in tool.LAYOUTS.values():
-        cost = tool.per_update_us([20, 60], window=10, seed=1, h=h, design=design)
+    points = {}
+    for layout, (h, design, irregular) in tool.LAYOUTS.items():
+        cost, points[layout] = tool.per_update_us([20, 60], window=10, seed=1, h=h,
+                                                  design=design, irregular=irregular)
         assert sorted(cost) == [20, 60] and all(v > 0.0 for v in cost.values())
+    # unit times: one template of min(8h + 1, N) = 60 points for the whole stream
+    assert points["unit times, h = 50"] == 1.0
+    assert points["irregular times, h = 50"] > 1.0 and points["fixed design, h = 5"] > 1.0
+    assert tool.dw.KernelSpec.evaluate is tool.dw.KernelSpec.__call__  # the counter is off
 
 
 def test_limit_cost_runs():
