@@ -21,6 +21,7 @@ from .seriesgen import TimeDesign, TimeSeries, design_times
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
 _ROW_BLOCK = 256  # anchors per block of the batch smoother
+_EXACT = 2.0**53  # integers up to this magnitude, and their differences, are exact floats
 
 
 class DriftwatchError(ValueError):
@@ -82,69 +83,97 @@ def scaled_statistic(value: float, cfg: SmootherConfig, N: int) -> float:
     return value * scaling_factor(cfg, N)
 
 
-def _window_start(times, n: int, cfg: SmootherConfig) -> int:
+def _window_start(times, n: int, cfg: SmootherConfig, lo: int = 0) -> int:
     """0-based first record of the kernel-support window at 1-based index n.
 
     A record whose computed argument (t_i - t_n)/h falls below
     ``kernel.support[0]`` evaluates to an exact 0.  That argument is
-    nondecreasing in t_i, rounding included, so bisecting on it finds the
-    window without leaving out a nonzero weight.  A support right of 0 gives
-    the empty window, start n.
+    nondecreasing in t_i and nonincreasing in t_n, rounding included, so
+    bisecting on it finds the window without leaving out a nonzero weight,
+    and may begin at ``lo``, the start at an earlier index.  A support right
+    of 0 gives the empty window, start n.
     """
     t_n, h = times[n - 1], cfg.h
-    return bisect_left(times, cfg.kernel.support[0], 0, n, key=lambda t: (t - t_n) / h)
+    return bisect_left(times, cfg.kernel.support[0], lo, n, key=lambda t: (t - t_n) / h)
 
 
-def _lag_template(cfg: SmootherConfig, N: int) -> np.ndarray:
-    """Unit-time weights K(-d/h)/h for the lags d = L-1, ..., 1, 0 of the support window.
+def _lag_rows(cfg: SmootherConfig, N: int, rows: int) -> np.ndarray:
+    """Toeplitz template for blocks of up to ``rows`` anchors on unit-spaced times.
 
-    On unit-spaced times (``_unit_spaced``) the computed (t_i - t_n)/h is
-    -d/h for the lag d = n - i exactly, so every anchor's window weights are
-    the last entries of this template, bit for bit.  L, at most N, is the
-    window length that ``_window_start`` gives at index N.
+    Row r holds K(-d/h)/h for the lags d = L-1, ..., 1, 0 of the support
+    window from column r on, L (at most N) being the window length that
+    ``_window_start`` gives at index N.  On unit-spaced times (``_unit_spaced``)
+    the computed (t_i - t_n)/h is -d/h for the lag d = n - i exactly.
     """
     lags = N - _window_start(range(N), N, cfg)
-    return cfg.kernel.evaluate(np.arange(1.0 - lags, 1.0) / cfg.h) / cfg.h
+    k = cfg.kernel.evaluate(np.arange(1.0 - lags, 1.0) / cfg.h) / cfg.h
+    template = np.zeros((rows, rows + lags))
+    for r in range(rows):
+        template[r, r : r + lags] = k
+    return template
 
 
-def _weights_at(times, cfg: SmootherConfig, n: int, horizon: int) -> tuple[int, np.ndarray]:
-    """Smoothing weights at current index n for records start+1..n, with ``start``.
+def _block_weights(t: np.ndarray, a: int, b: int, cfg: SmootherConfig, template=None,
+                   lo: int = 0) -> tuple[int, np.ndarray]:
+    """Weights ``W`` of the anchors a+1..b (rows) on the records lo+1..b, with ``lo``.
 
-    The kernel is anchored at the observation times or, under a fixed
-    design, at the design times of the given ``horizon`` (identical to the
-    observation times when the series was generated under that design), and
-    only the support window (``_window_start``) is weighted.  A rolling
-    design re-selects the past time points at every current index, so it
-    weights all n.
+    ``t`` holds the anchor times (``_anchor_times``) and ``lo`` a window start
+    at an earlier anchor.  A ``_lag_rows`` template, which the caller passes
+    only where the windows and the record before each lie on unit-spaced
+    times, gives lo = max(a + 1 - L, 0) and a view of the template, bit for
+    bit the kernel at (t_i - t_n)/h.  A rolling design re-selects the time
+    points at every anchor: row n holds n F^{-1}(i/n) for records i <= b,
+    snapped as ``design_times`` does, minus its diagonal entry, and lo = 0.
+    Other times take the kernel on t[lo:b] - t[a:b] from the support window
+    start of anchor a + 1.  Weights of later records are exact zeros.
     """
+    if template is not None:
+        rows, cols = template.shape
+        lags = cols - rows
+        lo = max(a + 1 - lags, 0)
+        # in block [a, b) column c of the template is record a - (lags - 1) + c
+        c = lo - a + lags - 1
+        return lo, template[: b - a, c : c + b - lo]
+    design, h = cfg.design, cfg.h
+    if design is not None and design.mode == "rolling":
+        lo = 0
+        n = np.arange(a + 1, b + 1)[:, None]
+        rolled = design.snap(n * design.ft_inverse(np.arange(1, b + 1) / n))
+        diff = rolled - rolled.diagonal(a)[:, None]
+    else:
+        lo = _window_start(t, a + 1, cfg, lo)
+        diff = t[None, lo:b] - t[a:b, None]
+    W = cfg.kernel.evaluate(diff / h) / h
+    if b - a > 1:  # causality: only i <= n contributes; one anchor sees no later record
+        W[np.arange(lo, b)[None, :] > np.arange(a, b)[:, None]] = 0.0
+    return lo, W
+
+
+def _anchor_times(times, cfg: SmootherConfig, horizon: int):
+    """The times the kernel is anchored at: under a fixed design its times
+    placed by ``horizon``, whose first n do not depend on n, else ``times``."""
     design = cfg.design
-    if design is not None:
-        if design.mode == "rolling":
-            t = design_times(design, n, horizon)
-            return 0, cfg.kernel.evaluate((t - t[-1]) / cfg.h) / cfg.h
-        times = design_times(design, n, horizon)
-    start = _window_start(times, n, cfg)
-    args = (np.asarray(times[start:n], dtype=float) - times[n - 1]) / cfg.h
-    return start, cfg.kernel.evaluate(args) / cfg.h
+    if design is not None and design.mode == "fixed":
+        return design_times(design, horizon, horizon)
+    return times
 
 
-def _window_mean(start: int, w: np.ndarray, values, n: int) -> float:
-    """Mean of ``values[start:n]`` under the weights ``w`` of ``_weights_at``.
-
-    The one single-anchor smoother, behind ``nw_estimate`` and the streaming
-    monitor, which may pass its weights as a slice of ``_lag_template``
-    instead; raises DriftwatchError at index n when the weights vanish.
-    """
+def _window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig, template=None,
+                 lo: int = 0) -> tuple[int, float]:
+    """Window start and smoother at index n, from the one-anchor block
+    [n - 1, n); raises DriftwatchError at n when the weights vanish."""
+    lo, W = _block_weights(t, n - 1, n, cfg, template, lo)
+    w = W[0]
     den = float(w.sum())  # a float takes check_weights' scalar path
     check_weights(den, first=n)
-    return float(w @ np.asarray(values[start:n], dtype=float) / den)
+    return lo, float(w @ values[lo:n] / den)
 
 
 def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
     """Kernel-weighted mean of the first n observations, anchored at index n."""
     if not 1 <= n <= len(series):
         raise ValueError(f"need 1 <= n <= {len(series)}, got {n!r}")
-    return _window_mean(*_weights_at(series.times, cfg, n, len(series)), series.values, n)
+    return _window_mean(_anchor_times(series.times, cfg, len(series)), series.values, n, cfg)[1]
 
 
 def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
@@ -157,7 +186,7 @@ def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
 def _unit_spaced(t: np.ndarray) -> bool:
     """Whether ``t`` is t_0, t_0 + 1, ... with integer t_0, so that the
     computed t_i - t_n is i - n exactly."""
-    return (len(t) > 0 and float(t[0]).is_integer() and abs(t[0]) + len(t) <= 2.0**53
+    return (len(t) > 0 and float(t[0]).is_integer() and abs(t[0]) + len(t) <= _EXACT
             and np.array_equal(t, t[0] + np.arange(len(t))))
 
 
@@ -168,54 +197,24 @@ def _process_parts(times, values, cfg: SmootherConfig):
     shape (N,); the smoother is num/den.
 
     Anchors go in row blocks [a, b), and a block multiplies only the columns
-    [lo, b) that can carry weight, lo being the support window start of
-    anchor a; weights of later records are exact zeros, so the process stays
-    exactly causal.  A block's weights come from one of three sources.  On
-    unit-spaced times every weight is K(-d/h)/h for a lag d of the window,
-    so the kernel is evaluated once per lag (``_lag_template``) and each
-    block's weights are a view of one Toeplitz template, equal bit for bit to
-    the kernel at (t_i - t_n)/h.  Other times, and a fixed design's times
-    ``design_times(design, N, N)``, evaluate the kernel on the block's time
-    differences and zero its upper triangle.  A rolling design re-selects
-    the time points at every anchor: row n holds n F^{-1}(i/n) for records
-    i <= b, snapped as ``design_times`` does, minus its diagonal entry, and
-    lo = 0.
+    [lo, b) that can carry weight (``_block_weights``).  On unit-spaced
+    times, without a rolling design, every weight is K(-d/h)/h for a lag d
+    of the window, so the kernel is evaluated once per lag and each block's
+    weights are a view of one ``_lag_rows`` template.  A fixed design is
+    smoothed on its times ``design_times(design, N, N)`` (``_anchor_times``).
     """
     values = np.asarray(values, dtype=float)
     N = values.shape[1]
     num = np.empty_like(values)
     den = np.empty(N)
-    kernel, h, design = cfg.kernel, cfg.h, cfg.design
-    rolling = design is not None and design.mode == "rolling"
-    if design is not None and not rolling:
-        times = design_times(design, N, N)
-    t = np.asarray(times, dtype=float)
-    unit = not rolling and _unit_spaced(t)
-    if unit:
-        # the weight of lag d = n - i is k[lags - 1 - d]
-        k = _lag_template(cfg, N)
-        lags = len(k)
-        # row r holds k from column r on; in block [a, b) column c is record a - (lags - 1) + c
-        B = min(_ROW_BLOCK, N)
-        template = np.zeros((B, B + lags))
-        for r in range(B):
-            template[r, r : r + lags] = k
+    t = np.asarray(_anchor_times(times, cfg, N), dtype=float)
+    template = None
+    if (cfg.design is None or cfg.design.mode == "fixed") and _unit_spaced(t):
+        template = _lag_rows(cfg, N, min(_ROW_BLOCK, N))
+    lo = 0
     for a in range(0, N, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, N)
-        lo = 0 if rolling else _window_start(t, a + 1, cfg)
-        if unit:
-            c = lo - a + lags - 1
-            W = template[: b - a, c : c + b - lo]
-        else:
-            if rolling:
-                n = np.arange(a + 1, b + 1)[:, None]
-                rolled = design.snap(n * design.ft_inverse(np.arange(1, b + 1) / n))
-                diff = rolled - rolled.diagonal(a)[:, None]
-            else:
-                diff = t[None, lo:b] - t[a:b, None]
-            W = kernel.evaluate(diff / h) / h
-            # causality: only i <= n contributes
-            W[np.arange(lo, b)[None, :] > np.arange(a, b)[:, None]] = 0.0
+        lo, W = _block_weights(t, a, b, cfg, template, lo)
         den[a:b] = W.sum(axis=1)
         num[:, a:b] = values[:, lo:b] @ W.T
     return num, den

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimator import (
-    DriftwatchError, SmootherConfig, _lag_template, _process_parts, _weights_at, _window_mean,
-    check_weights, nw_estimate, scaling_factor,
+    _EXACT, DriftwatchError, SmootherConfig, _anchor_times, _lag_rows, _process_parts,
+    _window_mean, check_weights, nw_estimate, scaling_factor,
 )
-from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, design_times, generate, substream
+from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, generate, substream
 from .variance import RunningVariance, check_variance, running_estimates
 
 MonitoringError = DriftwatchError
@@ -138,6 +138,14 @@ def confidence_interval(
     return (m_hat - half, m_hat + half)
 
 
+def _standardized(mean: float, scale: float, est: float, n: int) -> float:
+    """The chart at index n from the smoother's ``mean`` there: scaled by
+    ``scale`` and divided by the root of the variance estimate ``est`` (1.0
+    unless standardized); raises DriftwatchError at n when ``est`` is zero."""
+    check_variance(est, first=n)
+    return mean * scale / math.sqrt(est)
+
+
 def false_alarm_rate(
     cfg: MonitorConfig,
     n: int,
@@ -166,9 +174,7 @@ def false_alarm_rate(
             est = running_estimates(series.values[:n], cfg.variance_method)[n - 1]
             if np.isnan(est):
                 continue
-        stat = nw_estimate(series, cfg.smoother, n) * scale
-        check_variance(est, first=n)
-        stat /= float(np.sqrt(est))
+        stat = _standardized(nw_estimate(series, cfg.smoother, n), scale, est, n)
         total += 1
         if stat > cfg.threshold:
             hits += 1
@@ -176,7 +182,6 @@ def false_alarm_rate(
 
 
 _FIRST_CAPACITY = 256  # records the stream buffers hold before they first double
-_EXACT = 2.0**53  # in a unit-spaced run of integer times below this, t_i - t_n is exact
 
 
 class StreamMonitor:
@@ -186,17 +191,19 @@ class StreamMonitor:
     within the kernel's support of the newest time (8h for Gaussian, 24h
     for Laplace, h for Epanechnikov, the part of the knot span left of 0
     for a tabulated kernel), and a ``RunningVariance`` adds one term per
-    record.  While the times run t_0, t_0 + 1, ... with integer t_0, the
-    window's weights are a slice of the lag template that the monitor
-    evaluates once (``estimator._lag_template``), so an update costs a few
-    slices and one dot product.  Other times, and windows that reach back
-    before the current unit-spaced run, evaluate the kernel on the window.
-    A fixed design takes the window on its design times, placed once by the
-    horizon N as ``run_monitor`` does.  A rolling design re-selects past
-    time points at every index, so with one each update weights the whole
-    history.  The records are kept in two float arrays whose capacity
-    doubles as records arrive, up to the horizon; ``times`` and ``values``
-    return the records seen as lists.
+    record.  The weights are the one-anchor block of the batch smoother's
+    weight builder (``estimator._block_weights``), as for ``nw_estimate``.
+    While the times run t_0, t_0 + 1, ... with integer t_0, they are a view
+    of a one-row lag template that the monitor evaluates once, so an update
+    costs a few slices and one dot product.  Other times, and windows that
+    reach back before the current unit-spaced run, evaluate the kernel on
+    the window, whose start is bisected from the last record's on.  A fixed
+    design takes the window on its design times, placed once by the horizon
+    N as ``run_monitor`` does.  A rolling design re-selects past time points
+    at every index, so with one each update weights the whole history.  The
+    records are kept in two float arrays whose capacity doubles as records
+    arrive, up to the horizon; ``times`` and ``values`` return the records
+    seen as lists.
     """
 
     def __init__(self, cfg: MonitorConfig, prerun: TimeSeries | None = None):
@@ -205,16 +212,11 @@ class StreamMonitor:
         self._times, self._values = np.empty(capacity), np.empty(capacity)
         self._start_index = cfg.start_index
         self._scale = scaling_factor(cfg.smoother, cfg.N)
-        # the times the kernel is anchored at (None: the observation times); a
-        # fixed design's first n points do not depend on n, so they are placed
-        # for the whole horizon here
-        self._smoother, self._anchor_times, self._template = cfg.smoother, None, None
-        design = cfg.smoother.design
-        if design is None:
-            self._template = _lag_template(cfg.smoother, cfg.N)
-        elif design.mode == "fixed":
-            self._anchor_times = design_times(design, cfg.N, cfg.N)
-            self._smoother = replace(cfg.smoother, design=None)
+        # a fixed design's times for the whole horizon; None: the observation times
+        self._design_times = _anchor_times(None, cfg.smoother, cfg.N)
+        # without a design, a one-row lag template and its lag count
+        self._template = _lag_rows(cfg.smoother, cfg.N, 1) if cfg.smoother.design is None else None
+        self._lags = 0 if self._template is None else self._template.shape[1] - 1
         self._variance = None
         if cfg.variance_method is not None:
             pre_inc = np.diff(prerun.values) if prerun is not None else None
@@ -222,6 +224,8 @@ class StreamMonitor:
         # without a design, the 0-based first record of the unit-spaced run
         # that the last record ends, or None
         self._run = None
+        # the window start of the last record that was smoothed
+        self._lo = 0
         self._last_t = None
         self.alarmed = False
         self.n = 0
@@ -253,20 +257,24 @@ class StreamMonitor:
         n = self.n + 1
         variance = self._variance.push(y) if self._variance is not None else None
         est = 1.0 if variance is None else variance.value  # unit variance unless standardized
-        run = None
+        run = template = None
         if self._template is not None and abs(t) < _EXACT and t.is_integer():
             run = self._run if self._run is not None and t == self._last_t + 1.0 else n - 1
+            # the template holds when the run holds the window and the record
+            # just before it, or when the run starts at the first record
+            if run == 0 or n - self._lags > run:
+                template = self._template
         if n > len(self._times):
             self._times = _grown(self._times, self.cfg.N)
             self._values = _grown(self._values, self.cfg.N)
         # written past the records seen, so a record that raises below is not kept
         self._times[n - 1], self._values[n - 1] = t, y
-        stat = None
+        lo, stat = self._lo, None
         if n >= self._start_index and not math.isnan(est):
-            stat = _window_mean(*self._weights(n, run), self._values, n)
-            check_variance(est, first=n)
-            stat = stat * self._scale / math.sqrt(est)
-        self._variance, self._run, self._last_t, self.n = variance, run, t, n
+            anchors = self._times if self._design_times is None else self._design_times
+            lo, mean = _window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
+            stat = _standardized(mean, self._scale, est, n)
+        self._variance, self._run, self._lo, self._last_t, self.n = variance, run, lo, t, n
         if stat is not None and stat > self.cfg.threshold:
             self.alarmed = True
             return {
@@ -277,20 +285,6 @@ class StreamMonitor:
                 "threshold": self.cfg.threshold,
             }
         return None
-
-    def _weights(self, n: int, run: int | None) -> tuple[int, np.ndarray]:
-        """What ``_weights_at`` gives at index n, as a template slice when the
-        unit-spaced run from 0-based record ``run`` holds the window and the
-        record just before it, or when the run starts at the first record."""
-        if run is not None:
-            k = self._template
-            start = n - len(k)
-            if start > run:
-                return start, k
-            if run == 0:
-                return 0, k[len(k) - n :]
-        anchors = self._times if self._anchor_times is None else self._anchor_times
-        return _weights_at(anchors, self._smoother, n, self.cfg.N)
 
     def truncation_record(self) -> dict:
         return {

@@ -20,6 +20,7 @@ annihilate locally linear drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,18 +156,18 @@ def running_estimates(
     return out[0] if squeeze else out
 
 
-@dataclass(frozen=True)
-class RunningVariance:
+class RunningVariance(NamedTuple):
     """The running estimate of ``running_estimates`` one value at a time.
 
     Holds the prerun head (its squared-term sum and term count), the number
     of values seen, the running sum of the series' squared terms, the last
     value and the last ``span`` first differences, which form the newest
     term.  ``push`` returns the state after one more value and leaves this
-    one as it is; it works on Python floats.  After n values, ``value`` is
-    bitwise ``running_estimates(values[:n], method, prerun_increments)[n -
-    1]``: each term comes from the same method-table entry, on the same
-    differences, and the sum grows in the order ``cumsum`` adds.
+    one as it is (a rollback keeps the old one); it works on Python floats.
+    After n values, ``value`` is bitwise ``running_estimates(values[:n],
+    method, prerun_increments)[n - 1]``: each term comes from the same
+    method-table entry, on the same differences, and the sum grows in the
+    order ``cumsum`` adds.
     """
 
     method: str

@@ -261,20 +261,38 @@ def test_one_error_type_under_every_name():
 
 
 def test_rejected_stream_record_leaves_monitor_unchanged():
+    for kernel, irregular in ((G, False), (G, True), (K0, True)):
+        _check_rejected_records_leave_no_trace(kernel, irregular)
+
+
+def _check_rejected_records_leave_no_trace(kernel, irregular):
+    # every record after the rejected ones gets what a monitor that never saw
+    # them gives; under K0 a record 30 past the last one has no weight within
+    # the support, 2h, so it raises, and a monitor that kept its window start
+    # would bisect past the window of the record after it
     series = dw.generate(dw.SeriesSpec(N=60), 6)
+    times = series.times
+    if irregular:
+        times = np.cumsum(np.random.default_rng(6).uniform(0.5, 1.5, 60))
     cfg = config(60, h=10.0, c=0.1, variance="naive")
-    batch = dw.run_monitor(series, cfg)
+    cfg = dataclasses.replace(cfg, smoother=dataclasses.replace(cfg.smoother, kernel=kernel))
+    batch = dw.run_monitor(dw.TimeSeries(times, series.values), cfg)
     assert batch.alarmed and batch.alarm_index > 11
-    stream = dw.StreamMonitor(cfg)
-    records = list(zip(series.times, series.values))
+    stream, clean = dw.StreamMonitor(cfg), dw.StreamMonitor(cfg)
+    records = list(zip(times.tolist(), series.values.tolist()))
     alarm = None
     for i, (t, y) in enumerate(records):
         if i == 10:
             for bad in ((t, np.nan), (np.inf, y), (records[i - 1][0], y)):
                 with pytest.raises(ValueError):
                     stream.update(*bad)
+            if kernel is K0:
+                with pytest.raises(dw.DriftwatchError) as exc:
+                    stream.update(t + 30.0, y)
+                assert exc.value.index == 11
             assert stream.n == 10
         alarm = stream.update(t, y)
+        assert alarm == clean.update(t, y)
         if alarm is not None:
             break
     assert alarm["index"] == batch.alarm_index

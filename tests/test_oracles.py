@@ -11,7 +11,10 @@ streaming update is the reference for the support-window update; only the
 summation order of the smoother changes there, so the two end the same way
 and their statistics agree to 1e-12 relative.  The support-window update,
 which kept its records in lists and evaluated the kernel on every window,
-is the reference for the update that slices a lag template, bit for bit.
+is the reference for the update that slices a lag template, bit for bit;
+its single-anchor weights, with their own window bisection and design
+placement, are the reference for the one-anchor block of the batch
+smoother's weight builder, bit for bit, start included.
 ``scipy.signal.fftconvolve`` is the reference for the stationary limit's
 direct real FFT, bit for bit.  The dense smoother, which
 weighted every record at every anchor, is the reference for the banded one;
@@ -27,6 +30,7 @@ return the same bits, so every ``quad`` result built on them is unchanged.
 
 import dataclasses
 import math
+from bisect import bisect_left
 from contextlib import nullcontext
 from functools import cache
 from unittest import mock
@@ -38,7 +42,9 @@ from hypothesis import strategies as st
 
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_walks
-from driftwatch.estimator import _process_parts, _weights_at, check_weights, scaling_factor
+from driftwatch.estimator import (
+    _anchor_times, _block_weights, _lag_rows, _process_parts, check_weights, scaling_factor,
+)
 from driftwatch.kernels import _quad, arg_breaks
 from driftwatch.limitsim import _num_den, _weight_breaks, _weight_fn
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
@@ -415,6 +421,8 @@ class StreamReference:
 # support entirely left of 0, with a jump at its left end: a record the
 # window wrongly left out or took in would move the statistic by O(1)
 LEFT = dw.tabulated_kernel([-3.0, -2.0, -1.0], [1.0, 0.5, 0.0])
+# support entirely right of 0: no record at or before an anchor carries weight
+RIGHT = dw.tabulated_kernel([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
 _STREAM_KERNELS = [dw.gaussian_kernel(), dw.laplace_kernel(), dw.epanechnikov_kernel(),
                    _KERNELS[3], LEFT]
 
@@ -497,13 +505,15 @@ def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, fixed_design, 
     times = _edge_times(rng, N, kernel.support[0] * h, True)
     design = dw.TimeDesign(gamma=0.6, mode="fixed", snap_grid=0.25) if fixed_design else None
     cfg = dw.SmootherConfig(kernel=kernel, h=h, design=design)
-    arr = np.array(times) if design is None else design_times(design, N, N)
+    arr = _anchor_times(np.array(times), cfg, N)
+    start = 0
     for n in range(1, N + 1):
         full = kernel.evaluate((arr[:n] - arr[n - 1]) / h) / h
-        for seq in (times, arr):
-            start, w = _weights_at(seq, cfg, n, N)
+        # the bisection may begin at the previous index's start
+        for lo in (0, start):
+            start, W = _block_weights(arr, n - 1, n, cfg, lo=lo)
             assert not full[:start].any()
-            assert w.tobytes() == full[start:].tobytes()
+            assert W[0].tobytes() == full[start:].tobytes()
 
 
 @pytest.mark.parametrize("design", [dw.TimeDesign(gamma=2.0),
@@ -543,6 +553,60 @@ def test_stream_with_a_design_matches_the_whole_prefix_update_bitwise(design, me
         assert ends == ([59, 71] if method is None else [59, 70])
 
 
+def weights_at_reference(times, cfg, n, horizon):
+    """The single-anchor weights that the one-anchor block of the weight
+    builder replaced: weights at index n for records start+1..n, with
+    ``start``.  A fixed design takes the first n design times of the
+    ``horizon``, a rolling design weights all n at ``design_times(design, n,
+    horizon)``, and other times bisect all of [0, n) for the support window."""
+    design = cfg.design
+    if design is not None:
+        if design.mode == "rolling":
+            t = design_times(design, n, horizon)
+            return 0, cfg.kernel.evaluate((t - t[-1]) / cfg.h) / cfg.h
+        times = design_times(design, n, horizon)
+    t_n, h = times[n - 1], cfg.h
+    start = bisect_left(times, cfg.kernel.support[0], 0, n, key=lambda t: (t - t_n) / h)
+    args = (np.asarray(times[start:n], dtype=float) - times[n - 1]) / cfg.h
+    return start, cfg.kernel.evaluate(args) / cfg.h
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel=st.sampled_from(_STREAM_KERNELS + [RIGHT]),
+    h=st.sampled_from([0.3, 1.0, 2.5, 3.0]),
+    N=st.integers(1, 40),
+    beyond=st.sampled_from([0, 1, 25]),
+    layout=st.sampled_from(["unit", "edge", "fixed", "rolling"]),
+    t0=st.sampled_from([-7.0, 0.0, 7.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_anchor_block_matches_the_single_anchor_weights_bitwise(
+        kernel, h, N, beyond, layout, t0, seed):
+    # every index n = 1..N of a horizon ``beyond`` records past N; the fixed
+    # design's early points tie once snapped; unit times also take the
+    # one-row lag template, which holds on a run from the first record
+    horizon = N + beyond
+    if layout == "unit":
+        times = t0 + np.arange(horizon)
+    else:
+        rng = np.random.default_rng(seed)
+        times = np.array(_edge_times(rng, horizon, kernel.support[0] * h, True))
+    design = {"fixed": dw.TimeDesign(gamma=0.6, mode="fixed", snap_grid=0.25),
+              "rolling": dw.TimeDesign(gamma=0.5, snap_grid=0.5)}.get(layout)
+    cfg = dw.SmootherConfig(kernel=kernel, h=h, design=design)
+    templates = [None] + ([_lag_rows(cfg, horizon, 1)] if layout == "unit" else [])
+    t = _anchor_times(times, cfg, horizon)
+    start = 0
+    for n in range(1, N + 1):
+        want_start, want = weights_at_reference(times, cfg, n, horizon)
+        for template in templates:
+            lo, W = _block_weights(t, n - 1, n, cfg, template, start)
+            assert lo == want_start and W.shape == (1, len(want))
+            assert W[0].tobytes() == want.tobytes()
+        start = want_start
+
+
 def stream_window_update_reference(self, t, y):
     """The support-window ``StreamMonitor.update`` that the lag template, the
     array buffers and the float variance terms replaced: the records in
@@ -563,7 +627,7 @@ def stream_window_update_reference(self, t, y):
         est = running_estimates(np.array(values), cfg.variance_method, self._pre_inc)[n - 1]
     stat = None
     if n >= cfg.start_index and not np.isnan(est):
-        start, w = _weights_at(times, cfg.smoother, n, cfg.N)
+        start, w = weights_at_reference(times, cfg.smoother, n, cfg.N)
         den = w.sum()
         check_weights(den, first=n)
         stat = float(w @ np.asarray(values[start:n], dtype=float) / den)
@@ -663,10 +727,6 @@ def process_parts_reference(times, values, cfg):
         den[start:stop] = W.sum(axis=1)
         num[:, start:stop] = values @ W.T
     return num, den
-
-
-# support entirely right of 0: no record at or before an anchor carries weight
-RIGHT = dw.tabulated_kernel([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
 
 
 @settings(max_examples=150, deadline=None)

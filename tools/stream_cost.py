@@ -2,15 +2,17 @@
 
 Feeds one null random walk record by record to ``StreamMonitor.update``
 (Gaussian kernel, null scaling, ``naive`` variance, a threshold of +inf so
-the stream never stops) and prints the mean wall time per update over the
-last ``--window`` updates before each size in ``--sizes``, and the kernel
-points evaluated per update over the whole stream.  Three layouts:
+the stream never stops) and prints the median wall time per update over
+the last ``--window`` updates before each size in ``--sizes``, and the
+kernel points evaluated per update over the whole stream.  The median, not
+the mean: one pause of the host can double a window's mean, while an
+update cost that grows with n still moves the median.  Three layouts:
 
 * unit times 1, 2, ... with h = 50, where each update's weights are a slice
   of the lag template the monitor evaluates once;
 * irregular times, gaps drawn from U(0.5, 1.5), with h = 50, where each
   update evaluates the kernel on its support window (at most about 800
-  records);
+  records) and bisects for the window start from the previous update's;
 * a fixed design F^{-1}(u) = u**(1/2) placed by the largest size with
   h = 5 (its design times lie 1/2 apart at the horizon and further apart
   before it, so the Gaussian's 8h support window holds at most about 80
@@ -48,8 +50,8 @@ LAYOUTS = {
 
 
 def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False):
-    """Mean microseconds per update over the ``window`` updates ending at each
-    size, and the kernel points evaluated per update."""
+    """Median microseconds per update over the ``window`` updates ending at
+    each size, and the kernel points evaluated per update."""
     N = max(sizes)
     series = dw.generate(dw.SeriesSpec(N=N), seed)
     times = series.times
@@ -76,14 +78,16 @@ def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False):
             elapsed[i] = clock() - t0
     finally:
         dw.KernelSpec.evaluate = evaluate
-    return {n: float(elapsed[n - window : n].mean()) * 1e6 for n in sizes}, points / N
+    median = {n: float(np.median(elapsed[n - window : n])) * 1e6 for n in sizes}
+    return median, points / N
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", default="1000,10000,100000",
                         help="comma-separated stream lengths to report at")
-    parser.add_argument("--window", type=int, default=100, help="updates averaged per size")
+    parser.add_argument("--window", type=int, default=100,
+                        help="updates per size whose median is reported")
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     sizes = sorted(int(s) for s in args.sizes.split(","))
