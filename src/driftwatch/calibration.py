@@ -13,6 +13,7 @@ threshold +inf: the same statistic, delayed start and degenerate-index rule.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,7 +31,8 @@ from .limitsim import (
 )
 from .monitor import MonitorConfig, chart
 from .seriesgen import (
-    GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, substream,
+    GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, innovation_rows,
+    substream,
 )
 from .variance import running_estimates
 from ._parallel import run_chunked, chunk_bounds
@@ -102,12 +104,25 @@ def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop
                 *key: int) -> np.ndarray:
     """Null series of length N for replicates [start, stop), one per row.
 
-    Row r comes from substream (seed, start + r, *key).
+    Row r comes from substream (seed, start + r, *key) and is bit for bit the
+    values of ``generate`` on that stream.
     """
     spec = SeriesSpec(N=N, innovations=innovations)
-    walks = np.empty((stop - start, N))
-    for r, i in enumerate(range(start, stop)):
-        walks[r] = generate(spec, substream(seed, i, *key)).values
+    seeds = [substream(seed, i, *key) for i in range(start, stop)]
+    walks = None
+    if innovations.family != "ar1":
+        with suppress(ValueError):  # a GARCH variance overflows: see below
+            walks = innovation_rows(innovations, N, seeds)
+    if walks is not None:
+        walks[:, 0] += 0.0  # generate sums 0.0 + u, which turns a -0.0 into 0.0
+        np.cumsum(walks, axis=1, out=walks)
+        # a row with a non-finite value ends non-finite
+        if np.isfinite(walks[:, -1]).all():
+            return walks
+    # AR(1) rows, and rows that overflow: generate raises for the first failing row as before
+    walks = np.empty((len(seeds), N))
+    for r, s in enumerate(seeds):
+        walks[r] = generate(spec, s).values
     return walks
 
 

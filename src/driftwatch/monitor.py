@@ -23,7 +23,7 @@ from .estimator import (
     _window_mean, check_weights, nw_estimate, scaling_factor,
 )
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, generate, substream
-from .variance import RunningVariance, check_variance, running_estimates
+from .variance import RunningVariance, check_variance, running_estimates, standardized
 
 MonitoringError = DriftwatchError
 
@@ -138,14 +138,6 @@ def confidence_interval(
     return (m_hat - half, m_hat + half)
 
 
-def _standardized(mean: float, scale: float, est: float, n: int) -> float:
-    """The chart at index n from the smoother's ``mean`` there: scaled by
-    ``scale`` and divided by the root of the variance estimate ``est`` (1.0
-    unless standardized); raises DriftwatchError at n when ``est`` is zero."""
-    check_variance(est, first=n)
-    return mean * scale / math.sqrt(est)
-
-
 def false_alarm_rate(
     cfg: MonitorConfig,
     n: int,
@@ -174,7 +166,7 @@ def false_alarm_rate(
             est = running_estimates(series.values[:n], cfg.variance_method)[n - 1]
             if np.isnan(est):
                 continue
-        stat = _standardized(nw_estimate(series, cfg.smoother, n), scale, est, n)
+        stat = standardized(nw_estimate(series, cfg.smoother, n), scale, est, n)
         total += 1
         if stat > cfg.threshold:
             hits += 1
@@ -273,7 +265,7 @@ class StreamMonitor:
         if n >= self._start_index and not math.isnan(est):
             anchors = self._times if self._design_times is None else self._design_times
             lo, mean = _window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
-            stat = _standardized(mean, self._scale, est, n)
+            stat = standardized(mean, self._scale, est, n)
         self._variance, self._run, self._lo, self._last_t, self.n = variance, run, lo, t, n
         if stat is not None and stat > self.cfg.threshold:
             self.alarmed = True

@@ -19,6 +19,7 @@ annihilate locally linear drift.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -94,10 +95,17 @@ def check_variance(est, eligible=True, first: int = 1) -> None:
     DriftwatchError.raise_first((est <= 0.0) & eligible, "variance estimate is zero", first)
 
 
+def standardized(mean: float, scale: float, est: float, n: int) -> float:
+    """The chart at index n from the smoother's ``mean`` there: scaled by
+    ``scale`` and divided by the root of the variance estimate ``est`` (1.0
+    unless standardized); raises DriftwatchError at n when ``est`` is zero."""
+    check_variance(est, first=n)
+    return mean * scale / math.sqrt(est)
+
+
 def nuisance_free(statistic: float, est: VarianceEstimate) -> float:
     """Standardize a statistic on the scale of Y: statistic / sqrt(estimate)."""
-    check_variance(est.value, first=est.n_used)
-    return statistic / np.sqrt(est.value)
+    return standardized(statistic, 1.0, est.value, est.n_used)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Brownian-bridge loop, the numpy-scalar GARCH(1,1) and AR(1) recursions and
 calibration's own trajectory builder that the table-driven
 ``running_estimates``, the vectorized ``_brownian_paths``, the Python-float
 loops in ``seriesgen`` and the monitor's ``chart`` at threshold +inf
-replaced.  All must agree with them bit for bit, since seeded draws and
-calibration results are part of the numeric contract.  The whole-prefix
+replaced.  The numpy-scalar GARCH(1,1) recursion is also the reference for
+the recursion that runs across replicate rows.  All must agree with them
+bit for bit, since seeded draws and calibration results are part of the
+numeric contract.  The whole-prefix
 streaming update is the reference for the support-window update; only the
 summation order of the smoother changes there, so the two end the same way
 and their statistics agree to 1e-12 relative.  The support-window update,
@@ -37,7 +39,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftwatch as dw
@@ -49,7 +51,9 @@ from driftwatch.kernels import _quad, arg_breaks
 from driftwatch.limitsim import _num_den, _weight_breaks, _weight_fn
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
-from driftwatch.seriesgen import GARCH_BURN_IN, design_times
+from driftwatch.seriesgen import (
+    _VECTOR_ROWS, GARCH_BURN_IN, _pow_may_differ, design_times, innovation_rows,
+)
 from driftwatch.variance import RunningVariance, check_variance, running_estimates
 
 
@@ -273,6 +277,91 @@ def test_garch_null_walks_match_reference():
     for r, i in enumerate(range(a, b)):
         ref = np.cumsum(garch_reference(spec, N, dw.substream(seed, i)))
         assert walks[r].tobytes() == ref.tobytes()
+
+
+def _row_seeds(seed, rows):
+    return [dw.substream(seed, i) for i in range(rows)]
+
+
+@settings(max_examples=15, deadline=None)
+@given(spec=_garch_specs(), n=st.integers(1, 300), rows=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+@example(spec=dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1,
+                                garch_beta1=0.8), n=40, rows=_VECTOR_ROWS - 1, seed=1)
+@example(spec=dw.InnovationSpec(family="garch11", sigma=1.7, garch_alpha0=2.0,
+                                garch_alpha1=0.3, garch_beta1=0.6), n=40, rows=_VECTOR_ROWS,
+         seed=2)
+def test_garch_rows_match_numpy_scalar_recursion(spec, n, rows, seed):
+    # below _VECTOR_ROWS rows the recursion runs row by row, from it on across the rows
+    seeds = _row_seeds(seed, rows)
+    got = innovation_rows(spec, n, seeds)
+    assert got.shape == (rows, n)
+    for row, s in zip(got, seeds):
+        assert row.tobytes() == garch_reference(spec, n, s).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma=_SIGMAS, n=st.integers(1, 300), rows=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_iid_rows_match_the_per_seed_draws(sigma, n, rows, seed):
+    spec = dw.InnovationSpec(sigma=sigma)
+    seeds = _row_seeds(seed, rows)
+    got = innovation_rows(spec, n, seeds)
+    assert got.shape == (rows, n)
+    for row, s in zip(got, seeds):
+        want = sigma * np.random.default_rng(s).standard_normal(n)
+        assert row.tobytes() == want.tobytes() == dw.draw_innovations(spec, n, s).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    garch=st.booleans(),
+    N=st.integers(2, 120),
+    start=st.integers(0, 50),
+    cuts=st.lists(st.integers(1, 299), max_size=4),
+    rows=st.integers(1, 300),
+    key=st.sampled_from([(), (1,)]),
+)
+def test_null_walks_do_not_depend_on_the_chunking(garch, N, start, cuts, rows, key):
+    inno = dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1,
+                             garch_beta1=0.8) if garch else dw.InnovationSpec(sigma=0.7)
+    stop = start + rows
+    whole = _null_walks(inno, N, 5, start, stop, *key)
+    bounds = sorted({start, stop, *(start + c for c in cuts if c < rows)})
+    parts = [_null_walks(inno, N, 5, a, b, *key) for a, b in zip(bounds, bounds[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    spec = dw.SeriesSpec(N=N, innovations=inno)
+    for r in (0, rows - 1):
+        row = dw.generate(spec, dw.substream(5, start + r, *key)).values
+        assert whole[r].tobytes() == row.tobytes()
+
+
+def test_pow_guard_flags_every_square_that_pow_rounds_apart():
+    # the guard assumes C pow is within 0.6 ulp of the exact square; this pins it here
+    x = 3.0 * np.random.default_rng(2010).standard_normal(1_000_000)
+    p = x * x
+    flagged = _pow_may_differ(x, p)
+    differs = np.array([v ** 2 for v in x.tolist()]) != p
+    assert differs.any()
+    assert not (differs & ~flagged).any()
+    assert flagged.mean() < 0.25
+    special = np.array([np.nan, np.inf, -1e200, 1e-200, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _pow_may_differ(special, special * special).all()
+
+
+def test_overflowing_garch_rows_raise_as_one_row_does():
+    spec = dw.InnovationSpec(family="garch11", garch_alpha0=1.5e307, garch_alpha1=0.05,
+                             garch_beta1=0.85)
+    with pytest.raises(ValueError) as one:
+        dw.generate(dw.SeriesSpec(N=30, innovations=spec), dw.substream(3, 0))
+    assert str(one.value) == "garch11 variance overflows with alpha0=1.5e+307"
+    with pytest.raises(ValueError) as rows:
+        innovation_rows(spec, 30, _row_seeds(3, 200))
+    assert str(rows.value) == str(one.value)
+    with pytest.raises(ValueError) as walks:
+        _null_walks(spec, 30, 3, 0, 200)
+    assert str(walks.value) == str(one.value)
 
 
 def trajectories_reference(values, cfg, variance_method, pre, first=1):

@@ -57,3 +57,11 @@ def test_quad_cost_runs():
     for fn in cases.values():
         ms, calls, evaluations = tool.quad_cost(fn, repeats=1)
         assert ms > 0.0 and calls > 0 and evaluations > 0
+
+
+def test_draw_cost_runs():
+    tool = _load("draw_cost")
+    assert list(tool.CASES) == ["iid", "garch11"]
+    cases = {name: (innovations, 3, 20) for name, (innovations, _, _) in tool.CASES.items()}
+    cost = tool.draw_cost(cases, repeats=1, seed=1)
+    assert list(cost) == ["iid", "garch11"] and all(ms > 0.0 for ms in cost.values())

@@ -81,8 +81,14 @@ def test_nuisance_free():
     assert dw.nuisance_free(2.0, est) == pytest.approx(1.0)
     assert dw.nuisance_free(0.0, est) == 0.0
     assert dw.nuisance_free(0.05, dw.VarianceEstimate("naive", 0.25, 10)) == pytest.approx(0.1)
-    with pytest.raises(DegenerateVarianceError):
+    with pytest.raises(DegenerateVarianceError, match="^variance estimate is zero at index 10$") as err:
         dw.nuisance_free(1.0, dw.VarianceEstimate("naive", 0.0, 10))
+    assert err.value.index == 10
+    # a Python float with the bits of statistic / np.sqrt(value)
+    rng = np.random.default_rng(5)
+    for stat, value in zip(rng.standard_normal(200).tolist(), rng.exponential(size=200).tolist()):
+        got = dw.nuisance_free(stat, dw.VarianceEstimate("naive", value, 3))
+        assert type(got) is float and got == stat / np.sqrt(value)
 
 
 @pytest.mark.parametrize("method,min_n", [("naive", 2), ("gasser", 4), ("rice", 3)])
