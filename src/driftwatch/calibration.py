@@ -7,6 +7,8 @@ replicate index), so results are independent of chunking and worker count.
 ARL curves reuse the same replicate paths across the whole threshold grid
 (common random numbers), which makes the curve exactly nondecreasing in c
 per replicate, not just in expectation.
+Every routine runs its replicates through one chunk driver, ``_chunked``, and
+checks its threshold grid with ``_check_grid``.
 Each finite-sample replicate is the monitor's own ``monitor.chart`` at
 threshold +inf: the same statistic, delayed start and degenerate-index rule.
 """
@@ -153,6 +155,28 @@ def _finite_trajectories(variant: FiniteSampleVariant, kernel: KernelSpec, seed:
     return _null_charts(values, cfg, pre)
 
 
+def _chunked(worker, reps: int, jobs: int, *head) -> list:
+    """The one replicate driver: ``worker`` on payloads ``(*head, start, stop)`` that split
+    replicates [0, reps) into chunks; results come back in chunk order for any ``jobs``."""
+    if reps < 100:
+        raise ValueError(f"reps must be >= 100, got {reps!r}")
+    return run_chunked(worker, [(*head, a, b) for a, b in chunk_bounds(reps, _CHUNK)], jobs)
+
+
+def _mean_stops(chunks) -> np.ndarray:
+    """Normed ARL per threshold: the mean stop over the replicate rows of all chunks."""
+    return np.concatenate(chunks, axis=0).mean(axis=0)
+
+
+def _check_grid(c_grid) -> np.ndarray:
+    c_grid = np.asarray(c_grid, dtype=float)
+    if c_grid.ndim != 1 or np.any(np.diff(c_grid) <= 0):
+        raise ValueError("c_grid must be a strictly increasing 1-d array")
+    if c_grid.size == 0:
+        raise ValueError("c_grid has no thresholds")
+    return c_grid
+
+
 def _finite_chunk(payload) -> np.ndarray:
     variant, kernel, c_grid, seed, start, stop = payload
     traj = _finite_trajectories(variant, kernel, seed, start, stop)
@@ -160,15 +184,20 @@ def _finite_chunk(payload) -> np.ndarray:
     return _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
 
 
+def _limit_stops(vals: np.ndarray, c_grid: np.ndarray, cfg: LimitConfig) -> np.ndarray:
+    """Stops of limit-process rows on ``cfg.s_grid``; ``vals`` is overwritten."""
+    # cells below s_min are NaN, hence never eligible
+    np.copyto(vals, -np.inf, where=np.isnan(vals))
+    return _stops_from_values(vals, c_grid, cfg.s_grid)
+
+
 def _limit_chunk(payload) -> np.ndarray:
-    cfg, c_grid, seed, start, stop, key = payload
+    cfg, c_grid, seed, key, start, stop = payload
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
     vals = _batch_null_values(cfg, seeds)
     if cfg.drift is not None:
         vals += _drift_curve(cfg)
-    # cells below s_min are NaN, hence never eligible
-    np.copyto(vals, -np.inf, where=np.isnan(vals))
-    return _stops_from_values(vals, c_grid, cfg.s_grid)
+    return _limit_stops(vals, c_grid, cfg)
 
 
 def arl_curve(
@@ -185,41 +214,18 @@ def arl_curve(
     process; ``kernel`` overrides the kernel in either case.  The same
     replicate paths are reused across the threshold grid.
     """
-    c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or np.any(np.diff(c_grid) <= 0):
-        raise ValueError("c_grid must be a strictly increasing 1-d array")
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps!r}")
+    c_grid = _check_grid(c_grid)
     if isinstance(variant, LimitConfig):
         cfg = replace(variant, kernel=kernel)
-        payloads = [
-            (cfg, c_grid, seed, a, b, ()) for a, b in chunk_bounds(reps, _CHUNK)
-        ]
-        chunks = run_chunked(_limit_chunk, payloads, jobs)
-        meta = {
-            "variant": "limit",
-            "zeta": cfg.zeta,
-            "grid_M": cfg.grid_M,
-            "kernel": kernel.family,
-            "reps": reps,
-            "seed": seed,
-        }
+        chunks = _chunked(_limit_chunk, reps, jobs, cfg, c_grid, seed, ())
+        meta = {"variant": "limit", "zeta": cfg.zeta, "grid_M": cfg.grid_M,
+                "kernel": kernel.family, "reps": reps, "seed": seed}
     else:
-        payloads = [
-            (variant, kernel, c_grid, seed, a, b) for a, b in chunk_bounds(reps, _CHUNK)
-        ]
-        chunks = run_chunked(_finite_chunk, payloads, jobs)
-        meta = {
-            "variant": "finite-sample",
-            "N": variant.N,
-            "h": variant.h,
-            "kernel": kernel.family,
-            "variance_method": variant.variance_method,
-            "reps": reps,
-            "seed": seed,
-        }
-    stops = np.concatenate(chunks, axis=0)
-    return CalibrationTable(thresholds=c_grid, normed_arl=stops.mean(axis=0), meta=meta)
+        chunks = _chunked(_finite_chunk, reps, jobs, variant, kernel, c_grid, seed)
+        meta = {"variant": "finite-sample", "N": variant.N, "h": variant.h,
+                "kernel": kernel.family, "variance_method": variant.variance_method,
+                "reps": reps, "seed": seed}
+    return CalibrationTable(thresholds=c_grid, normed_arl=_mean_stops(chunks), meta=meta)
 
 
 def critical_value_for_arl(table: CalibrationTable, target_normed_arl: float) -> float:
@@ -249,7 +255,7 @@ def critical_value_for_arl(table: CalibrationTable, target_normed_arl: float) ->
 
 
 def _coverage_chunk(payload) -> int:
-    N, h, kernel, alpha, seed, start, stop, variance_method, sigma, sk = payload
+    N, h, kernel, alpha, seed, variance_method, sigma, sk, start, stop = payload
     cfg = SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
     scale = scaling_factor(cfg, N)
     from scipy.stats import norm  # imported here: it is the module's only user
@@ -286,17 +292,12 @@ def coverage_sim(
     seeded by a prerun null segment of length h; with
     ``variance_method=None`` the true sigma is used instead.
     """
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     zeta = N / h
     sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=zeta, kernel=kernel), 1.0)))
-    payloads = [
-        (N, h, kernel, alpha, seed, a, b, variance_method, sigma, sk)
-        for a, b in chunk_bounds(reps, _CHUNK)
-    ]
-    counts = run_chunked(_coverage_chunk, payloads, jobs)
+    counts = _chunked(_coverage_chunk, reps, jobs, N, h, kernel, alpha, seed, variance_method,
+                      sigma, sk)
     return sum(counts) / reps
 
 
@@ -353,24 +354,20 @@ def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop:
 
 
 def _coupled_chunk(payload):
-    N, h, kernel, c_grid, seed, start, stop, refine, variance_method = payload
-    M = refine * N
-    cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=M)
+    N, h, kernel, c_grid, seed, refine, variance_method, start, stop = payload
+    cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=refine * N)
     mcfg = MonitorConfig(SmootherConfig(kernel=kernel, h=h, scaling="null_scale"), np.inf, N,
                          variance_method=variance_method)
 
-    # finite side
+    # finite side; the prerun draws from substream key 2, since the bridges below take key 1
     values = _null_walks(InnovationSpec(), N, seed, start, stop)
     pre = _prerun_increments(variance_method, InnovationSpec(), int(round(h)), seed, start, stop, 2)
     traj = _null_charts(values, mcfg, pre)
     fstops = _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
 
-    # limit side: an exact Brownian path at resolution 1/M around each walk
+    # limit side: an exact Brownian path at resolution 1/grid_M around each walk
     B = _brownian_paths(values, refine, seed, start, stop)
-    lvals = _null_values(cfg, B)
-    lvals = np.where(np.isnan(lvals), -np.inf, lvals)
-    lstops = _stops_from_values(lvals, c_grid, np.arange(1, M + 1) / M)
-    return fstops, lstops
+    return fstops, _limit_stops(_null_values(cfg, B), c_grid, cfg)
 
 
 def conservativeness_check(
@@ -394,43 +391,25 @@ def conservativeness_check(
     estimand; ``coupled=False`` uses independent substreams and a
     ``min_grid``-point limit grid.
     """
-    c_grid = np.asarray(c_grid, dtype=float)
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps!r}")
+    c_grid = _check_grid(c_grid)
     zeta = N / h
     if coupled:
         refine = max(1, int(np.ceil(min_grid / N)))
-        payloads = [
-            (N, h, kernel, c_grid, seed, a, b, refine, variance_method)
-            for a, b in chunk_bounds(reps, _CHUNK)
-        ]
-        results = run_chunked(_coupled_chunk, payloads, jobs)
-        fstops = np.concatenate([r[0] for r in results], axis=0)
-        lstops = np.concatenate([r[1] for r in results], axis=0)
         grid_M = refine * N
+        fchunks, lchunks = zip(*_chunked(_coupled_chunk, reps, jobs, N, h, kernel, c_grid, seed,
+                                         refine, variance_method))
     else:
-        variant = FiniteSampleVariant(
-            N=N, h=h, innovations=InnovationSpec(), variance_method=variance_method
-        )
-        finite = arl_curve(variant, kernel, c_grid, reps, seed, jobs=jobs)
-        cfg = LimitConfig(zeta=zeta, kernel=kernel, grid_M=min_grid)
-        payloads = [
-            (cfg, c_grid, seed, a, b, (3,)) for a, b in chunk_bounds(reps, _CHUNK)
-        ]
-        lstops = np.concatenate(run_chunked(_limit_chunk, payloads, jobs), axis=0)
-        return ConservativenessReport(
-            c_grid=c_grid,
-            finite_arl=finite.normed_arl,
-            limit_arl=lstops.mean(axis=0),
-            meta={"N": N, "h": h, "zeta": zeta, "kernel": kernel.family,
-                  "reps": reps, "seed": seed, "coupled": False, "grid_M": min_grid},
-        )
+        grid_M = min_grid
+        variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
+        cfg = LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M)
+        fchunks = _chunked(_finite_chunk, reps, jobs, variant, kernel, c_grid, seed)
+        lchunks = _chunked(_limit_chunk, reps, jobs, cfg, c_grid, seed, (3,))
     return ConservativenessReport(
         c_grid=c_grid,
-        finite_arl=fstops.mean(axis=0),
-        limit_arl=lstops.mean(axis=0),
+        finite_arl=_mean_stops(fchunks),
+        limit_arl=_mean_stops(lchunks),
         meta={"N": N, "h": h, "zeta": zeta, "kernel": kernel.family,
-              "reps": reps, "seed": seed, "coupled": True, "grid_M": grid_M},
+              "reps": reps, "seed": seed, "coupled": bool(coupled), "grid_M": grid_M},
     )
 
 

@@ -15,7 +15,7 @@ truncated at t_max and the truncation is part of the reported solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np

@@ -262,8 +262,10 @@ class TimeDesign:
         else:
             u = np.asarray(self.knots_u, dtype=float)
             v = np.asarray(self.knots_v, dtype=float)
-            if u is None or v is None or u.shape != v.shape or u.ndim != 1:
-                raise ValueError("tabulated design needs matching 1-d knot arrays")
+            if u.shape != v.shape or u.ndim != 1 or u.size == 0:
+                raise ValueError("tabulated design needs matching nonempty 1-d knot arrays")
+            if np.any(~np.isfinite(u)) or np.any(~np.isfinite(v)):
+                raise ValueError("design knots must be finite")
             if abs(v[0]) > 1e-12 or abs(v[-1] - 1.0) > 1e-12:
                 raise ValueError("design map must satisfy F^{-1}(0)=0 and F^{-1}(1)=1")
             if np.any(np.diff(u) <= 0) or np.any(np.diff(v) < 0):

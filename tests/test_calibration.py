@@ -38,6 +38,27 @@ def test_arl_curve_reps_precondition():
         dw.arl_curve(dw.FiniteSampleVariant(N=20, h=10.0), G, np.array([0.1, 0.2]), 50, 1)
 
 
+@pytest.mark.parametrize("grid", [[], [0.2, 0.1]], ids=["empty", "decreasing"])
+def test_every_routine_checks_the_threshold_grid_alike(grid):
+    variant = dw.FiniteSampleVariant(N=20, h=10.0)
+    with pytest.raises(ValueError) as arl:
+        dw.arl_curve(variant, G, grid, 100, 1)
+    for coupled in (True, False):
+        with pytest.raises(ValueError) as cons:
+            dw.conservativeness_check(20, 10.0, G, grid, 100, 1, coupled=coupled, min_grid=64)
+        assert str(cons.value) == str(arl.value)
+
+
+@pytest.mark.parametrize("method", [None, "naive"])
+def test_uncoupled_finite_side_is_the_finite_arl_curve(method):
+    grid = np.linspace(0.05, 0.5, 5)
+    rep = dw.conservativeness_check(60, 20.0, G, grid, 600, 7, variance_method=method,
+                                    coupled=False, min_grid=256)
+    table = dw.arl_curve(dw.FiniteSampleVariant(60, 20.0, variance_method=method), G, grid, 600, 7)
+    assert rep.finite_arl.tobytes() == table.normed_arl.tobytes()
+    assert list(rep.meta) == ["N", "h", "zeta", "kernel", "reps", "seed", "coupled", "grid_M"]
+
+
 def test_limit_curve_stable_across_seeds():
     cfg = dw.LimitConfig(zeta=3.0, kernel=G, grid_M=1024)
     grid = np.linspace(0.05, 0.6, 6)

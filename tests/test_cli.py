@@ -307,6 +307,10 @@ BAD_INPUTS = {
     "coverage alpha 0": (
         lambda d: (["coverage", "--zeta", "4", "--n", "100", "--reps", "100", "--alpha", "0",
                     "--variance", "known"], None, None), "alpha must lie in (0, 1), got 0.0"),
+    "no thresholds": (
+        lambda d: (["calibrate", "--variant", "limit", "--zeta", "3", "--c-min", "0",
+                    "--c-max", "1", "--c-points", "0", "--reps", "100",
+                    "--out", str(d / "arl.csv")], None, None), "c_grid has no thresholds"),
     "table1 zeta below 1": (
         lambda d: (["table1", "--zetas", "0.5", "--out", str(d / "t.csv")], None, None), "0.5"),
     "directory as input": (

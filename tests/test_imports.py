@@ -1,0 +1,40 @@
+"""Every name a module under ``src/driftwatch/`` imports is referenced in it.
+
+No linter ships with the test dependencies, so this walks each module's
+syntax tree with the standard library.  ``__init__.py`` is exempt: its
+imports are the package's public API.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "driftwatch"
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement in ``source`` and never referenced."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_is_found():
+    assert unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == [
+        "os (line 1)", "tau (line 2)"]
+    assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -159,6 +159,19 @@ def test_design_map_validation():
         dw.TimeDesign(gamma=-1.0)
 
 
+@pytest.mark.parametrize("u, v", [([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
+                                  ([0.0, 1.0], [0.0, np.nan]),
+                                  ([0.0, np.inf], [0.0, 1.0])])
+def test_design_knots_must_be_finite(u, v):
+    with pytest.raises(ValueError, match="design knots must be finite"):
+        dw.TimeDesign(knots_u=u, knots_v=v, mode="fixed")
+
+
+def test_design_knots_must_not_be_empty():
+    with pytest.raises(ValueError, match="nonempty"):
+        dw.TimeDesign(knots_u=[], knots_v=[])
+
+
 def test_tabulated_alternative_matches_quadrature():
     t = np.array([0.0, 0.5, 1.0, 2.0])
     m = np.array([0.0, 1.0, 1.0, 3.0])
