@@ -34,7 +34,7 @@ from .limitsim import (
 from .monitor import MonitorConfig, chart
 from .seriesgen import (
     GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, innovation_rows,
-    substream,
+    substream, walk_rows,
 )
 from .variance import running_estimates
 from ._parallel import run_chunked, chunk_bounds
@@ -79,11 +79,10 @@ class CalibrationTable:
         object.__setattr__(self, "normed_arl", a)
         if t.shape != a.shape or t.ndim != 1:
             raise ValueError("thresholds and normed_arl must be matching 1-d arrays")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("thresholds must be strictly increasing")
+        _check_grid(t)
         if np.any(np.diff(a) < -1e-12):
             raise ValueError("normed ARL must be nondecreasing in the threshold")
-        if np.any(a <= 0) or np.any(a > 1.0 + 1e-12):
+        if not np.all((a > 0) & (a <= 1.0 + 1e-12)):
             raise ValueError("normed ARL values must lie in (0, 1]")
 
 
@@ -111,21 +110,13 @@ def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop
     """
     spec = SeriesSpec(N=N, innovations=innovations)
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
-    walks = None
-    if innovations.family != "ar1":
-        with suppress(ValueError):  # a GARCH variance overflows: see below
-            walks = innovation_rows(innovations, N, seeds)
-    if walks is not None:
-        walks[:, 0] += 0.0  # generate sums 0.0 + u, which turns a -0.0 into 0.0
-        np.cumsum(walks, axis=1, out=walks)
+    with suppress(ValueError):  # a GARCH variance overflows: see below
+        walks = walk_rows(innovations, N, seeds)
         # a row with a non-finite value ends non-finite
         if np.isfinite(walks[:, -1]).all():
             return walks
-    # AR(1) rows, and rows that overflow: generate raises for the first failing row as before
-    walks = np.empty((len(seeds), N))
-    for r, s in enumerate(seeds):
-        walks[r] = generate(spec, s).values
-    return walks
+    # a row failed: generate raises the first failing row's error, as one series does
+    return np.array([generate(spec, s).values for s in seeds])
 
 
 def _prerun_increments(variance_method: str | None, innovations: InnovationSpec, length: int,
@@ -170,8 +161,8 @@ def _mean_stops(chunks) -> np.ndarray:
 
 def _check_grid(c_grid) -> np.ndarray:
     c_grid = np.asarray(c_grid, dtype=float)
-    if c_grid.ndim != 1 or np.any(np.diff(c_grid) <= 0):
-        raise ValueError("c_grid must be a strictly increasing 1-d array")
+    if c_grid.ndim != 1 or not np.isfinite(c_grid).all() or np.any(np.diff(c_grid) <= 0):
+        raise ValueError("c_grid must be a strictly increasing 1-d array of finite thresholds")
     if c_grid.size == 0:
         raise ValueError("c_grid has no thresholds")
     return c_grid
@@ -294,6 +285,8 @@ def coverage_sim(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not 0 < h < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
     zeta = N / h
     sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=zeta, kernel=kernel), 1.0)))
     counts = _chunked(_coverage_chunk, reps, jobs, N, h, kernel, alpha, seed, variance_method,
@@ -337,10 +330,8 @@ def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop:
     B = np.empty((rows, M + 1))
     B[:, ::refine] = np.concatenate([np.zeros((rows, 1)), walks / np.sqrt(N)], axis=1)
     if refine > 1:
-        Z = np.stack([
-            np.random.default_rng(substream(seed, i, 1)).standard_normal((N, refine - 1))
-            for i in range(start, stop)
-        ])
+        seeds = [substream(seed, i, 1) for i in range(start, stop)]
+        Z = innovation_rows(InnovationSpec(), N * (refine - 1), seeds).reshape(rows, N, refine - 1)
         # each fraction is drawn for all N cells at once, conditioned on the
         # previous fraction and the cell's right end
         prev, right, fprev = B[:, :M:refine], B[:, refine::refine], 0.0

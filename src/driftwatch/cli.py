@@ -15,7 +15,6 @@ OSError a command raises becomes one ``Error:`` line on stderr.
 
 from __future__ import annotations
 
-import json
 import os
 import secrets
 import sys
@@ -43,11 +42,7 @@ def _parse_config(path: str) -> dict:
     return out
 
 
-def _resolve_seed(ctx: click.Context, seed: int | None) -> int:
-    if seed is None:
-        cfg = (ctx.obj or {}).get("config", {})
-        if "seed" in cfg:
-            seed = int(cfg["seed"])
+def _resolve_seed(seed: int | None) -> int:
     if seed is None and os.environ.get("DRIFTWATCH_SEED"):
         seed = int(os.environ["DRIFTWATCH_SEED"])
     if seed is None:
@@ -94,7 +89,6 @@ def main(ctx, config):
     cfg = {}
     if config is not None:
         cfg = _parse_config(config)
-    ctx.obj = {"config": cfg}
     ctx.default_map = {name: cfg for name in main.commands}
 
 
@@ -134,11 +128,10 @@ def _add(options):
 @click.option("--snap", type=float, default=None, help="Finest time-grid spacing to snap to.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default="series.csv", show_default=True)
-@click.pass_context
-def generate(ctx, n_obs, family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1,
+def generate(n_obs, family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1,
              m0, beta, cp1, cp2, h_link, design_gamma, design_mode, snap, seed, out):
     """Generate a synthetic series and write it as a t,y CSV."""
-    seed = _resolve_seed(ctx, seed)
+    seed = _resolve_seed(seed)
     inno = seriesgen.InnovationSpec(family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1)
     alternative = _m0_arg(m0)
     drift = None
@@ -194,6 +187,8 @@ def _stream_records(fh):
 def monitor_cmd(ctx, input_path, h, kernel, scaling, threshold, start_fraction,
                 variance, prerun, horizon):
     """Run the truncated stopping rule; exit 3 on alarm, 0 on truncation."""
+    if not np.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
     k = _kernel_arg(kernel)
     pre = seriesgen.load_series_csv(prerun) if prerun is not None else None
     smoother = SmootherConfig(kernel=k, h=h, scaling=scaling)
@@ -256,12 +251,11 @@ def _c_grid(c_min, c_max, c_points):
 @click.option("--seed", type=int, default=None)
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default="arl.csv", show_default=True)
-@click.pass_context
-def calibrate(ctx, variant, n_obs, h, zeta, grid_m, kernel, c_min, c_max, c_points, reps,
+def calibrate(variant, n_obs, h, zeta, grid_m, kernel, c_min, c_max, c_points, reps,
               variance, family, sigma, ar_a, garch_alpha0, garch_alpha1, garch_beta1,
               seed, jobs, out):
     """Simulate a normed-ARL curve and write it as a c,normed_arl CSV."""
-    seed = _resolve_seed(ctx, seed)
+    seed = _resolve_seed(seed)
     k = _kernel_arg(kernel)
     grid = _c_grid(c_min, c_max, c_points)
     if variant == "finite":
@@ -296,10 +290,9 @@ def calibrate(ctx, variant, n_obs, h, zeta, grid_m, kernel, c_min, c_max, c_poin
 @click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
               help="Also append the JSON record to this file.")
-@click.pass_context
-def coverage(ctx, zeta, n_obs, h, kernel, alpha, reps, variance, seed, jobs, out):
+def coverage(zeta, n_obs, h, kernel, alpha, reps, variance, seed, jobs, out):
     """Coverage of the asymptotic interval under the null; prints a JSON record."""
-    seed = _resolve_seed(ctx, seed)
+    seed = _resolve_seed(seed)
     k = _kernel_arg(kernel)
     h = float(round(n_obs / zeta)) if h is None else h
     method = None if variance == "known" else variance
@@ -307,7 +300,7 @@ def coverage(ctx, zeta, n_obs, h, kernel, alpha, reps, variance, seed, jobs, out
                                    variance_method=method, jobs=jobs)
     record = {"zeta": zeta, "N": n_obs, "h": h, "kernel": kernel, "alpha": alpha,
               "reps": reps, "coverage": cov}
-    line = json.dumps(record)
+    line = monitor.format_record(record)
     click.echo(line)
     if out is not None:
         with open(out, "a") as fh:
@@ -347,7 +340,7 @@ def optkernel_cmd(m0, zeta, c, t_max, out):
     sol = optkernel.optimal_kernel(_m0_arg(m0), zeta, c, t_max)
     if out is not None:
         optkernel.save_solution_csv(sol, out)
-    click.echo(json.dumps({
+    click.echo(monitor.format_record({
         "s_star": sol.s_star,
         "zeta": sol.zeta,
         "t_max": sol.t_max,

@@ -61,15 +61,15 @@ class SmootherConfig:
     design: TimeDesign | None = None
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.h!r}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.h!r}")
         if self.scaling not in SCALINGS:
             raise ValueError(f"scaling must be one of {SCALINGS}, got {self.scaling!r}")
 
 
 def scaling_factor(cfg: SmootherConfig, N: int) -> float:
-    if N < 1:
-        raise ValueError(f"horizon must be >= 1, got {N!r}")
+    if not 1 <= N < np.inf:
+        raise ValueError(f"horizon must be finite and >= 1, got {N!r}")
     if cfg.scaling == "raw":
         return 1.0
     if cfg.scaling == "null_scale":

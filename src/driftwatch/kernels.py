@@ -266,8 +266,8 @@ def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
     This is the limit of ``weight_sum`` over an equidistant design 1..n at
     t_now = n when n, h -> infinity with n/h -> zeta.
     """
-    if not zeta >= 1:
-        raise ValueError(f"zeta must be >= 1, got {zeta!r}")
+    if not 1 <= zeta < np.inf:
+        raise ValueError(f"zeta must be finite and >= 1, got {zeta!r}")
     if not 0 < s <= 1:
         raise ValueError(f"s must lie in (0, 1], got {s!r}")
     return zeta * _window_integral(kernel, zeta, s)

@@ -74,11 +74,11 @@ class LimitConfig:
     design: TimeDesign | None = None
 
     def __post_init__(self):
-        if not self.zeta >= 1.0:
-            raise ValueError(f"zeta must be >= 1, got {self.zeta!r}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if self.grid_M < 64:
+        if not 1.0 <= self.zeta < np.inf:
+            raise ValueError(f"zeta must be finite and >= 1, got {self.zeta!r}")
+        if not 0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if not 64 <= self.grid_M < np.inf:
             raise ValueError(f"grid_M must be >= 64, got {self.grid_M!r}")
         if self.design is not None and self.drift is not None:
             if self.design.mode == "rolling" and self.drift.cp_model != "cp1":
@@ -358,8 +358,8 @@ def _first_crossing(values: np.ndarray, c: float, a: float, grid_M: int) -> floa
 
 def limit_stop_sample(cfg: LimitConfig, c: float, a: float, seed) -> float:
     """First s-grid point >= a where a sampled limit path exceeds c; 1 if none."""
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a must lie in [0, 1), got {a!r}")
+    if np.isnan(c) or not 0.0 <= a < 1.0:
+        raise ValueError(f"need c not NaN and a in [0, 1), got c={c!r}, a={a!r}")
     vals = alt_limit_process(cfg, seed) if cfg.drift is not None else null_limit_process(cfg, seed)
     return _first_crossing(vals, c, a, cfg.grid_M)
 
@@ -373,8 +373,8 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
     """
     if cfg.drift is None:
         raise ValueError("asymptotic_normed_delay needs a LimitConfig with a drift")
-    if not 0.0 <= a < 1.0:
-        raise ValueError(f"a must lie in [0, 1), got {a!r}")
+    if np.isnan(c) or not 0.0 <= a < 1.0:
+        raise ValueError(f"need c not NaN and a in [0, 1), got c={c!r}, a={a!r}")
     M = cfg.grid_M
     floor = max(a, 1e-6)
 
@@ -436,6 +436,8 @@ def check_km_condition(
     that raises ArithmeticError or, with warnings as errors, RuntimeWarning)
     reports False rather than raising; any other exception propagates.
     """
+    if np.isnan(c) or not 0 < x_max < np.inf:
+        raise ValueError(f"need c not NaN and 0 < x_max < inf, got c={c!r}, x_max={x_max!r}")
     xs = np.linspace(0.0, x_max, n_grid)
     vals = np.empty(n_grid)
     for i, x in enumerate(xs):

@@ -39,8 +39,10 @@ class MonitorConfig:
     def __post_init__(self):
         if not 0.0 <= self.start_fraction < 1.0:
             raise ValueError(f"start_fraction must lie in [0, 1), got {self.start_fraction!r}")
-        if self.N < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.N!r}")
+        if not 1 <= self.N < math.inf:
+            raise ValueError(f"horizon must be finite and >= 1, got {self.N!r}")
+        if math.isnan(self.threshold):  # +inf stays legal: calibration runs at +inf
+            raise ValueError("threshold must not be NaN")
 
     @property
     def start_index(self) -> int:
@@ -128,9 +130,11 @@ def confidence_interval(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not math.isfinite(m_hat):
+        raise ValueError(f"m_hat must be finite, got {m_hat!r}")
     for name, v in (("sigma_k", sigma_k), ("sigma_hat", sigma_hat), ("h", h), ("N", N)):
-        if not v > 0:
-            raise ValueError(f"{name} must be positive, got {v!r}")
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v!r}")
     from scipy.stats import norm  # imported here: it is the module's only user
 
     z = norm.ppf(1.0 - alpha / 2.0)
@@ -296,4 +300,4 @@ def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
 
 
 def format_record(record: dict) -> str:
-    return json.dumps(record)
+    return json.dumps(record, allow_nan=False)

@@ -92,6 +92,8 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
             "the squared cumulative drift must be positive and finite on (0, 1]; "
             "a drift that vanishes near 0 (or everywhere) has no optimal-delay form"
         )
+    if np.isnan(c):
+        raise ValueError("the threshold c must not be NaN")
     if c < 0.0:
         return 0.0
 
@@ -123,11 +125,11 @@ def optimal_kernel(
     2 int_0^{t_max} M0(r) dr is finite; the tabulated values are
     M0(z/zeta + s*) / normalizer, nondecreasing in z.
     """
-    if not zeta >= 1.0:
-        raise ValueError(f"zeta must be >= 1, got {zeta!r}")
+    if not 1.0 <= zeta < np.inf:
+        raise ValueError(f"zeta must be finite and >= 1, got {zeta!r}")
     t_max = float(zeta) if t_max is None else float(t_max)
-    if not t_max > 0:
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
     trunc = TruncatedAlternative(m0, t_max)
     s_star = optimal_delay(trunc, c)
     normalizer = 2.0 * _power_integral(trunc, t_max, 1)

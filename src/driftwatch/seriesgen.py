@@ -172,15 +172,15 @@ class DriftSpec:
         if not (-1.0 < self.beta <= 0.0):
             raise ValueError(f"beta must lie in (-1, 0], got {self.beta!r}")
         if self.cp_model == "cp1":
-            if self.q is None or self.q < 1:
+            if self.q is None or not 1 <= self.q < math.inf:
                 raise ValueError("cp1 needs a positive integer q")
         elif self.cp_model == "cp2":
             if self.theta is None or not (0.0 < self.theta < 1.0):
                 raise ValueError("cp2 needs theta in (0, 1)")
         else:
             raise ValueError(f"cp_model must be 'cp1' or 'cp2', got {self.cp_model!r}")
-        if not self.h_link > 0:
-            raise ValueError(f"h_link must be positive, got {self.h_link!r}")
+        if not 0 < self.h_link < math.inf:
+            raise ValueError(f"h_link must be positive and finite, got {self.h_link!r}")
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,8 @@ class InnovationSpec:
     garch_beta1: float | None = None
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.family == "iid_normal":
             pass
         elif self.family == "ar1":
@@ -206,8 +206,8 @@ class InnovationSpec:
             a0, a1, b1 = self.garch_alpha0, self.garch_alpha1, self.garch_beta1
             if a0 is None or a1 is None or b1 is None:
                 raise ValueError("garch11 needs alpha0, alpha1, beta1")
-            if not (a0 > 0 and a1 >= 0 and b1 >= 0 and a1 + b1 < 1):
-                raise ValueError("garch11 needs alpha0 > 0 and alpha1 + beta1 < 1")
+            if not (math.inf > a0 > 0 and a1 >= 0 and b1 >= 0 and a1 + b1 < 1):
+                raise ValueError("garch11 needs a finite alpha0 > 0 and alpha1 + beta1 < 1")
         else:
             raise ValueError(f"unknown innovation family {self.family!r}")
 
@@ -257,8 +257,8 @@ class TimeDesign:
         if self.mode not in ("rolling", "fixed"):
             raise ValueError(f"mode must be 'rolling' or 'fixed', got {self.mode!r}")
         if self.gamma is not None:
-            if not self.gamma > 0:
-                raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+            if not 0 < self.gamma < math.inf:
+                raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         else:
             u = np.asarray(self.knots_u, dtype=float)
             v = np.asarray(self.knots_v, dtype=float)
@@ -270,8 +270,8 @@ class TimeDesign:
                 raise ValueError("design map must satisfy F^{-1}(0)=0 and F^{-1}(1)=1")
             if np.any(np.diff(u) <= 0) or np.any(np.diff(v) < 0):
                 raise ValueError("design map must be nondecreasing")
-        if self.snap_grid is not None and not self.snap_grid > 0:
-            raise ValueError("snap_grid must be a positive spacing")
+        if self.snap_grid is not None and not 0 < self.snap_grid < math.inf:
+            raise ValueError("snap_grid must be a positive, finite spacing")
 
     def ft_inverse(self, u) -> np.ndarray:
         """F_T^{-1}(u) with arguments clamped to [0, 1]."""
@@ -319,8 +319,8 @@ def design_times(design: TimeDesign, n: int, horizon: int) -> np.ndarray:
 
 def change_point_index(drift: DriftSpec, horizon: int) -> float:
     """Change time t_q: the fixed q under cp1, floor(N * theta) under cp2."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon!r}")
+    if not 1 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and >= 1, got {horizon!r}")
     if drift.cp_model == "cp1":
         return float(drift.q)
     return float(np.floor(horizon * drift.theta))
@@ -347,8 +347,8 @@ class SeriesSpec:
     design: TimeDesign | None = None
 
     def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N!r}")
+        if not 2 <= self.N < math.inf:
+            raise ValueError(f"N must be finite and >= 2, got {self.N!r}")
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -471,13 +471,40 @@ def _garch_columns(eps: np.ndarray, a0: float, a1: float, b1: float, var: float)
     return eps
 
 
+def walk_rows(innovations: InnovationSpec, N: int, seeds, drift_inc=0.0) -> np.ndarray:
+    """Series values Y_1..Y_N, one row per seed, with drift increments m (scalar or per step).
+
+    Random walks sum Y_n = Y_{n-1} + m_{n-1} + u_{n-1} from Y_0 = 0 over the
+    rows u of ``innovation_rows``; ar1 runs Y_n = a Y_{n-1} + m_{n-1} + u_{n-1}
+    on Python floats from a stationary Y_0.  Row i is ``generate``'s values on
+    ``seeds[i]`` bit for bit: the one place seeds become series values.
+    """
+    if innovations.family != "ar1":
+        walks = innovation_rows(innovations, N, seeds)
+        walks += drift_inc  # as in 0.0 + u, a -0.0 draw becomes 0.0
+        return np.cumsum(walks, axis=1, out=walks)
+    # Y_0 and u draw from what spawn(2) gives, without advancing the caller's sequences
+    kids = [[np.random.SeedSequence(s.entropy, pool_size=s.pool_size, spawn_key=s.spawn_key + (i,))
+             for i in range(2)] for s in map(seed_sequence, seeds)]
+    walks = innovation_rows(innovations, N, [inno_seq for _, inno_seq in kids])
+    a, incs = innovations.ar_a, np.broadcast_to(drift_inc, N).tolist()
+    for row, (ar_seq, _) in zip(walks, kids):
+        y = float(np.random.default_rng(ar_seq).standard_normal() * innovations.sigma
+                  / np.sqrt(1.0 - a * a))
+        values = []
+        for m, e in zip(incs, row.tolist()):
+            y = a * y + m + e
+            values.append(y)
+        row[:] = values
+    return walks
+
+
 def generate(spec: SeriesSpec, seed) -> TimeSeries:
     """Generate a series of length N, deterministic given the seed.
 
-    Random-walk families follow Y_n = Y_{n-1} + m(t_{n-1}) + u_{n-1} from
-    Y_0 = 0; the ar1 family follows Y_n = a Y_{n-1} + m(t_{n-1}) + u_{n-1}
-    from a stationary draw of Y_0.  Under the null the increments equal the
-    raw innovation stream of ``draw_innovations`` exactly.
+    Its values are the one-row case of ``walk_rows`` with drift increments
+    m(t_{n-1}); under the null a random walk's increments are exactly the
+    innovation stream of ``draw_innovations``.
     """
     N = spec.N
     inno = spec.innovations
@@ -490,14 +517,7 @@ def generate(spec: SeriesSpec, seed) -> TimeSeries:
         # define a generation axis; data live on the finest (unit) scale
         times = np.arange(1.0, N + 1.0)
 
-    seed_seq = seed_sequence(seed)
-    ar_seq, inno_seq = None, seed_seq
-    if inno.family == "ar1":  # what spawn(2) gives, without advancing the caller's sequence
-        ar_seq, inno_seq = (np.random.SeedSequence(seed_seq.entropy, pool_size=seed_seq.pool_size,
-                                                   spawn_key=seed_seq.spawn_key + (i,)) for i in range(2))
-    u = draw_innovations(inno, N, inno_seq)
-
-    drift_inc = np.zeros(N)
+    drift_inc = 0.0
     if spec.drift is not None:
         t_prev = np.concatenate([[0.0], times[:-1]])
         q = int(change_point_index(spec.drift, N))
@@ -507,24 +527,9 @@ def generate(spec: SeriesSpec, seed) -> TimeSeries:
         d = spec.drift
         drift_inc = d.m0.value((t_prev - t_q) / d.h_link) * d.h_link**d.beta
 
-    if inno.family == "ar1":
-        a = inno.ar_a
-        y = float(np.random.default_rng(ar_seq).standard_normal() * inno.sigma
-                  / np.sqrt(1.0 - a * a))
-        values = []
-        for m, e in zip(drift_inc.tolist(), u.tolist()):
-            y = a * y + m + e
-            values.append(y)
-    else:
-        values = np.cumsum(drift_inc + u)
-
-    meta = {
-        "seed": getattr(seed_seq, "entropy", None),
-        "family": inno.family,
-        "sigma": inno.sigma,
-        "N": N,
-    }
-    return TimeSeries(times=times, values=values, meta=meta)
+    seed_seq = seed_sequence(seed)
+    meta = {"seed": seed_seq.entropy, "family": inno.family, "sigma": inno.sigma, "N": N}
+    return TimeSeries(times=times, values=walk_rows(inno, N, [seed_seq], drift_inc)[0], meta=meta)
 
 
 # ---------------------------------------------------------------------------

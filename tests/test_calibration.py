@@ -38,11 +38,15 @@ def test_arl_curve_reps_precondition():
         dw.arl_curve(dw.FiniteSampleVariant(N=20, h=10.0), G, np.array([0.1, 0.2]), 50, 1)
 
 
-@pytest.mark.parametrize("grid", [[], [0.2, 0.1]], ids=["empty", "decreasing"])
+@pytest.mark.parametrize("grid", [[], [0.2, 0.1], [0.1, np.nan], [np.nan, 0.1], [0.1, np.inf]],
+                         ids=["empty", "decreasing", "ending in NaN", "starting with NaN", "inf"])
 def test_every_routine_checks_the_threshold_grid_alike(grid):
     variant = dw.FiniteSampleVariant(N=20, h=10.0)
     with pytest.raises(ValueError) as arl:
         dw.arl_curve(variant, G, grid, 100, 1)
+    with pytest.raises(ValueError) as table:
+        dw.CalibrationTable(grid, np.full(len(grid), 0.5))
+    assert str(table.value) == str(arl.value)
     for coupled in (True, False):
         with pytest.raises(ValueError) as cons:
             dw.conservativeness_check(20, 10.0, G, grid, 100, 1, coupled=coupled, min_grid=64)

@@ -298,6 +298,17 @@ BAD_INPUTS = {
                     "--variance", "naive"], None, None), "index 2"),
     "constant stream, naive variance": (
         lambda d: (STREAM + ["--variance", "naive"], "1,1\n2,1\n3,1\n", None), "index 2"),
+    "threshold nan": (
+        lambda d: (["monitor", "--input", _walk(d / "w.csv", np.zeros(5)), "--h", "5",
+                    "--threshold", "nan"], None, None), "threshold must be finite, got nan"),
+    "threshold inf": (
+        lambda d: (["monitor", "--input", "-", "--h", "5", "--threshold", "inf", "--horizon", "5"],
+                   "1,0\n", None), "threshold must be finite, got inf"),
+    "coverage zeta inf": (
+        lambda d: (["coverage", "--zeta", "inf", "--n", "100", "--reps", "100"], None, None),
+        "bandwidth must be positive and finite, got 0.0"),
+    "optkernel c nan": (lambda d: (["optkernel", "--m0", "step", "--c", "nan"], None, None),
+                        "the threshold c must not be NaN"),
     "coverage zeta 0": (
         lambda d: (["coverage", "--zeta", "0", "--n", "100", "--reps", "100"], None, None),
         "'--zeta'"),

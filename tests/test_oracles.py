@@ -315,16 +315,18 @@ def test_iid_rows_match_the_per_seed_draws(sigma, n, rows, seed):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    garch=st.booleans(),
+    family=st.sampled_from(["iid_normal", "garch11", "ar1"]),
     N=st.integers(2, 120),
     start=st.integers(0, 50),
     cuts=st.lists(st.integers(1, 299), max_size=4),
     rows=st.integers(1, 300),
     key=st.sampled_from([(), (1,)]),
 )
-def test_null_walks_do_not_depend_on_the_chunking(garch, N, start, cuts, rows, key):
-    inno = dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1,
-                             garch_beta1=0.8) if garch else dw.InnovationSpec(sigma=0.7)
+def test_null_walks_do_not_depend_on_the_chunking(family, N, start, cuts, rows, key):
+    inno = {"iid_normal": dw.InnovationSpec(sigma=0.7),
+            "garch11": dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1,
+                                         garch_beta1=0.8),
+            "ar1": dw.InnovationSpec(family="ar1", sigma=1.3, ar_a=-0.6)}[family]
     stop = start + rows
     whole = _null_walks(inno, N, 5, start, stop, *key)
     bounds = sorted({start, stop, *(start + c for c in cuts if c < rows)})
