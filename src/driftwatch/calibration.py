@@ -11,6 +11,15 @@ Every routine runs its replicates through one chunk driver, ``_chunked``, and
 checks its threshold grid with ``_check_grid``.
 Each finite-sample replicate is the monitor's own ``monitor.chart`` at
 threshold +inf: the same statistic, delayed start and degenerate-index rule.
+Its rows are whole walks, so the smoother numerator is their causal
+convolution with the lag kernel by FFT (``estimator.causal_sums``).  It
+equals the monitor's banded numerator to about 1e-15 of its largest value,
+and the chart to about 1e-13 of a row's largest value (more where small
+early weight sums divide it).  The denominator is the monitor's exact
+weight sum, so a vanishing weight raises at the same index.  A chart value
+that the monitor computes as an exact 0 (a flat prefix without a variance
+method) may come out as a value of order 1e-17, so a stop at threshold 0
+can move there.
 """
 
 from __future__ import annotations
@@ -57,6 +66,16 @@ class FiniteSampleVariant:
     variance_method: str | None = None
     prerun_length: int | None = None
     start_fraction: float = 0.0
+
+    def __post_init__(self):
+        if not 1 <= self.N < np.inf:
+            raise ValueError(f"horizon N must be finite and >= 1, got {self.N!r}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.h!r}")
+        if not 0.0 <= self.start_fraction < 1.0:
+            raise ValueError(f"start_fraction must lie in [0, 1), got {self.start_fraction!r}")
+        if self.prerun_length is not None and not 0 <= self.prerun_length < np.inf:
+            raise ValueError(f"prerun_length must be finite and >= 0, got {self.prerun_length!r}")
 
     def resolved_prerun(self) -> int:
         if self.prerun_length is not None:
@@ -130,7 +149,7 @@ def _prerun_increments(variance_method: str | None, innovations: InnovationSpec,
 
 def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None) -> np.ndarray:
     """The chart of each unit-time row at threshold +inf, -inf where ineligible."""
-    num, den = _process_parts(np.arange(1.0, cfg.N + 1.0), values, cfg.smoother)
+    num, den = _process_parts(np.arange(1.0, cfg.N + 1.0), values, cfg.smoother, whole_rows=True)
     traj, eligible = chart(num, den, values, cfg, pre)
     return np.where(eligible, traj, -np.inf)
 
@@ -149,8 +168,8 @@ def _finite_trajectories(variant: FiniteSampleVariant, kernel: KernelSpec, seed:
 def _chunked(worker, reps: int, jobs: int, *head) -> list:
     """The one replicate driver: ``worker`` on payloads ``(*head, start, stop)`` that split
     replicates [0, reps) into chunks; results come back in chunk order for any ``jobs``."""
-    if reps < 100:
-        raise ValueError(f"reps must be >= 100, got {reps!r}")
+    if not 100 <= reps < np.inf:
+        raise ValueError(f"reps must be finite and >= 100, got {reps!r}")
     return run_chunked(worker, [(*head, a, b) for a, b in chunk_bounds(reps, _CHUNK)], jobs)
 
 

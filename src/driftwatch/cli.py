@@ -276,8 +276,15 @@ def calibrate(variant, n_obs, h, zeta, grid_m, kernel, c_min, c_max, c_points, r
     click.echo(f"wrote {len(grid)} rows to {out}", err=True)
 
 
+def _not_nan(ctx, param, value):
+    # a range check passes NaN, since every comparison with it is False
+    if value is not None and np.isnan(value):
+        raise click.BadParameter("must not be NaN")
+    return value
+
+
 @main.command()
-@click.option("--zeta", type=click.FloatRange(min=1.0), required=True)
+@click.option("--zeta", type=click.FloatRange(min=1.0), required=True, callback=_not_nan)
 @click.option("--n", "n_obs", type=int, required=True)
 @click.option("--h", type=float, default=None,
               help="Bandwidth; defaults to round(N / zeta).")

@@ -14,6 +14,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .kernels import KernelSpec
 from .seriesgen import TimeDesign, TimeSeries, design_times
@@ -21,6 +22,7 @@ from .seriesgen import TimeDesign, TimeSeries, design_times
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
 _ROW_BLOCK = 256  # anchors per block of the batch smoother
+_FFT_ROWS = 64  # rows per FFT batch: 17 MB transforms freed to the heap made peak RSS vary
 _EXACT = 2.0**53  # integers up to this magnitude, and their differences, are exact floats
 
 
@@ -190,7 +192,28 @@ def _unit_spaced(t: np.ndarray) -> bool:
             and np.array_equal(t, t[0] + np.arange(len(t))))
 
 
-def _process_parts(times, values, cfg: SmootherConfig):
+def causal_sums(rows, k) -> np.ndarray:
+    """Causal convolution of each row with the lag kernel ``k``.
+
+    Entry n of a row's result is sum_d k[d] row[n - d] over the lags d <= n,
+    for n in [0, N).  The sums are the first N columns of the full linear
+    convolution, taken by a real FFT of the next fast length from
+    N + len(k) - 1 on batches of ``_FFT_ROWS`` rows; a row's sums do not
+    depend on the rows that share its batch.  They carry FFT rounding, so an
+    exact zero sum may come out as a value of order 1e-17, and entry n picks
+    up rounding from the values after n.
+    """
+    rows = np.asarray(rows, dtype=float)
+    N = rows.shape[1]
+    L = fft.next_fast_len(N + max(len(k), 1) - 1, True)
+    k_hat, sums = fft.rfft(k, L), np.empty(rows.shape)
+    for a in range(0, len(rows), _FFT_ROWS):
+        conv = fft.irfft(fft.rfft(rows[a : a + _FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
+        sums[a : a + _FFT_ROWS] = conv[:, :N]
+    return sums
+
+
+def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = False):
     """Numerators/denominator of the process for a batch of series (rows).
 
     Returns ``(num, den)`` with ``num`` of shape (batch, N) and ``den`` of
@@ -202,19 +225,32 @@ def _process_parts(times, values, cfg: SmootherConfig):
     of the window, so the kernel is evaluated once per lag and each block's
     weights are a view of one ``_lag_rows`` template.  A fixed design is
     smoothed on its times ``design_times(design, N, N)`` (``_anchor_times``).
+
+    ``whole_rows=True`` says that every row is given to its horizon, so an
+    entry need not be computed from its prefix alone.  On unit-spaced times
+    the numerator is then the ``causal_sums`` of the rows with the lag
+    kernel, equal to the banded one up to FFT rounding; the denominator stays
+    the template's exact row sums, so vanishing weights are still exact zeros.
     """
     values = np.asarray(values, dtype=float)
     N = values.shape[1]
-    num = np.empty_like(values)
     den = np.empty(N)
     t = np.asarray(_anchor_times(times, cfg, N), dtype=float)
     template = None
     if (cfg.design is None or cfg.design.mode == "fixed") and _unit_spaced(t):
         template = _lag_rows(cfg, N, min(_ROW_BLOCK, N))
+    by_fft = whole_rows and template is not None
+    num = None if by_fft else np.empty_like(values)
     lo = 0
     for a in range(0, N, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, N)
         lo, W = _block_weights(t, a, b, cfg, template, lo)
         den[a:b] = W.sum(axis=1)
-        num[:, a:b] = values[:, lo:b] @ W.T
+        if not by_fft:
+            num[:, a:b] = values[:, lo:b] @ W.T
+    if by_fft:
+        # row 0 holds the kernel at the lags L-1, ..., 0 in its first L columns
+        k = template[0, : template.shape[1] - template.shape[0]][::-1].copy()
+        del template, W  # free the template before the transforms allocate
+        num = causal_sums(values, k)
     return num, den

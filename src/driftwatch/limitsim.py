@@ -17,7 +17,8 @@ by its design-transformed argument.
 
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
-points at once: through an FFT convolution for stationary kernel arguments,
+points at once: through the FFT causal convolution (``estimator.causal_sums``,
+which calibration's null charts share) for stationary kernel arguments,
 and through the batch smoother's row blocks under a design.  Below
 s_min = 4 / grid_M the discretization is too coarse to be meaningful and
 process values are NaN.
@@ -29,16 +30,14 @@ from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
-from scipy import fft
 from scipy.optimize import brentq
 
-from .estimator import SmootherConfig, _process_parts
+from .estimator import SmootherConfig, _process_parts, causal_sums
 from .kernels import KernelSpec, _quad, _window_integral, arg_breaks
 from .seriesgen import GenericAlternative, TimeDesign, seed_sequence, write_two_columns
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
 OVERFLOW_GUARD = 1e12
-_FFT_ROWS = 64  # paths per FFT batch: 17 MB transforms freed to the heap made peak RSS vary
 
 
 @dataclass(frozen=True)
@@ -178,13 +177,10 @@ def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if cfg.design is None:
         # k_d = K(-zeta d / M), d = 0..M: the weight at lag d
         k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
-        # the full linear convolution of each path with k, as scipy.signal.fftconvolve
-        # computes it (a real FFT of the next fast length from 2M + 1), bit for bit
-        L = fft.next_fast_len(2 * M + 1, True)
-        k_hat, sums = fft.rfft(k, L), np.empty((len(paths), M))
-        for a in range(0, len(paths), _FFT_ROWS):
-            conv = fft.irfft(fft.rfft(paths[a : a + _FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
-            sums[a : a + _FFT_ROWS] = conv[:, 1 : M + 1]
+        # the causal part of the linear convolution of each path with k, as
+        # scipy.signal.fftconvolve computes it (a real FFT of the next fast
+        # length from 2M + 1), bit for bit
+        sums = causal_sums(paths, k)[:, 1:]
         mass, w_0, w_s = np.cumsum(k)[1:], k[1:], k[0]
     else:
         h = M / cfg.zeta

@@ -153,8 +153,8 @@ def false_alarm_rate(
 
     Replicates where the variance estimator is undefined at n are skipped.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
+    if not 1 <= reps < math.inf:
+        raise ValueError(f"reps must be finite and >= 1, got {reps!r}")
     if not 1 <= n <= cfg.N:
         raise ValueError(f"need 1 <= n <= N, got n={n}")
     innovations = innovations or InnovationSpec()

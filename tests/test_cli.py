@@ -309,6 +309,9 @@ BAD_INPUTS = {
         "bandwidth must be positive and finite, got 0.0"),
     "optkernel c nan": (lambda d: (["optkernel", "--m0", "step", "--c", "nan"], None, None),
                         "the threshold c must not be NaN"),
+    "coverage zeta nan": (
+        lambda d: (["coverage", "--zeta", "nan", "--n", "100", "--reps", "100"], None, None),
+        "Invalid value for '--zeta': must not be NaN"),
     "coverage zeta 0": (
         lambda d: (["coverage", "--zeta", "0", "--n", "100", "--reps", "100"], None, None),
         "'--zeta'"),

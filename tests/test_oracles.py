@@ -18,7 +18,10 @@ its single-anchor weights, with their own window bisection and design
 placement, are the reference for the one-anchor block of the batch
 smoother's weight builder, bit for bit, start included.
 ``scipy.signal.fftconvolve`` is the reference for the stationary limit's
-direct real FFT, bit for bit.  The dense smoother, which
+direct real FFT, bit for bit.  The banded smoother and ``monitor.chart`` are
+the reference for calibration's null charts, whose numerator is an FFT
+(``causal_sums``): the same error at the same index, and chart values within
+a stated tolerance of the FFT's rounding.  The dense smoother, which
 weighted every record at every anchor, is the reference for the banded one;
 its weights are unchanged and only the summation order differs, so the two
 agree to a few ulps of the largest term and keep every exact zero.  The same
@@ -43,9 +46,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftwatch as dw
-from driftwatch.calibration import _brownian_paths, _null_walks
+from driftwatch.calibration import _brownian_paths, _null_charts, _null_walks
 from driftwatch.estimator import (
-    _anchor_times, _block_weights, _lag_rows, _process_parts, check_weights, scaling_factor,
+    _anchor_times, _block_weights, _lag_rows, _process_parts, causal_sums, check_weights,
+    scaling_factor,
 )
 from driftwatch.kernels import _quad, arg_breaks
 from driftwatch.limitsim import _num_den, _weight_breaks, _weight_fn
@@ -435,10 +439,86 @@ def test_chart_at_infinite_threshold_matches_calibration_builder(
         assert got.tobytes() == want.tobytes()
 
 
+# the kernels above, and a one-sided tabulated kernel with K(0) > 0
+_FFT_KERNELS = [*_KERNELS, dw.tabulated_kernel([-1.5, -0.5, 0.0], [0.0, 1.0, 0.5])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    N=st.sampled_from([1, 255, 256, 257, 600]) | st.integers(1, 40),
+    kernel=st.sampled_from(_FFT_KERNELS),
+    h=st.sampled_from([0.3, 1.0, 7.0, 40.0, 400.0]),
+    method=st.sampled_from([None, "naive", "rice", "gasser"]),
+    prerun=st.none() | st.integers(0, 12),
+    flat=st.sampled_from([0, 1, 3, 12, 250, 600]),
+    start_fraction=st.sampled_from([0.0, 0.1, 0.75]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# K(0) = 0 and h < 1/2: no weight anywhere, so the first eligible index raises
+@example(rows=2, N=257, kernel=_KERNELS[3], h=0.3, method=None, prerun=None, flat=0,
+         start_fraction=0.1, seed=1)
+# a flat prefix: the variance estimate is 0 at the first eligible index
+@example(rows=3, N=600, kernel=_KERNELS[0], h=40.0, method="naive", prerun=None, flat=12,
+         start_fraction=0.0, seed=2)
+# a flat prefix without a variance method: exact zeros in the banded chart
+@example(rows=1, N=256, kernel=_KERNELS[3], h=400.0, method=None, prerun=None, flat=250,
+         start_fraction=0.1, seed=3)
+def test_null_charts_match_the_banded_chart(rows, N, kernel, h, method, prerun, flat,
+                                            start_fraction, seed):
+    # as in the test above: the first `flat` increments of each row (and then the
+    # prerun's) are zero
+    rng = np.random.default_rng(seed)
+    inc = rng.standard_normal((rows, N))
+    inc[:, :flat] = 0.0
+    values = np.cumsum(inc, axis=1)
+    pre = None if prerun is None else rng.standard_normal((rows, prerun)) * (flat == 0)
+    smoother = dw.SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
+    cfg = dw.MonitorConfig(smoother, np.inf, N, start_fraction, method)
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother)
+
+    def banded():
+        traj, eligible = chart(num, den, values, cfg, pre)
+        return np.where(eligible, traj, -np.inf)
+
+    got, got_err = _outcome(lambda: _null_charts(values, cfg, pre))
+    want, want_err = _outcome(banded)
+    # vanishing weights and zero variance estimates raise at the same index
+    assert got_err == want_err
+    if want_err is not None:
+        return
+    eligible = want > -np.inf
+    assert np.array_equal(got > -np.inf, eligible)
+    # FFT rounding is absolute in the numerator: at most 1e-13 of the row's largest
+    # |value| times the kernel mass den.max(); the chart divides it by den (and by the
+    # square root of the variance estimate), as the chart of num = den shows
+    unit = chart(np.tile(den, (rows, 1)), den, values, cfg, pre)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tol = 1e-13 * np.abs(unit) * np.abs(values).max(axis=1, keepdims=True) * den.max() / den
+    assert np.all(np.abs(got[eligible] - want[eligible]) <= tol[eligible])
+
+
+@pytest.mark.parametrize("N, lags", [(1, 1), (1, 0), (255, 40), (256, 256), (257, 3),
+                                     (600, 600), (600, 1)])
+def test_causal_sums_of_a_row_do_not_depend_on_its_batch(N, lags):
+    rng = np.random.default_rng(N + lags)
+    rows = np.cumsum(rng.standard_normal((130, N)), axis=1)
+    k = rng.random(lags)
+    whole = causal_sums(rows, k)  # batches of 64 rows: 0-63, 64-127 and 128-129
+    for i in (0, 5, 63, 64, 100, 129):
+        assert causal_sums(rows[i : i + 1], k).tobytes() == whole[i].tobytes()
+    assert causal_sums(rows[50:67], k).tobytes() == whole[50:67].tobytes()
+    direct = np.array([np.convolve(row, k)[:N] if lags else np.zeros(N) for row in rows])
+    scale = np.abs(rows).max(axis=1, keepdims=True) * k.sum()
+    assert np.all(np.abs(whole - direct) <= 1e-13 * scale)
+
+
 def test_finite_calibration_rejects_a_start_fraction_the_monitor_rejects():
-    # the replicate chart is a MonitorConfig, so its start fraction is validated
-    variant = dw.FiniteSampleVariant(N=50, h=5.0, start_fraction=1.5)
+    # the variant checks its start fraction as MonitorConfig does, before any chunk runs
     with pytest.raises(ValueError, match="start_fraction"):
+        dw.MonitorConfig(dw.SmootherConfig(dw.gaussian_kernel(), 5.0), np.inf, 50, 1.5)
+    with pytest.raises(ValueError, match="start_fraction"):
+        variant = dw.FiniteSampleVariant(N=50, h=5.0, start_fraction=1.5)
         dw.arl_curve(variant, dw.gaussian_kernel(), np.array([0.1, 0.2]), 100, 1)
 
 

@@ -24,8 +24,12 @@ def test_batch_cost_runs():
     assert ms > 0.0
     # one kernel point per lag of the Gaussian's support window, h = N/10
     assert points == 81
+    # the FFT numerator takes its kernel from the same template
     ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1,
-                                 design=tool.LAYOUTS["rolling design"])
+                                 **tool.LAYOUTS["unit times, whole rows"])
+    assert ms > 0.0 and points == 81
+    ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1,
+                                 **tool.LAYOUTS["rolling design"])
     # one row block: every anchor's row reaches the block's last record
     assert ms > 0.0 and points == 100 * 100
 
