@@ -1,12 +1,13 @@
 """Sequential kernel-smoother monitoring of random walks for drift onset.
 
-Modules: ``kernels`` (smoothing kernels and weight integrals), ``seriesgen``
-(synthetic series, drift shapes, time designs), ``estimator`` (the one-sided
-Nadaraya-Watson smoother and scalings), ``variance`` (nuisance-variance
-estimators), ``monitor`` (stopping rules, intervals, streaming),
-``limitsim`` (Gaussian limit processes and limit stopping objects),
-``calibration`` (ARL curves, coverage, finite-vs-limit comparison),
-``optkernel`` (optimal delay and optimal kernel), ``cli`` (command line).
+Modules: ``kernels`` (smoothing kernels, weight sums, quadrature),
+``seriesgen`` (synthetic series, drift shapes, time designs), ``estimator``
+(the one-sided Nadaraya-Watson smoother and scalings), ``variance``
+(nuisance-variance estimators), ``monitor`` (stopping rules, intervals,
+streaming), ``limitsim`` (Gaussian limit processes, kernel-window integrals,
+limit stopping objects), ``calibration`` (ARL curves, coverage,
+finite-vs-limit comparison), ``optkernel`` (optimal delay and optimal
+kernel), ``cli`` (command line).
 """
 
 from .kernels import (
@@ -17,7 +18,6 @@ from .kernels import (
     gaussian_kernel,
     kernel_by_name,
     laplace_kernel,
-    limit_weight_integral,
     load_kernel_csv,
     tabulated_kernel,
     validate_kernel,
@@ -77,6 +77,7 @@ from .limitsim import (
     check_km_condition,
     drift_term,
     limit_stop_sample,
+    limit_weight_integral,
     null_limit_process,
     sample_bm,
     sigma_k_sq,

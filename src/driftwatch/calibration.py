@@ -24,6 +24,7 @@ can move there.
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
@@ -46,7 +47,6 @@ from .seriesgen import (
     substream, walk_rows,
 )
 from .variance import running_estimates
-from ._parallel import run_chunked, chunk_bounds
 
 _CHUNK = 512
 
@@ -154,15 +154,34 @@ def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None)
     return np.where(eligible, traj, -np.inf)
 
 
+def _variant_charts(variant: FiniteSampleVariant, kernel: KernelSpec, values: np.ndarray,
+                    seed: int, start: int, stop: int, key: int) -> np.ndarray:
+    """The variant's chart over the walk rows ``values`` of replicates [start, stop), -inf
+    where ineligible; its prerun draws from substream (seed, start + r, key)."""
+    smoother = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
+    cfg = MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, variant.variance_method)
+    pre = _prerun_increments(variant.variance_method, variant.innovations,
+                             variant.resolved_prerun(), seed, start, stop, key)
+    return _null_charts(values, cfg, pre)
+
+
 def _finite_trajectories(variant: FiniteSampleVariant, kernel: KernelSpec, seed: int,
                          start: int, stop: int) -> np.ndarray:
     """Eligible scaled (standardized) trajectories for replicates [start, stop)."""
-    smoother = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
-    cfg = MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, variant.variance_method)
     values = _null_walks(variant.innovations, variant.N, seed, start, stop)
-    pre = _prerun_increments(variant.variance_method, variant.innovations,
-                             variant.resolved_prerun(), seed, start, stop, 1)
-    return _null_charts(values, cfg, pre)
+    return _variant_charts(variant, kernel, values, seed, start, stop, 1)
+
+
+def chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
+    return [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
+
+
+def run_chunked(worker, payloads, jobs: int = 1) -> list:
+    """Apply ``worker`` to each payload, in order; fan out over worker processes when jobs > 1."""
+    if jobs is None or jobs <= 1 or len(payloads) <= 1:
+        return [worker(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(worker, payloads))
 
 
 def _chunked(worker, reps: int, jobs: int, *head) -> list:
@@ -364,15 +383,13 @@ def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop:
 
 
 def _coupled_chunk(payload):
-    N, h, kernel, c_grid, seed, refine, variance_method, start, stop = payload
-    cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=refine * N)
-    mcfg = MonitorConfig(SmootherConfig(kernel=kernel, h=h, scaling="null_scale"), np.inf, N,
-                         variance_method=variance_method)
+    variant, kernel, c_grid, seed, refine, start, stop = payload
+    N = variant.N
+    cfg = LimitConfig(zeta=N / variant.h, kernel=kernel, grid_M=refine * N)
 
     # finite side; the prerun draws from substream key 2, since the bridges below take key 1
-    values = _null_walks(InnovationSpec(), N, seed, start, stop)
-    pre = _prerun_increments(variance_method, InnovationSpec(), int(round(h)), seed, start, stop, 2)
-    traj = _null_charts(values, mcfg, pre)
+    values = _null_walks(variant.innovations, N, seed, start, stop)
+    traj = _variant_charts(variant, kernel, values, seed, start, stop, 2)
     fstops = _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
 
     # limit side: an exact Brownian path at resolution 1/grid_M around each walk
@@ -402,15 +419,17 @@ def conservativeness_check(
     ``min_grid``-point limit grid.
     """
     c_grid = _check_grid(c_grid)
+    if not np.isfinite(min_grid):
+        raise ValueError(f"min_grid must be finite, got {min_grid!r}")
     zeta = N / h
+    variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
     if coupled:
         refine = max(1, int(np.ceil(min_grid / N)))
         grid_M = refine * N
-        fchunks, lchunks = zip(*_chunked(_coupled_chunk, reps, jobs, N, h, kernel, c_grid, seed,
-                                         refine, variance_method))
+        fchunks, lchunks = zip(*_chunked(_coupled_chunk, reps, jobs, variant, kernel, c_grid,
+                                         seed, refine))
     else:
         grid_M = min_grid
-        variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
         cfg = LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M)
         fchunks = _chunked(_finite_chunk, reps, jobs, variant, kernel, c_grid, seed)
         lchunks = _chunked(_limit_chunk, reps, jobs, cfg, c_grid, seed, (3,))
@@ -453,12 +472,10 @@ def kernel_comparison_curves(
     if not candidates:
         raise ValueError("need at least one candidate kernel")
     names = _candidate_names(candidates)
-    curves = np.empty((len(candidates), grid_M))
-    crossings = np.empty(len(candidates))
-    for i, k in enumerate(candidates):
-        cfg = LimitConfig(zeta=zeta, kernel=k, grid_M=grid_M, drift=LimitDrift(m0, "cp1"))
-        curves[i] = _drift_curve(cfg)
-        crossings[i] = asymptotic_normed_delay(cfg, c)
+    cfgs = [LimitConfig(zeta=zeta, kernel=k, grid_M=grid_M, drift=LimitDrift(m0, "cp1"))
+            for k in candidates]
+    curves = np.array([_drift_curve(cfg) for cfg in cfgs])
+    crossings = np.array([asymptotic_normed_delay(cfg, c) for cfg in cfgs])
     best = names[int(np.argmin(crossings))]
     return KernelComparison(
         names=names,

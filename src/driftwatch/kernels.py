@@ -1,4 +1,4 @@
-"""Smoothing kernels: evaluation, rescaling, discrete weight sums and limit weight integrals.
+"""Smoothing kernels: evaluation, rescaling, discrete weight sums and quadrature.
 
 A kernel here is a Lipschitz-continuous probability density with mean zero
 and finite variance.  Built-in families: standard Gaussian, Epanechnikov
@@ -8,7 +8,8 @@ loaded from a two-column CSV (``z,k``) and are linearly interpolated.
 
 Unbounded families are truncated for quadrature and weight sums; the
 truncation radii are chosen so the discarded tail mass stays below 1e-14,
-which keeps the density/mean checks valid at their 1e-8 tolerance.
+which keeps the density/mean checks valid at their 1e-8 tolerance.  The
+limit layer's kernel-window integrals are ``limitsim.window_integral``.
 """
 
 from __future__ import annotations
@@ -245,34 +246,6 @@ def _quad(f, a, b, breakpoints=()) -> float:
     return val
 
 
-def arg_breaks(kernel: KernelSpec, zeta: float, s: float) -> list[float]:
-    """The r-values where K(zeta (r - s)) loses smoothness (quadrature panels)."""
-    return [s + z / zeta for z in kernel.breakpoints()]
-
-
-def _window_integral(kernel: KernelSpec, zeta: float, s: float, g=None) -> float:
-    """int_0^s K(zeta (r - s)) g(r) dr on the kernel's panels; g = 1 when omitted."""
-
-    def f(r):
-        k = kernel.evaluate(zeta * (r - s))
-        return k if g is None else k * g(r)
-
-    return _quad(f, 0.0, s, arg_breaks(kernel, zeta, s))
-
-
-def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
-    """Continuum weight mass zeta * int_0^s K(zeta (r - s)) dr.
-
-    This is the limit of ``weight_sum`` over an equidistant design 1..n at
-    t_now = n when n, h -> infinity with n/h -> zeta.
-    """
-    if not 1 <= zeta < np.inf:
-        raise ValueError(f"zeta must be finite and >= 1, got {zeta!r}")
-    if not 0 < s <= 1:
-        raise ValueError(f"s must lie in (0, 1], got {s!r}")
-    return zeta * _window_integral(kernel, zeta, s)
-
-
 def validate_kernel(kernel: KernelSpec, seed: int = 0, n_pairs: int = 256) -> dict:
     """Check the probability-density contract; raises ValueError on violation.
 
@@ -281,6 +254,8 @@ def validate_kernel(kernel: KernelSpec, seed: int = 0, n_pairs: int = 256) -> di
     Returns the measured quantities.  A tabulated kernel's moments are exact
     (Simpson's rule per knot interval); the others use adaptive quadrature.
     """
+    if not 0 <= n_pairs < np.inf:
+        raise ValueError(f"n_pairs must be finite and >= 0, got {n_pairs!r}")
     lo, hi = kernel.support
     if kernel.family == "tabulated":
         # Simpson's rule on each knot interval is exact for a piecewise-linear K times 1, z or z^2

@@ -15,6 +15,10 @@ is added (offset = zeta * theta under the fractional change-point model,
 0 under the fixed one).  Generalized time designs replace the kernel factor
 by its design-transformed argument.
 
+Every quadrature limit object integrates over one kernel window: the one
+design-aware ``window_integral`` gives int_0^s w(r) g(r) dr for the kernel
+factor w above (design-transformed under a design) and any g.
+
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
 points at once: through the FFT causal convolution (``estimator.causal_sums``,
@@ -33,7 +37,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .estimator import SmootherConfig, _process_parts, causal_sums
-from .kernels import KernelSpec, _quad, _window_integral, arg_breaks
+from .kernels import KernelSpec, _quad
 from .seriesgen import GenericAlternative, TimeDesign, seed_sequence, write_two_columns
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
@@ -102,8 +106,8 @@ def _bm_paths(grid_M: int, seeds) -> np.ndarray:
     The increments are drawn into the rows, scaled and summed in place: the
     rows are the only array the builder allocates.
     """
-    if grid_M < 1:
-        raise ValueError(f"grid_M must be >= 1, got {grid_M!r}")
+    if not 1 <= grid_M < np.inf:
+        raise ValueError(f"grid_M must be finite and >= 1, got {grid_M!r}")
     paths = np.zeros((len(seeds), grid_M + 1))
     inc = paths[:, 1:]
     for row, seed in zip(inc, seeds):
@@ -141,16 +145,36 @@ def _weight_fn(cfg: LimitConfig, s):
 
 
 def _weight_breaks(cfg: LimitConfig, s: float) -> list[float]:
-    # exact kernel kink locations exist in closed form only without a design
-    return [] if cfg.design is not None else arg_breaks(cfg.kernel, cfg.zeta, s)
+    # the r-values where K(zeta (r - s)) kinks; closed-form only without a design
+    return [] if cfg.design is not None else [s + z / cfg.zeta for z in cfg.kernel.breakpoints()]
+
+
+def window_integral(cfg: LimitConfig, s: float, g=None, breaks=()) -> float:
+    """int_0^s w(r) g(r) dr for the (design-transformed) kernel factor w, g = 1 when
+    omitted, on panels cut at the kernel's kinks and at ``breaks``, the kinks of g."""
+    w = _weight_fn(cfg, s)
+    f = w if g is None else lambda r: w(r) * g(r)
+    return _quad(f, 0.0, s, _weight_breaks(cfg, s) + list(breaks))
 
 
 def _weight_mass(cfg: LimitConfig, s: float) -> float:
     """int_0^s of the (design-transformed) kernel factor; raises if it is not positive."""
-    mass = _quad(_weight_fn(cfg, s), 0.0, s, _weight_breaks(cfg, s))
+    mass = window_integral(cfg, s)
     if mass <= 0.0:
         raise ValueError(f"weight mass vanishes at s = {s}")
     return mass
+
+
+def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
+    """Continuum weight mass zeta * int_0^s K(zeta (r - s)) dr.
+
+    This is the limit of ``kernels.weight_sum`` over an equidistant design
+    1..n at t_now = n when n, h -> infinity with n/h -> zeta.
+    """
+    cfg = LimitConfig(zeta=zeta, kernel=kernel)
+    if not 0 < s <= 1:
+        raise ValueError(f"s must lie in (0, 1], got {s!r}")
+    return zeta * window_integral(cfg, s)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +265,7 @@ def sigma_k_sq(cfg: LimitConfig, s: float) -> float:
     def inner(v: float) -> float:
         return _quad(lambda u: u * f(u), 0.0, v, breaks)
 
-    num = 2.0 * _quad(lambda v: f(v) * inner(v), 0.0, s, breaks)
+    num = 2.0 * window_integral(cfg, s, inner)
     den = cfg.zeta * _weight_mass(cfg, s)
     return num / den**2
 
@@ -299,10 +323,8 @@ def drift_term(cfg: LimitConfig, s: float) -> float:
         raise ValueError("drift_term needs a LimitConfig with a drift")
     if not 0.0 < s <= 1.0:
         raise ValueError(f"s must lie in (0, 1], got {s!r}")
-    f = _weight_fn(cfg, s)
     inner, inner_breaks = _drift_inner(cfg)
-    breaks = _weight_breaks(cfg, s) + inner_breaks
-    num = _quad(lambda r: f(r) * inner(r), 0.0, s, breaks)
+    num = window_integral(cfg, s, inner, inner_breaks)
     if not np.isfinite(num) or abs(num) > OVERFLOW_GUARD:
         raise ValueError("drift integrand is not integrable at this configuration")
     return num / (cfg.zeta**1.5 * _weight_mass(cfg, s))
@@ -343,13 +365,12 @@ def alt_limit_process(cfg: LimitConfig, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _first_crossing(values: np.ndarray, c: float, a: float, grid_M: int) -> float:
-    j0 = max(int(np.ceil(a * grid_M - 1e-9)), S_MIN_CELLS)
-    seg = values[j0 - 1 :]
-    exceed = seg > c  # NaN compares False
-    if np.any(exceed):
-        return (j0 + int(np.argmax(exceed))) / grid_M
-    return 1.0
+def _first_crossing(values: np.ndarray, c: float, a: float) -> int:
+    """The 1-based index j of the first value above c with j/M >= a, M = len(values), else 0;
+    NaN compares False, so the cells below s_min never cross."""
+    j0 = max(int(np.ceil(a * len(values) - 1e-9)), 1)
+    exceed = values[j0 - 1 :] > c
+    return j0 + int(np.argmax(exceed)) if np.any(exceed) else 0
 
 
 def limit_stop_sample(cfg: LimitConfig, c: float, a: float, seed) -> float:
@@ -357,7 +378,8 @@ def limit_stop_sample(cfg: LimitConfig, c: float, a: float, seed) -> float:
     if np.isnan(c) or not 0.0 <= a < 1.0:
         raise ValueError(f"need c not NaN and a in [0, 1), got c={c!r}, a={a!r}")
     vals = alt_limit_process(cfg, seed) if cfg.drift is not None else null_limit_process(cfg, seed)
-    return _first_crossing(vals, c, a, cfg.grid_M)
+    j = _first_crossing(vals, c, a)
+    return j / cfg.grid_M if j else 1.0
 
 
 def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float:
@@ -382,16 +404,11 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
         # exceeds already at the first eligible instant; the infimum is a
         return a
 
-    curve = _drift_curve(cfg)
-    j0 = max(int(np.ceil(a * M - 1e-9)), 1)
-    exceed = curve > c  # NaN compares False
-    exceed[: j0 - 1] = False
-    if np.any(exceed):
-        j = int(np.argmax(exceed)) + 1
-    elif g(1.0) > 0.0:
+    j = _first_crossing(_drift_curve(cfg), c, a)
+    if not j:
+        if not g(1.0) > 0.0:
+            return 1.0
         j = M  # crossing hides between the last grid cells
-    else:
-        return 1.0
     lo = max(floor, (j - 1) / M)
     hi = j / M
     # trapezoid vs quadrature discrepancies can shift the bracket by a cell
@@ -434,11 +451,14 @@ def check_km_condition(
     """
     if np.isnan(c) or not 0 < x_max < np.inf:
         raise ValueError(f"need c not NaN and 0 < x_max < inf, got c={c!r}, x_max={x_max!r}")
+    if not 0 <= n_grid < np.inf:
+        raise ValueError(f"n_grid must be finite and >= 0, got {n_grid!r}")
+    cfg = LimitConfig(zeta=1.0, kernel=kernel)
     xs = np.linspace(0.0, x_max, n_grid)
     vals = np.empty(n_grid)
     for i, x in enumerate(xs):
         try:
-            vals[i] = _window_integral(kernel, 1.0, x, m0.integral) if x != 0.0 else 0.0
+            vals[i] = window_integral(cfg, x, m0.integral) if x != 0.0 else 0.0
         except (ArithmeticError, RuntimeWarning):
             # a divergent integrand: Python float overflow, or numpy's overflow
             # warning when warnings are errors; anything else is a bug and propagates

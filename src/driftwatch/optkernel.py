@@ -21,8 +21,8 @@ from functools import cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import KernelSpec, _candidate_names, _quad, _window_integral, tabulated_kernel
-from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay
+from .kernels import KernelSpec, _candidate_names, _quad, tabulated_kernel
+from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay, window_integral
 from .seriesgen import GenericAlternative, write_two_columns
 
 SCAN_STEP = 1e-3
@@ -130,6 +130,8 @@ def optimal_kernel(
     t_max = float(zeta) if t_max is None else float(t_max)
     if not 0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
+    if not 0 <= n_points < np.inf:
+        raise ValueError(f"n_points must be finite and >= 0, got {n_points!r}")
     trunc = TruncatedAlternative(m0, t_max)
     s_star = optimal_delay(trunc, c)
     normalizer = 2.0 * _power_integral(trunc, t_max, 1)
@@ -160,8 +162,9 @@ def completed_kernel(sol: OptimalSolution) -> KernelSpec:
 
 def tau_ratio(kernel: KernelSpec, m0, zeta: float, s_star: float) -> float:
     """Detection functional int K(zeta(r-s*)) M0(r) dr / int K(zeta(r-s*)) dr."""
-    num = _window_integral(kernel, zeta, s_star, m0.integral)
-    den = _window_integral(kernel, zeta, s_star)
+    cfg = LimitConfig(zeta=zeta, kernel=kernel)
+    num = window_integral(cfg, s_star, m0.integral)
+    den = window_integral(cfg, s_star)
     if den <= 0.0:
         raise ValueError("kernel places no mass on the averaging window")
     return num / den

@@ -368,6 +368,8 @@ def draw_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
     stationary regime before the returned draws start.  The one-row case of
     ``innovation_rows``.
     """
+    if not 0 <= n < np.inf:
+        raise ValueError(f"n must be finite and >= 0, got {n!r}")
     return innovation_rows(spec, n, [seed])[0]
 
 

@@ -65,8 +65,9 @@ def min_sample(method: str) -> int:
 
 def _scalar(series: TimeSeries, n: int | None, method: str) -> float:
     n = len(series) if n is None else n
-    if n < min_sample(method):
-        raise ValueError(f"{method} variance needs n >= {min_sample(method)}, got {n}")
+    if not min_sample(method) <= n <= len(series):
+        raise ValueError(
+            f"{method} variance needs {min_sample(method)} <= n <= {len(series)}, got {n}")
     return float(running_estimates(series.values[:n], method)[n - 1])
 
 

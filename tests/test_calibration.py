@@ -63,6 +63,16 @@ def test_uncoupled_finite_side_is_the_finite_arl_curve(method):
     assert list(rep.meta) == ["N", "h", "zeta", "kernel", "reps", "seed", "coupled", "grid_M"]
 
 
+@pytest.mark.parametrize("N, h", [(60, 20.0), (50, 7.5)])
+def test_coupled_finite_side_is_the_finite_arl_curve(N, h):
+    # without a variance method the coupled chunk's finite side is the chart that
+    # arl_curve computes over the same walks, so the curves agree bit for bit
+    grid = np.linspace(0.05, 0.5, 5)
+    rep = dw.conservativeness_check(N, h, G, grid, 600, 7, variance_method=None, min_grid=256)
+    table = dw.arl_curve(dw.FiniteSampleVariant(N, h), G, grid, 600, 7)
+    assert rep.finite_arl.tobytes() == table.normed_arl.tobytes()
+
+
 def test_limit_curve_stable_across_seeds():
     cfg = dw.LimitConfig(zeta=3.0, kernel=G, grid_M=1024)
     grid = np.linspace(0.05, 0.6, 6)

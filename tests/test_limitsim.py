@@ -11,6 +11,7 @@ from scipy.stats import norm
 
 import driftwatch as dw
 from driftwatch import limitsim
+from driftwatch.calibration import _limit_stops
 from driftwatch.limitsim import _batch_null_values, _bm_paths, _drift_curve
 
 G = dw.gaussian_kernel()
@@ -221,6 +222,16 @@ def test_limit_stop_sample_extremes():
     assert dw.limit_stop_sample(cfg, 1e9, 0.0, 5) == 1.0
     got = dw.limit_stop_sample(cfg, -1e9, 0.5, 5)
     assert 0.5 <= got <= 0.5 + 1.0 / 256 + 1e-12
+
+
+@pytest.mark.parametrize("c", [-1e9, 0.0, 0.3, 1e9])
+def test_limit_stop_sample_is_the_calibration_stop(c):
+    # one grid-crossing rule: a sampled stop is calibration's stop of the same path
+    cfg = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=256)
+    for i in range(10):
+        seed = dw.substream(41, i)
+        stop = _limit_stops(_batch_null_values(cfg, [seed]), np.array([c]), cfg)[0, 0]
+        assert np.float64(dw.limit_stop_sample(cfg, c, 0.0, seed)).tobytes() == stop.tobytes()
 
 
 def test_limit_stop_sample_monotone_in_threshold():

@@ -134,6 +134,14 @@ def test_tau_identity_for_completed_kernel():
     assert tau == pytest.approx(delay_ratio_oracle(trunc, sol.s_star), abs=1e-5)
 
 
+def test_tau_ratio_rejects_zeta_below_one_as_every_limit_object():
+    with pytest.raises(ValueError) as tau:
+        tau_ratio(dw.gaussian_kernel(), STEP, 0.5, 0.5)
+    with pytest.raises(ValueError) as cfg:
+        dw.LimitConfig(zeta=0.5, kernel=dw.gaussian_kernel())
+    assert str(tau.value) == str(cfg.value)
+
+
 def test_cauchy_schwarz_bound():
     # tau(K) <= sqrt(int K^2) sqrt(int M0^2) / int K on [0, s*]
     sol = dw.optimal_kernel(STEP, 1.0, 0.2, t_max=1.0)

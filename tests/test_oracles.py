@@ -51,8 +51,8 @@ from driftwatch.estimator import (
     _anchor_times, _block_weights, _lag_rows, _process_parts, causal_sums, check_weights,
     scaling_factor,
 )
-from driftwatch.kernels import _quad, arg_breaks
-from driftwatch.limitsim import _num_den, _weight_breaks, _weight_fn
+from driftwatch.kernels import _quad
+from driftwatch.limitsim import _num_den, _weight_fn
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
 from driftwatch.seriesgen import (
@@ -1154,12 +1154,18 @@ def test_scalar_drift_integral_matches_one_element_array(name, x, t_max, as_nump
 
 
 # The integrands below are the ones the float branches replaced: each point
-# went through a 0-d array, which takes the array branch.
+# went through a 0-d array, which takes the array branch.  They keep their own
+# copy of the kernel's kinks in r, so they do not lean on the panels of the
+# code under test.
+
+
+def _kinks(kernel, zeta, s):
+    return [s + z / zeta for z in kernel.breakpoints()]
 
 
 def limit_weight_integral_reference(kernel, zeta, s):
     val = _quad(lambda r: kernel.evaluate(np.asarray(zeta * (r - s))), 0.0, s,
-                arg_breaks(kernel, zeta, s))
+                _kinks(kernel, zeta, s))
     return zeta * val
 
 
@@ -1169,7 +1175,7 @@ def _weight_reference(cfg, s):
 
 def sigma_k_sq_reference(cfg, s):
     f = _weight_reference(cfg, s)
-    breaks = _weight_breaks(cfg, s)
+    breaks = _kinks(cfg.kernel, cfg.zeta, s)
 
     def inner(v):
         return _quad(lambda u: u * f(u), 0.0, v, breaks)
@@ -1183,13 +1189,14 @@ def drift_term_reference(cfg, s):
     off = zeta * d.theta if d.cp_model == "cp2" else 0.0
     f = _weight_reference(cfg, s)
     inner = lambda r: d.m0.integral(zeta * np.asarray(r, dtype=float) - off)  # noqa: E731
-    breaks = _weight_breaks(cfg, s) + [(off + k) / zeta for k in d.m0.knots()]
-    num = _quad(lambda r: float(f(r)) * float(inner(r)), 0.0, s, breaks)
-    return num / (zeta**1.5 * _quad(f, 0.0, s, _weight_breaks(cfg, s)))
+    kinks = _kinks(cfg.kernel, zeta, s)
+    num = _quad(lambda r: float(f(r)) * float(inner(r)), 0.0, s,
+                kinks + [(off + k) / zeta for k in d.m0.knots()])
+    return num / (zeta**1.5 * _quad(f, 0.0, s, kinks))
 
 
 def tau_ratio_reference(kernel, m0, zeta, s_star):
-    breaks = arg_breaks(kernel, zeta, s_star)
+    breaks = _kinks(kernel, zeta, s_star)
     k = lambda r: float(kernel.evaluate(np.asarray(zeta * (r - s_star))))  # noqa: E731
     num = _quad(lambda r: k(r) * float(m0.integral(np.asarray(r))), 0.0, s_star, breaks)
     return num / _quad(k, 0.0, s_star, breaks)

@@ -74,6 +74,9 @@ def test_estimate_variance_dispatch():
     assert est.n_used == 5
     with pytest.raises(ValueError):
         dw.estimate_variance(s, "bogus")
+    # n past the series end is out of range, as in nw_estimate
+    with pytest.raises(ValueError, match="^rice variance needs 3 <= n <= 5, got 6$"):
+        dw.estimate_variance(s, "rice", 6)
 
 
 def test_nuisance_free():
