@@ -43,8 +43,8 @@ from .limitsim import (
 )
 from .monitor import MonitorConfig, chart
 from .seriesgen import (
-    GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, generate, innovation_rows,
-    substream, walk_rows,
+    GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, check_count, generate,
+    innovation_rows, substream, walk_rows,
 )
 from .variance import running_estimates
 
@@ -68,14 +68,13 @@ class FiniteSampleVariant:
     start_fraction: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.N < np.inf:
-            raise ValueError(f"horizon N must be finite and >= 1, got {self.N!r}")
+        check_count("horizon N", self.N, 1)
         if not 0 < self.h < np.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {self.h!r}")
         if not 0.0 <= self.start_fraction < 1.0:
             raise ValueError(f"start_fraction must lie in [0, 1), got {self.start_fraction!r}")
-        if self.prerun_length is not None and not 0 <= self.prerun_length < np.inf:
-            raise ValueError(f"prerun_length must be finite and >= 0, got {self.prerun_length!r}")
+        if self.prerun_length is not None:
+            check_count("prerun_length", self.prerun_length)
 
     def resolved_prerun(self) -> int:
         if self.prerun_length is not None:
@@ -187,8 +186,7 @@ def run_chunked(worker, payloads, jobs: int = 1) -> list:
 def _chunked(worker, reps: int, jobs: int, *head) -> list:
     """The one replicate driver: ``worker`` on payloads ``(*head, start, stop)`` that split
     replicates [0, reps) into chunks; results come back in chunk order for any ``jobs``."""
-    if not 100 <= reps < np.inf:
-        raise ValueError(f"reps must be finite and >= 100, got {reps!r}")
+    check_count("reps", reps, 100)
     return run_chunked(worker, [(*head, a, b) for a, b in chunk_bounds(reps, _CHUNK)], jobs)
 
 
@@ -325,6 +323,7 @@ def coverage_sim(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not 0 < h < np.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
+    check_count("horizon N", N, 1)
     zeta = N / h
     sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=zeta, kernel=kernel), 1.0)))
     counts = _chunked(_coverage_chunk, reps, jobs, N, h, kernel, alpha, seed, variance_method,
@@ -419,8 +418,7 @@ def conservativeness_check(
     ``min_grid``-point limit grid.
     """
     c_grid = _check_grid(c_grid)
-    if not np.isfinite(min_grid):
-        raise ValueError(f"min_grid must be finite, got {min_grid!r}")
+    check_count("min_grid", min_grid, -np.inf)
     zeta = N / h
     variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
     if coupled:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import fft
 
 from .kernels import KernelSpec
-from .seriesgen import TimeDesign, TimeSeries, design_times
+from .seriesgen import TimeDesign, TimeSeries, check_count, design_times
 
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
@@ -70,8 +70,7 @@ class SmootherConfig:
 
 
 def scaling_factor(cfg: SmootherConfig, N: int) -> float:
-    if not 1 <= N < np.inf:
-        raise ValueError(f"horizon must be finite and >= 1, got {N!r}")
+    check_count("horizon", N, 1)
     if cfg.scaling == "raw":
         return 1.0
     if cfg.scaling == "null_scale":
@@ -173,8 +172,7 @@ def _window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig,
 
 def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
     """Kernel-weighted mean of the first n observations, anchored at index n."""
-    if not 1 <= n <= len(series):
-        raise ValueError(f"need 1 <= n <= {len(series)}, got {n!r}")
+    check_count("n", n, 1, len(series))
     return _window_mean(_anchor_times(series.times, cfg, len(series)), series.values, n, cfg)[1]
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 
-from .seriesgen import _read_two_columns, write_two_columns
+from .seriesgen import _read_two_columns, check_count, write_two_columns
 
 # Tail mass beyond the radius must stay below 1e-14:
 # Gaussian: 2*Phi(-8) ~ 1.2e-15.  Laplace: exp(-sqrt(2)*24) ~ 1.8e-15.
@@ -254,8 +254,7 @@ def validate_kernel(kernel: KernelSpec, seed: int = 0, n_pairs: int = 256) -> di
     Returns the measured quantities.  A tabulated kernel's moments are exact
     (Simpson's rule per knot interval); the others use adaptive quadrature.
     """
-    if not 0 <= n_pairs < np.inf:
-        raise ValueError(f"n_pairs must be finite and >= 0, got {n_pairs!r}")
+    check_count("n_pairs", n_pairs)
     lo, hi = kernel.support
     if kernel.family == "tabulated":
         # Simpson's rule on each knot interval is exact for a piecewise-linear K times 1, z or z^2

@@ -38,7 +38,9 @@ from scipy.optimize import brentq
 
 from .estimator import SmootherConfig, _process_parts, causal_sums
 from .kernels import KernelSpec, _quad
-from .seriesgen import GenericAlternative, TimeDesign, seed_sequence, write_two_columns
+from .seriesgen import (
+    GenericAlternative, TimeDesign, check_count, seed_sequence, write_two_columns,
+)
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
 OVERFLOW_GUARD = 1e12
@@ -81,8 +83,7 @@ class LimitConfig:
             raise ValueError(f"zeta must be finite and >= 1, got {self.zeta!r}")
         if not 0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if not 64 <= self.grid_M < np.inf:
-            raise ValueError(f"grid_M must be >= 64, got {self.grid_M!r}")
+        check_count("grid_M", self.grid_M, 64)
         if self.design is not None and self.drift is not None:
             if self.design.mode == "rolling" and self.drift.cp_model != "cp1":
                 raise ValueError("rolling designs pair with the cp1 change-point model")
@@ -106,8 +107,7 @@ def _bm_paths(grid_M: int, seeds) -> np.ndarray:
     The increments are drawn into the rows, scaled and summed in place: the
     rows are the only array the builder allocates.
     """
-    if not 1 <= grid_M < np.inf:
-        raise ValueError(f"grid_M must be finite and >= 1, got {grid_M!r}")
+    check_count("grid_M", grid_M, 1)
     paths = np.zeros((len(seeds), grid_M + 1))
     inc = paths[:, 1:]
     for row, seed in zip(inc, seeds):
@@ -451,8 +451,7 @@ def check_km_condition(
     """
     if np.isnan(c) or not 0 < x_max < np.inf:
         raise ValueError(f"need c not NaN and 0 < x_max < inf, got c={c!r}, x_max={x_max!r}")
-    if not 0 <= n_grid < np.inf:
-        raise ValueError(f"n_grid must be finite and >= 0, got {n_grid!r}")
+    check_count("n_grid", n_grid)
     cfg = LimitConfig(zeta=1.0, kernel=kernel)
     xs = np.linspace(0.0, x_max, n_grid)
     vals = np.empty(n_grid)

@@ -22,7 +22,7 @@ from .estimator import (
     _EXACT, DriftwatchError, SmootherConfig, _anchor_times, _lag_rows, _process_parts,
     _window_mean, check_weights, nw_estimate, scaling_factor,
 )
-from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, generate, substream
+from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, substream
 from .variance import RunningVariance, check_variance, running_estimates, standardized
 
 MonitoringError = DriftwatchError
@@ -39,8 +39,7 @@ class MonitorConfig:
     def __post_init__(self):
         if not 0.0 <= self.start_fraction < 1.0:
             raise ValueError(f"start_fraction must lie in [0, 1), got {self.start_fraction!r}")
-        if not 1 <= self.N < math.inf:
-            raise ValueError(f"horizon must be finite and >= 1, got {self.N!r}")
+        check_count("horizon", self.N, 1)
         if math.isnan(self.threshold):  # +inf stays legal: calibration runs at +inf
             raise ValueError("threshold must not be NaN")
 
@@ -132,9 +131,10 @@ def confidence_interval(
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not math.isfinite(m_hat):
         raise ValueError(f"m_hat must be finite, got {m_hat!r}")
-    for name, v in (("sigma_k", sigma_k), ("sigma_hat", sigma_hat), ("h", h), ("N", N)):
+    for name, v in (("sigma_k", sigma_k), ("sigma_hat", sigma_hat), ("h", h)):
         if not 0 < v < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    check_count("N", N, 1)
     from scipy.stats import norm  # imported here: it is the module's only user
 
     z = norm.ppf(1.0 - alpha / 2.0)
@@ -153,10 +153,8 @@ def false_alarm_rate(
 
     Replicates where the variance estimator is undefined at n are skipped.
     """
-    if not 1 <= reps < math.inf:
-        raise ValueError(f"reps must be finite and >= 1, got {reps!r}")
-    if not 1 <= n <= cfg.N:
-        raise ValueError(f"need 1 <= n <= N, got n={n}")
+    check_count("reps", reps, 1)
+    check_count("n", n, 1, cfg.N)
     innovations = innovations or InnovationSpec()
     # the monitor's horizon places a fixed design; the first n values do not depend on it
     spec = SeriesSpec(N=max(cfg.N, 2), innovations=innovations)

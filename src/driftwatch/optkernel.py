@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from .kernels import KernelSpec, _candidate_names, _quad, tabulated_kernel
 from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay, window_integral
-from .seriesgen import GenericAlternative, write_two_columns
+from .seriesgen import GenericAlternative, check_count, write_two_columns
 
 SCAN_STEP = 1e-3
 DELAY_TOL = 1e-6
@@ -130,8 +130,7 @@ def optimal_kernel(
     t_max = float(zeta) if t_max is None else float(t_max)
     if not 0 < t_max < np.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    if not 0 <= n_points < np.inf:
-        raise ValueError(f"n_points must be finite and >= 0, got {n_points!r}")
+    check_count("n_points", n_points)
     trunc = TruncatedAlternative(m0, t_max)
     s_star = optimal_delay(trunc, c)
     normalizer = 2.0 * _power_integral(trunc, t_max, 1)

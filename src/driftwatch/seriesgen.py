@@ -102,18 +102,6 @@ class GenericAlternative:
         raise ValueError(f"unknown alternative {self.name!r}")
 
 
-def zero_alternative() -> GenericAlternative:
-    return GenericAlternative("zero")
-
-
-def step_alternative() -> GenericAlternative:
-    return GenericAlternative("step")
-
-
-def ramp_alternative() -> GenericAlternative:
-    return GenericAlternative("ramp")
-
-
 def tabulated_alternative(knots_t, knots_m) -> GenericAlternative:
     t = np.asarray(knots_t, dtype=float)
     m = np.asarray(knots_m, dtype=float)
@@ -131,20 +119,14 @@ def tabulated_alternative(knots_t, knots_m) -> GenericAlternative:
     return GenericAlternative("tabulated", knots_t=t, knots_m=m, _cum=cum)
 
 
-_ALTERNATIVES = {
-    "zero": zero_alternative,
-    "step": step_alternative,
-    "ramp": ramp_alternative,
-}
+_ALTERNATIVES = ("zero", "step", "ramp")
 
 
 def alternative_by_name(name: str) -> GenericAlternative:
-    try:
-        return _ALTERNATIVES[name]()
-    except KeyError:
+    if name not in _ALTERNATIVES:
         raise ValueError(
-            f"unknown alternative {name!r}; choose from {sorted(_ALTERNATIVES)} or load a CSV"
-        ) from None
+            f"unknown alternative {name!r}; choose from {sorted(_ALTERNATIVES)} or load a CSV")
+    return GenericAlternative(name)
 
 
 def load_alternative_csv(path) -> GenericAlternative:
@@ -155,6 +137,18 @@ def load_alternative_csv(path) -> GenericAlternative:
 # ---------------------------------------------------------------------------
 # drift / innovation / series specifications
 # ---------------------------------------------------------------------------
+
+
+def check_count(name: str, value, lo=0, hi=math.inf) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a whole number in [lo, hi].
+
+    The one check on integer parameters: NaN, ±inf and a non-integral float
+    such as 2.5 fail alike, where Python would raise TypeError or silently
+    truncate; an integral float such as 20.0 passes and is used as it is.
+    """
+    if not (lo <= value <= hi and math.isfinite(value) and value % 1 == 0):
+        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,8 +166,9 @@ class DriftSpec:
         if not (-1.0 < self.beta <= 0.0):
             raise ValueError(f"beta must lie in (-1, 0], got {self.beta!r}")
         if self.cp_model == "cp1":
-            if self.q is None or not 1 <= self.q < math.inf:
+            if self.q is None:
                 raise ValueError("cp1 needs a positive integer q")
+            check_count("q", self.q, 1)
         elif self.cp_model == "cp2":
             if self.theta is None or not (0.0 < self.theta < 1.0):
                 raise ValueError("cp2 needs theta in (0, 1)")
@@ -305,8 +300,8 @@ def design_times(design: TimeDesign, n: int, horizon: int) -> np.ndarray:
     Rolling mode: t_{n,i} = n F^{-1}(i/n), i = 1..n.  Fixed mode: the first
     n entries of t_{N,i} = N F^{-1}(i/N).  Snapped if the design asks for it.
     """
-    if not 1 <= n <= horizon:
-        raise ValueError(f"need 1 <= n <= horizon, got n={n}, horizon={horizon}")
+    check_count("horizon", horizon, 1)
+    check_count("n", n, 1, horizon)
     i = np.arange(1, n + 1)
     m = n if design.mode == "rolling" else horizon
     return design.snap(m * design.ft_inverse(i / m))
@@ -319,8 +314,7 @@ def design_times(design: TimeDesign, n: int, horizon: int) -> np.ndarray:
 
 def change_point_index(drift: DriftSpec, horizon: int) -> float:
     """Change time t_q: the fixed q under cp1, floor(N * theta) under cp2."""
-    if not 1 <= horizon < math.inf:
-        raise ValueError(f"horizon must be finite and >= 1, got {horizon!r}")
+    check_count("horizon", horizon, 1)
     if drift.cp_model == "cp1":
         return float(drift.q)
     return float(np.floor(horizon * drift.theta))
@@ -347,8 +341,7 @@ class SeriesSpec:
     design: TimeDesign | None = None
 
     def __post_init__(self):
-        if not 2 <= self.N < math.inf:
-            raise ValueError(f"N must be finite and >= 2, got {self.N!r}")
+        check_count("N", self.N, 2)
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
@@ -368,8 +361,7 @@ def draw_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
     stationary regime before the returned draws start.  The one-row case of
     ``innovation_rows``.
     """
-    if not 0 <= n < np.inf:
-        raise ValueError(f"n must be finite and >= 0, got {n!r}")
+    check_count("n", n)
     return innovation_rows(spec, n, [seed])[0]
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimator import DriftwatchError
-from .seriesgen import TimeSeries
+from .seriesgen import TimeSeries, check_count
 
 DegenerateVarianceError = DriftwatchError
 
@@ -68,6 +68,7 @@ def _scalar(series: TimeSeries, n: int | None, method: str) -> float:
     if not min_sample(method) <= n <= len(series):
         raise ValueError(
             f"{method} variance needs {min_sample(method)} <= n <= {len(series)}, got {n}")
+    check_count("n", n)
     return float(running_estimates(series.values[:n], method)[n - 1])
 
 

@@ -1,4 +1,5 @@
-"""Every name a module under ``src/driftwatch/`` imports is referenced in it.
+"""Every name a module under ``src/driftwatch/`` or a script under ``tools/``
+imports is referenced in it.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library.  ``__init__.py`` is exempt: its
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "driftwatch"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "driftwatch"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +38,6 @@ def test_unused_import_is_found():
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

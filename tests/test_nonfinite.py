@@ -4,10 +4,11 @@ Each numeric parameter of the public constructors and entry points gets NaN,
 +inf and -inf in turn, and each array parameter an empty array and arrays
 ending in those values.  Every call must raise ValueError or return a result
 whose numbers are all finite (a constructor's result is its fields).
-Integer parameters are no exception: their own checks reject a non-finite
+Integer parameters are no exception: one count check rejects a non-finite
 value with ValueError, before Python would raise TypeError or OverflowError
-where a float stands for an integer.  ``EXEMPT`` lists what the rule does not
-cover, each with its reason.
+where a float stands for an integer, and so it does a non-integral float (the
+valid value + 0.5), which Python would reject deep inside or truncate.
+``EXEMPT`` lists what the rule does not cover, each with its reason.
 """
 
 import dataclasses
@@ -111,8 +112,8 @@ TABLE = {
     "FiniteSampleVariant": (dw.FiniteSampleVariant, dict(N=20, h=5.0, prerun_length=5,
                                                          start_fraction=0.1),
                             ["h", "start_fraction"], ["N", "prerun_length"], []),
-    "arl_curve of a FiniteSampleVariant": (_variant_curve, {}, ["h", "start_fraction"],
-                                           ["N", "prerun_length"], []),
+    "arl_curve of a FiniteSampleVariant": (_variant_curve, dict(N=20, prerun_length=5),
+                                           ["h", "start_fraction"], ["N", "prerun_length"], []),
     "arl_curve finite": (
         lambda c_grid, reps: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, c_grid, reps, 1),
         dict(c_grid=[0.1, 0.5], reps=100), [], ["reps"], ["c_grid"]),
@@ -196,6 +197,14 @@ def test_non_finite_input_raises_or_gives_a_finite_result(name):
         if not _finite(result):
             failures.append(f"{param}={label} gave {result!r}")
     assert not failures, failures
+
+
+@pytest.mark.parametrize("name", [name for name, row in TABLE.items() if row[3]])
+def test_a_non_integral_count_is_rejected(name):
+    call, base, _, ints, _ = TABLE[name]
+    for param in ints:
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(**{**base, param: base[param] + 0.5})
 
 
 NAN_THRESHOLD = {

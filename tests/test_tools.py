@@ -1,4 +1,5 @@
-"""The cost scripts under ``tools/`` still run: each measuring function at tiny sizes."""
+"""The layer-cost harness ``tools/cost.py`` still runs: each measuring function at tiny
+sizes, and its command line rejects out-of-range options."""
 
 import importlib.util
 import os
@@ -7,37 +8,38 @@ from unittest import mock
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+COST = Path(__file__).resolve().parent.parent / "tools" / "cost.py"
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"tools_{name}", TOOLS / f"{name}.py")
+def _load():
+    spec = importlib.util.spec_from_file_location("tools_cost", COST)
     module = importlib.util.module_from_spec(spec)
-    with mock.patch.dict(os.environ):  # the scripts pin BLAS threads for their own process
+    with mock.patch.dict(os.environ):  # the script pins BLAS threads for its own process
         spec.loader.exec_module(module)
     return module
 
 
+tool = _load()
+
+
 def test_batch_cost_runs():
-    tool = _load("batch_cost")
     ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1)
     assert ms > 0.0
     # one kernel point per lag of the Gaussian's support window, h = N/10
     assert points == 81
     # the FFT numerator takes its kernel from the same template
     ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1,
-                                 **tool.LAYOUTS["unit times, whole rows"])
+                                 **tool.BATCH_LAYOUTS["unit times, whole rows"])
     assert ms > 0.0 and points == 81
     ms, points = tool.batch_cost(N=100, rows=2, repeats=1, seed=1,
-                                 **tool.LAYOUTS["rolling design"])
+                                 **tool.BATCH_LAYOUTS["rolling design"])
     # one row block: every anchor's row reaches the block's last record
     assert ms > 0.0 and points == 100 * 100
 
 
 def test_stream_cost_runs():
-    tool = _load("stream_cost")
     points = {}
-    for layout, (h, design, irregular) in tool.LAYOUTS.items():
+    for layout, (h, design, irregular) in tool.STREAM_LAYOUTS.items():
         cost, points[layout] = tool.per_update_us([20, 60], window=10, seed=1, h=h,
                                                   design=design, irregular=irregular)
         assert sorted(cost) == [20, 60] and all(v > 0.0 for v in cost.values())
@@ -48,24 +50,41 @@ def test_stream_cost_runs():
 
 
 def test_limit_cost_runs():
-    cost = _load("limit_cost").limit_cost(paths=4, grid_M=64, repeats=1, seed=1)
+    cost = tool.limit_cost(paths=4, grid_M=64, repeats=1, seed=1)
     assert list(cost) == ["path sampling", "FFT num/den", "stop extraction"]
     assert all(ms > 0.0 for ms in cost.values())
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_quad_cost_runs():
-    tool = _load("quad_cost")
-    cases = tool.cases(zetas=(2.0,), table_kernels=("gaussian",), grid_M=64)
+    cases = tool.quad_cases(zetas=(2.0,), table_kernels=("gaussian",), grid_M=64)
     assert len(cases) == 3
     for fn in cases.values():
         ms, calls, evaluations = tool.quad_cost(fn, repeats=1)
         assert ms > 0.0 and calls > 0 and evaluations > 0
+    assert tool.kernels.integrate is tool.integrate  # the counter is off
 
 
 def test_draw_cost_runs():
-    tool = _load("draw_cost")
-    assert list(tool.CASES) == ["iid", "garch11"]
-    cases = {name: (innovations, 3, 20) for name, (innovations, _, _) in tool.CASES.items()}
+    assert list(tool.DRAW_CASES) == ["iid", "garch11"]
+    cases = {name: (innovations, 3, 20) for name, (innovations, _, _) in tool.DRAW_CASES.items()}
     cost = tool.draw_cost(cases, repeats=1, seed=1)
     assert list(cost) == ["iid", "garch11"] and all(ms > 0.0 for ms in cost.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "--rows", "0"],
+    ["batch", "--repeats", "0"],
+    ["stream", "--window", "0"],
+    ["stream", "--sizes", "50,100", "--window", "51"],
+    ["limit", "--paths", "0"],
+    ["limit", "--repeats", "0"],
+    ["limit", "--grid-m", "63"],
+    ["quad", "--repeats", "0"],
+    ["draw", "--repeats", "0"],
+], ids=" ".join)
+def test_out_of_range_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        tool.main(argv)
+    assert exit_.value.code == 2
+    assert "must" in capsys.readouterr().err
