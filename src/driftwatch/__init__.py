@@ -6,8 +6,8 @@ Modules: ``kernels`` (smoothing kernels, weight sums, quadrature),
 (nuisance-variance estimators), ``monitor`` (stopping rules, intervals,
 streaming), ``limitsim`` (Gaussian limit processes, kernel-window integrals,
 limit stopping objects), ``calibration`` (ARL curves, coverage,
-finite-vs-limit comparison), ``optkernel`` (optimal delay and optimal
-kernel), ``cli`` (command line).
+finite-vs-limit comparison), ``optkernel`` (optimal delay, optimal kernel and
+candidate-kernel comparison), ``cli`` (command line).
 """
 
 from .kernels import (
@@ -86,17 +86,17 @@ from .calibration import (
     CalibrationTable,
     ConservativenessReport,
     FiniteSampleVariant,
-    KernelComparison,
     arl_curve,
     conservativeness_check,
     coverage_sim,
     critical_value_for_arl,
-    kernel_comparison_curves,
 )
 from .optkernel import (
+    KernelComparison,
     OptimalSolution,
     OptimalityReport,
     completed_kernel,
+    kernel_comparison_curves,
     optimal_delay,
     optimal_kernel,
     save_solution_csv,

@@ -1,6 +1,5 @@
 """Monte Carlo calibration: normed-ARL curves, threshold selection, coverage
-experiments, finite-sample vs. asymptotic comparison, and finite-candidate
-kernel comparison.
+experiments and the finite-sample vs. asymptotic comparison.
 
 All replicate loops draw from hash-derived substreams (master seed,
 replicate index), so results are independent of chunking and worker count.
@@ -31,22 +30,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
-from .kernels import KernelSpec, _candidate_names
-from .limitsim import (
-    LimitConfig,
-    LimitDrift,
-    _batch_null_values,
-    _drift_curve,
-    _null_values,
-    asymptotic_normed_delay,
-    sigma_k_sq,
-)
+from .kernels import KernelSpec
+from .limitsim import LimitConfig, _batch_null_values, _drift_curve, _null_values, sigma_k_sq
 from .monitor import MonitorConfig, chart
 from .seriesgen import (
-    GenericAlternative, InnovationSpec, SeriesSpec, TimeSeries, check_count, generate,
-    innovation_rows, substream, walk_rows,
+    InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, innovation_rows, substream,
+    walk_rows,
 )
-from .variance import running_estimates
+from .variance import min_sample, running_estimates
 
 _CHUNK = 512
 
@@ -75,6 +66,8 @@ class FiniteSampleVariant:
             raise ValueError(f"start_fraction must lie in [0, 1), got {self.start_fraction!r}")
         if self.prerun_length is not None:
             check_count("prerun_length", self.prerun_length)
+        if self.variance_method is not None:
+            min_sample(self.variance_method)  # raises on an unknown method
 
     def resolved_prerun(self) -> int:
         if self.prerun_length is not None:
@@ -137,13 +130,14 @@ def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop
     return np.array([generate(spec, s).values for s in seeds])
 
 
-def _prerun_increments(variance_method: str | None, innovations: InnovationSpec, length: int,
-                       seed: int, start: int, stop: int, key: int) -> np.ndarray | None:
-    """Increments of the null prerun rows (substream (seed, start + r, key)) that seed the
-    variance estimator; None without a variance method or below two observations."""
-    if variance_method is None or length < 2:
+def _prerun_increments(variant: FiniteSampleVariant, seed: int, start: int, stop: int,
+                       key: int) -> np.ndarray | None:
+    """Increments of the variant's null prerun rows (substream (seed, start + r, key)) that
+    seed its variance estimator; None without a variance method or below two observations."""
+    length = variant.resolved_prerun()
+    if variant.variance_method is None or length < 2:
         return None
-    return np.diff(_null_walks(innovations, length, seed, start, stop, key), axis=1)
+    return np.diff(_null_walks(variant.innovations, length, seed, start, stop, key), axis=1)
 
 
 def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None) -> np.ndarray:
@@ -159,20 +153,7 @@ def _variant_charts(variant: FiniteSampleVariant, kernel: KernelSpec, values: np
     where ineligible; its prerun draws from substream (seed, start + r, key)."""
     smoother = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
     cfg = MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, variant.variance_method)
-    pre = _prerun_increments(variant.variance_method, variant.innovations,
-                             variant.resolved_prerun(), seed, start, stop, key)
-    return _null_charts(values, cfg, pre)
-
-
-def _finite_trajectories(variant: FiniteSampleVariant, kernel: KernelSpec, seed: int,
-                         start: int, stop: int) -> np.ndarray:
-    """Eligible scaled (standardized) trajectories for replicates [start, stop)."""
-    values = _null_walks(variant.innovations, variant.N, seed, start, stop)
-    return _variant_charts(variant, kernel, values, seed, start, stop, 1)
-
-
-def chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
-    return [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
+    return _null_charts(values, cfg, _prerun_increments(variant, seed, start, stop, key))
 
 
 def run_chunked(worker, payloads, jobs: int = 1) -> list:
@@ -185,9 +166,13 @@ def run_chunked(worker, payloads, jobs: int = 1) -> list:
 
 def _chunked(worker, reps: int, jobs: int, *head) -> list:
     """The one replicate driver: ``worker`` on payloads ``(*head, start, stop)`` that split
-    replicates [0, reps) into chunks; results come back in chunk order for any ``jobs``."""
+    replicates [0, reps) into chunks; results come back in chunk order for any ``jobs``
+    (None or an integer <= 1 runs them in this process)."""
     check_count("reps", reps, 100)
-    return run_chunked(worker, [(*head, a, b) for a, b in chunk_bounds(reps, _CHUNK)], jobs)
+    if jobs is not None:
+        check_count("jobs", jobs, -np.inf)
+    payloads = [(*head, a, min(a + _CHUNK, reps)) for a in range(0, reps, _CHUNK)]
+    return run_chunked(worker, payloads, jobs)
 
 
 def _mean_stops(chunks) -> np.ndarray:
@@ -205,9 +190,11 @@ def _check_grid(c_grid) -> np.ndarray:
 
 
 def _finite_chunk(payload) -> np.ndarray:
+    """Stops of the variant's eligible charts for replicates [start, stop) on ``c_grid``."""
     variant, kernel, c_grid, seed, start, stop = payload
-    traj = _finite_trajectories(variant, kernel, seed, start, stop)
     N = variant.N
+    values = _null_walks(variant.innovations, N, seed, start, stop)
+    traj = _variant_charts(variant, kernel, values, seed, start, stop, 1)
     return _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
 
 
@@ -282,21 +269,21 @@ def critical_value_for_arl(table: CalibrationTable, target_normed_arl: float) ->
 
 
 def _coverage_chunk(payload) -> int:
-    N, h, kernel, alpha, seed, variance_method, sigma, sk, start, stop = payload
-    cfg = SmootherConfig(kernel=kernel, h=h, scaling="null_scale")
+    variant, kernel, alpha, sk, seed, start, stop = payload
+    N, method = variant.N, variant.variance_method
+    cfg = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
     scale = scaling_factor(cfg, N)
     from scipy.stats import norm  # imported here: it is the module's only user
 
     z = norm.ppf(1.0 - alpha / 2.0)
-    inno = InnovationSpec(sigma=sigma)
-    values = _null_walks(inno, N, seed, start, stop)
+    values = _null_walks(variant.innovations, N, seed, start, stop)
     times = np.arange(1.0, N + 1.0)
     stats = np.array([nw_estimate(TimeSeries(times, y), cfg, N) for y in values]) * scale
-    if variance_method is None:
-        sig_hat = sigma
+    if method is None:
+        sig_hat = variant.innovations.sigma
     else:
-        pre = _prerun_increments(variance_method, inno, max(int(round(h)), 2), seed, start, stop, 1)
-        sig_hat = np.sqrt(running_estimates(values, variance_method, pre)[:, N - 1])
+        pre = _prerun_increments(variant, seed, start, stop, 1)
+        sig_hat = np.sqrt(running_estimates(values, method, pre)[:, N - 1])
     return int(np.count_nonzero(np.abs(stats) <= z * sk * sig_hat))
 
 
@@ -321,13 +308,10 @@ def coverage_sim(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if not 0 < h < np.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
-    check_count("horizon N", N, 1)
-    zeta = N / h
-    sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=zeta, kernel=kernel), 1.0)))
-    counts = _chunked(_coverage_chunk, reps, jobs, N, h, kernel, alpha, seed, variance_method,
-                      sigma, sk)
+    variant = FiniteSampleVariant(N, h, InnovationSpec(sigma=sigma), variance_method)
+    variant = replace(variant, prerun_length=max(int(round(h)), 2))  # h is checked by now
+    sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=N / h, kernel=kernel), 1.0)))
+    counts = _chunked(_coverage_chunk, reps, jobs, variant, kernel, alpha, sk, seed)
     return sum(counts) / reps
 
 
@@ -419,8 +403,8 @@ def conservativeness_check(
     """
     c_grid = _check_grid(c_grid)
     check_count("min_grid", min_grid, -np.inf)
-    zeta = N / h
     variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
+    zeta = N / h
     if coupled:
         refine = max(1, int(np.ceil(min_grid / N)))
         grid_M = refine * N
@@ -437,48 +421,4 @@ def conservativeness_check(
         limit_arl=_mean_stops(lchunks),
         meta={"N": N, "h": h, "zeta": zeta, "kernel": kernel.family,
               "reps": reps, "seed": seed, "coupled": bool(coupled), "grid_M": grid_M},
-    )
-
-
-# ---------------------------------------------------------------------------
-# finite-candidate kernel comparison
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class KernelComparison:
-    names: list[str]
-    crossings: np.ndarray
-    s_grid: np.ndarray
-    curves: np.ndarray  # one drift curve per candidate row
-    best: str
-
-
-def kernel_comparison_curves(
-    candidates: list[KernelSpec],
-    m0: GenericAlternative,
-    zeta: float,
-    c: float,
-    grid_M: int = 2048,
-) -> KernelComparison:
-    """Drift-term curves and first threshold crossings per candidate kernel.
-
-    The reported best kernel attains the smallest crossing (first listed on
-    ties).  The drift shape must make the detectability condition hold for
-    every candidate, otherwise no crossing exists and 1 is reported.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate kernel")
-    names = _candidate_names(candidates)
-    cfgs = [LimitConfig(zeta=zeta, kernel=k, grid_M=grid_M, drift=LimitDrift(m0, "cp1"))
-            for k in candidates]
-    curves = np.array([_drift_curve(cfg) for cfg in cfgs])
-    crossings = np.array([asymptotic_normed_delay(cfg, c) for cfg in cfgs])
-    best = names[int(np.argmin(crossings))]
-    return KernelComparison(
-        names=names,
-        crossings=crossings,
-        s_grid=np.arange(1, grid_M + 1) / grid_M,
-        curves=curves,
-        best=best,
     )

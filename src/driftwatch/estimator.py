@@ -23,7 +23,7 @@ SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
 _ROW_BLOCK = 256  # anchors per block of the batch smoother
 _FFT_ROWS = 64  # rows per FFT batch: 17 MB transforms freed to the heap made peak RSS vary
-_EXACT = 2.0**53  # integers up to this magnitude, and their differences, are exact floats
+EXACT = 2.0**53  # integers up to this magnitude, and their differences, are exact floats
 
 
 class DriftwatchError(ValueError):
@@ -98,7 +98,7 @@ def _window_start(times, n: int, cfg: SmootherConfig, lo: int = 0) -> int:
     return bisect_left(times, cfg.kernel.support[0], lo, n, key=lambda t: (t - t_n) / h)
 
 
-def _lag_rows(cfg: SmootherConfig, N: int, rows: int) -> np.ndarray:
+def lag_rows(cfg: SmootherConfig, N: int, rows: int) -> np.ndarray:
     """Toeplitz template for blocks of up to ``rows`` anchors on unit-spaced times.
 
     Row r holds K(-d/h)/h for the lags d = L-1, ..., 1, 0 of the support
@@ -118,8 +118,8 @@ def _block_weights(t: np.ndarray, a: int, b: int, cfg: SmootherConfig, template=
                    lo: int = 0) -> tuple[int, np.ndarray]:
     """Weights ``W`` of the anchors a+1..b (rows) on the records lo+1..b, with ``lo``.
 
-    ``t`` holds the anchor times (``_anchor_times``) and ``lo`` a window start
-    at an earlier anchor.  A ``_lag_rows`` template, which the caller passes
+    ``t`` holds the anchor times (``anchor_times``) and ``lo`` a window start
+    at an earlier anchor.  A ``lag_rows`` template, which the caller passes
     only where the windows and the record before each lie on unit-spaced
     times, gives lo = max(a + 1 - L, 0) and a view of the template, bit for
     bit the kernel at (t_i - t_n)/h.  A rolling design re-selects the time
@@ -150,7 +150,7 @@ def _block_weights(t: np.ndarray, a: int, b: int, cfg: SmootherConfig, template=
     return lo, W
 
 
-def _anchor_times(times, cfg: SmootherConfig, horizon: int):
+def anchor_times(times, cfg: SmootherConfig, horizon: int):
     """The times the kernel is anchored at: under a fixed design its times
     placed by ``horizon``, whose first n do not depend on n, else ``times``."""
     design = cfg.design
@@ -159,8 +159,8 @@ def _anchor_times(times, cfg: SmootherConfig, horizon: int):
     return times
 
 
-def _window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig, template=None,
-                 lo: int = 0) -> tuple[int, float]:
+def window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig, template=None,
+                lo: int = 0) -> tuple[int, float]:
     """Window start and smoother at index n, from the one-anchor block
     [n - 1, n); raises DriftwatchError at n when the weights vanish."""
     lo, W = _block_weights(t, n - 1, n, cfg, template, lo)
@@ -173,7 +173,7 @@ def _window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig,
 def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
     """Kernel-weighted mean of the first n observations, anchored at index n."""
     check_count("n", n, 1, len(series))
-    return _window_mean(_anchor_times(series.times, cfg, len(series)), series.values, n, cfg)[1]
+    return window_mean(anchor_times(series.times, cfg, len(series)), series.values, n, cfg)[1]
 
 
 def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
@@ -186,7 +186,7 @@ def nw_process(series: TimeSeries, cfg: SmootherConfig) -> np.ndarray:
 def _unit_spaced(t: np.ndarray) -> bool:
     """Whether ``t`` is t_0, t_0 + 1, ... with integer t_0, so that the
     computed t_i - t_n is i - n exactly."""
-    return (len(t) > 0 and float(t[0]).is_integer() and abs(t[0]) + len(t) <= _EXACT
+    return (len(t) > 0 and float(t[0]).is_integer() and abs(t[0]) + len(t) <= EXACT
             and np.array_equal(t, t[0] + np.arange(len(t))))
 
 
@@ -221,8 +221,8 @@ def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = Fal
     [lo, b) that can carry weight (``_block_weights``).  On unit-spaced
     times, without a rolling design, every weight is K(-d/h)/h for a lag d
     of the window, so the kernel is evaluated once per lag and each block's
-    weights are a view of one ``_lag_rows`` template.  A fixed design is
-    smoothed on its times ``design_times(design, N, N)`` (``_anchor_times``).
+    weights are a view of one ``lag_rows`` template.  A fixed design is
+    smoothed on its times ``design_times(design, N, N)`` (``anchor_times``).
 
     ``whole_rows=True`` says that every row is given to its horizon, so an
     entry need not be computed from its prefix alone.  On unit-spaced times
@@ -233,10 +233,10 @@ def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = Fal
     values = np.asarray(values, dtype=float)
     N = values.shape[1]
     den = np.empty(N)
-    t = np.asarray(_anchor_times(times, cfg, N), dtype=float)
+    t = np.asarray(anchor_times(times, cfg, N), dtype=float)
     template = None
     if (cfg.design is None or cfg.design.mode == "fixed") and _unit_spaced(t):
-        template = _lag_rows(cfg, N, min(_ROW_BLOCK, N))
+        template = lag_rows(cfg, N, min(_ROW_BLOCK, N))
     by_fft = whole_rows and template is not None
     num = None if by_fft else np.empty_like(values)
     lo = 0

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 
-from .seriesgen import _read_two_columns, check_count, write_two_columns
+from .seriesgen import check_count, read_two_columns, write_two_columns
 
 # Tail mass beyond the radius must stay below 1e-14:
 # Gaussian: 2*Phi(-8) ~ 1.2e-15.  Laplace: exp(-sqrt(2)*24) ~ 1.8e-15.
@@ -179,19 +179,9 @@ def kernel_by_name(name: str) -> KernelSpec:
         ) from None
 
 
-def _candidate_names(candidates: list[KernelSpec]) -> list[str]:
-    """Family names of candidate kernels; the k-th repeat of a family is ``family#k``."""
-    families = [k.family for k in candidates]
-    names = []
-    for i, family in enumerate(families):
-        repeat = families[:i].count(family) + 1
-        names.append(family if repeat == 1 else f"{family}#{repeat}")
-    return names
-
-
 def load_kernel_csv(path) -> KernelSpec:
     """Load a tabulated kernel from a CSV with header ``z,k``."""
-    return _read_two_columns(path, ("z", "k"), tabulated_kernel)
+    return read_two_columns(path, ("z", "k"), tabulated_kernel)
 
 
 def save_kernel_csv(kernel: KernelSpec, path, n_points: int = 512) -> None:

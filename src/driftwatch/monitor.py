@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import (
-    _EXACT, DriftwatchError, SmootherConfig, _anchor_times, _lag_rows, _process_parts,
-    _window_mean, check_weights, nw_estimate, scaling_factor,
+    EXACT, DriftwatchError, SmootherConfig, _process_parts, anchor_times, check_weights, lag_rows,
+    nw_estimate, scaling_factor, window_mean,
 )
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, substream
-from .variance import RunningVariance, check_variance, running_estimates, standardized
+from .variance import RunningVariance, check_variance, min_sample, running_estimates, standardized
 
 MonitoringError = DriftwatchError
 
@@ -42,6 +42,8 @@ class MonitorConfig:
         check_count("horizon", self.N, 1)
         if math.isnan(self.threshold):  # +inf stays legal: calibration runs at +inf
             raise ValueError("threshold must not be NaN")
+        if self.variance_method is not None:
+            min_sample(self.variance_method)  # raises on an unknown method
 
     @property
     def start_index(self) -> int:
@@ -207,9 +209,9 @@ class StreamMonitor:
         self._start_index = cfg.start_index
         self._scale = scaling_factor(cfg.smoother, cfg.N)
         # a fixed design's times for the whole horizon; None: the observation times
-        self._design_times = _anchor_times(None, cfg.smoother, cfg.N)
+        self._design_times = anchor_times(None, cfg.smoother, cfg.N)
         # without a design, a one-row lag template and its lag count
-        self._template = _lag_rows(cfg.smoother, cfg.N, 1) if cfg.smoother.design is None else None
+        self._template = lag_rows(cfg.smoother, cfg.N, 1) if cfg.smoother.design is None else None
         self._lags = 0 if self._template is None else self._template.shape[1] - 1
         self._variance = None
         if cfg.variance_method is not None:
@@ -252,7 +254,7 @@ class StreamMonitor:
         variance = self._variance.push(y) if self._variance is not None else None
         est = 1.0 if variance is None else variance.value  # unit variance unless standardized
         run = template = None
-        if self._template is not None and abs(t) < _EXACT and t.is_integer():
+        if self._template is not None and abs(t) < EXACT and t.is_integer():
             run = self._run if self._run is not None and t == self._last_t + 1.0 else n - 1
             # the template holds when the run holds the window and the record
             # just before it, or when the run starts at the first record
@@ -266,7 +268,7 @@ class StreamMonitor:
         lo, stat = self._lo, None
         if n >= self._start_index and not math.isnan(est):
             anchors = self._times if self._design_times is None else self._design_times
-            lo, mean = _window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
+            lo, mean = window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
             stat = standardized(mean, self._scale, est, n)
         self._variance, self._run, self._lo, self._last_t, self.n = variance, run, lo, t, n
         if stat is not None and stat > self.cfg.threshold:

@@ -11,18 +11,21 @@ on z in [-zeta s*, zeta s*] (a Cauchy-Schwarz equality condition: the
 kernel factor must be proportional to M0 along the averaging window).  The
 normalizer involves the total mass of M0, so shapes with unbounded mass are
 truncated at t_max and the truncation is part of the reported solution.
+
+``verify_optimality`` and ``kernel_comparison_curves`` rank candidate kernels
+by their asymptotic normed delays under one drift shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .kernels import KernelSpec, _candidate_names, _quad, tabulated_kernel
-from .limitsim import LimitConfig, LimitDrift, asymptotic_normed_delay, window_integral
+from .kernels import KernelSpec, _quad, tabulated_kernel
+from .limitsim import LimitConfig, LimitDrift, _drift_curve, asymptotic_normed_delay, window_integral
 from .seriesgen import GenericAlternative, check_count, write_two_columns
 
 SCAN_STEP = 1e-3
@@ -169,6 +172,27 @@ def tau_ratio(kernel: KernelSpec, m0, zeta: float, s_star: float) -> float:
     return num / den
 
 
+def _candidate_names(candidates: list[KernelSpec]) -> list[str]:
+    """Family names of candidate kernels; the k-th repeat of a family is ``family#k``."""
+    families = [k.family for k in candidates]
+    names = []
+    for i, family in enumerate(families):
+        repeat = families[:i].count(family) + 1
+        names.append(family if repeat == 1 else f"{family}#{repeat}")
+    return names
+
+
+def _candidate_delays(candidates: list[KernelSpec], m0, zeta: float, c: float,
+                      grid_M: int) -> tuple[list[str], list[LimitConfig], list[float]]:
+    """Name, cp1 limit configuration under drift shape ``m0`` and asymptotic normed
+    delay at threshold ``c`` of each candidate kernel, in order."""
+    if not candidates:
+        raise ValueError("need at least one candidate kernel")
+    cfgs = [LimitConfig(zeta=zeta, kernel=k, grid_M=grid_M, drift=LimitDrift(m0, "cp1"))
+            for k in candidates]
+    return _candidate_names(candidates), cfgs, [asymptotic_normed_delay(cfg, c) for cfg in cfgs]
+
+
 @dataclass(frozen=True, eq=False)
 class OptimalityReport:
     s_star: float
@@ -198,17 +222,10 @@ def verify_optimality(
     Also reports the detection-functional identity at s*: tau of the
     completed kernel against the closed-form delay ratio.
     """
-    if not candidates:
-        raise ValueError("need at least one candidate kernel")
+    names, cfgs, delays = _candidate_delays(candidates, m0, zeta, c, grid_M)
     sol = optimal_kernel(m0, zeta, c, t_max)
     completed = completed_kernel(sol)
-
-    def delay_for(kernel: KernelSpec) -> float:
-        cfg = LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M, drift=LimitDrift(m0, "cp1"))
-        return asymptotic_normed_delay(cfg, c)
-
-    completed_delay = delay_for(completed)
-    delays = {name: delay_for(k) for name, k in zip(_candidate_names(candidates), candidates)}
+    completed_delay = asymptotic_normed_delay(replace(cfgs[0], kernel=completed), c)
 
     tol = 2.0 / grid_M
     trunc = TruncatedAlternative(m0, sol.t_max)
@@ -219,12 +236,45 @@ def verify_optimality(
         s_star=sol.s_star,
         delay_bound=sol.s_star,
         completed_delay=completed_delay,
-        candidate_delays=delays,
+        candidate_delays=dict(zip(names, delays)),
         tolerance=tol,
-        is_optimal=bool(all(completed_delay <= d + tol for d in delays.values())),
+        is_optimal=bool(all(completed_delay <= d + tol for d in delays)),
         tau_completed=tau_c,
         closed_form_ratio=closed_form,
         completed_mean=mean,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class KernelComparison:
+    names: list[str]
+    crossings: np.ndarray
+    s_grid: np.ndarray
+    curves: np.ndarray  # one drift curve per candidate row
+    best: str
+
+
+def kernel_comparison_curves(
+    candidates: list[KernelSpec],
+    m0: GenericAlternative,
+    zeta: float,
+    c: float,
+    grid_M: int = 2048,
+) -> KernelComparison:
+    """Drift-term curves and first threshold crossings per candidate kernel.
+
+    The reported best kernel attains the smallest crossing (first listed on
+    ties).  The drift shape must make the detectability condition hold for
+    every candidate, otherwise no crossing exists and 1 is reported.
+    """
+    names, cfgs, delays = _candidate_delays(candidates, m0, zeta, c, grid_M)
+    crossings = np.array(delays)
+    return KernelComparison(
+        names=names,
+        crossings=crossings,
+        s_grid=np.arange(1, grid_M + 1) / grid_M,
+        curves=np.array([_drift_curve(cfg) for cfg in cfgs]),
+        best=names[int(np.argmin(crossings))],
     )
 
 

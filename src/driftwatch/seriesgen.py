@@ -131,7 +131,7 @@ def alternative_by_name(name: str) -> GenericAlternative:
 
 def load_alternative_csv(path) -> GenericAlternative:
     """Load a tabulated alternative from a CSV with header ``t,m0``."""
-    return _read_two_columns(path, ("t", "m0"), tabulated_alternative)
+    return read_two_columns(path, ("t", "m0"), tabulated_alternative)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +554,7 @@ def write_two_columns(path, names: tuple[str, str], first, second) -> None:
         writer.writerows((repr(float(a)), repr(float(b))) for a, b in zip(first, second))
 
 
-def _read_two_columns(path, names: tuple[str, str], build):
+def read_two_columns(path, names: tuple[str, str], build):
     """``build(first, second)`` on the two numeric columns of a UTF-8 CSV whose header
     starts with ``names``; blank lines are skipped and extra columns ignored.
 
@@ -586,6 +586,6 @@ def _read_two_columns(path, names: tuple[str, str], build):
 
 
 def load_series_csv(path) -> TimeSeries:
-    return _read_two_columns(
+    return read_two_columns(
         path, ("t", "y"), lambda t, y: TimeSeries(times=t, values=y, meta={"source": str(path)})
     )

@@ -11,7 +11,7 @@ import pytest
 from scipy.stats import kstest
 
 import driftwatch as dw
-from driftwatch.calibration import _finite_trajectories, _stops_from_values
+from driftwatch.calibration import _finite_chunk
 from driftwatch.limitsim import _batch_null_values
 
 G = dw.gaussian_kernel()
@@ -207,8 +207,7 @@ def test_criterion_9_property_suites():
     rate_ok = errs[100] <= errs[50] <= errs[10] and errs[100] <= 10 * errs[10] / 100 * 2
     # per-replicate threshold monotonicity under common random numbers
     variant = dw.FiniteSampleVariant(N=80, h=40.0)
-    traj = _finite_trajectories(variant, G, seed=31, start=0, stop=200)
-    stops = _stops_from_values(traj, np.linspace(-0.1, 0.5, 7), np.arange(1, 81) / 80)
+    stops = _finite_chunk((variant, G, np.linspace(-0.1, 0.5, 7), 31, 0, 200))
     crn_ok = bool(np.all(np.diff(stops, axis=1) >= 0))
     # worker count cannot change seeded results
     grid = np.linspace(0.02, 0.3, 4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import driftwatch as dw
-from driftwatch.calibration import _finite_trajectories, _stops_from_values
+from driftwatch.calibration import _finite_chunk
 
 G = dw.gaussian_kernel()
 
@@ -28,8 +28,7 @@ def test_limit_curve_trivial_thresholds():
 def test_common_random_numbers_give_per_replicate_monotonicity():
     variant = dw.FiniteSampleVariant(N=60, h=20.0)
     c_grid = np.linspace(-0.2, 0.6, 9)
-    traj = _finite_trajectories(variant, G, seed=11, start=0, stop=150)
-    stops = _stops_from_values(traj, c_grid, np.arange(1, 61) / 60)
+    stops = _finite_chunk((variant, G, c_grid, 11, 0, 150))
     assert np.all(np.diff(stops, axis=1) >= 0)
 
 
@@ -119,6 +118,21 @@ def test_calibration_table_validation():
         dw.CalibrationTable(thresholds=np.array([0.1, 0.2]), normed_arl=np.array([0.7, 0.5]))
     with pytest.raises(ValueError):
         dw.CalibrationTable(thresholds=np.array([0.1, 0.2]), normed_arl=np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("h", [0, 0.0])
+def test_zero_bandwidth_is_rejected_before_any_division(h):
+    with pytest.raises(ValueError, match="bandwidth"):
+        dw.conservativeness_check(20, h, G, [0.1, 0.5], 100, 1)
+    with pytest.raises(ValueError, match="bandwidth"):
+        dw.coverage_sim(20, h, G, 0.1, 100, 1)
+
+
+def test_unknown_variance_method_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown variance method 'bogus'"):
+        dw.FiniteSampleVariant(N=20, h=5.0, variance_method="bogus")
+    with pytest.raises(ValueError, match="unknown variance method 'bogus'"):
+        dw.coverage_sim(20, 5.0, G, 0.1, 100, 1, variance_method="bogus")
 
 
 def test_coverage_known_sigma_binomial_band():

@@ -99,6 +99,11 @@ def test_variance_eligibility_skips_undefined_indices():
     assert res.alarm_index >= 4  # gasser undefined below n = 4
 
 
+def test_unknown_variance_method_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="unknown variance method 'bogus'"):
+        dw.MonitorConfig(dw.SmootherConfig(G, 5.0), 0.5, 30, variance_method="bogus")
+
+
 def test_zero_variance_errors():
     with pytest.raises(MonitoringError):
         dw.run_monitor(make_series(np.ones(10)), config(10, c=100.0, variance="naive"))

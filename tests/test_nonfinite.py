@@ -115,17 +115,18 @@ TABLE = {
     "arl_curve of a FiniteSampleVariant": (_variant_curve, dict(N=20, prerun_length=5),
                                            ["h", "start_fraction"], ["N", "prerun_length"], []),
     "arl_curve finite": (
-        lambda c_grid, reps: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, c_grid, reps, 1),
-        dict(c_grid=[0.1, 0.5], reps=100), [], ["reps"], ["c_grid"]),
-    "arl_curve limit": (lambda c_grid: dw.arl_curve(LIMIT, G, c_grid, 100, 1),
-                        dict(c_grid=[0.1, 0.5]), [], [], ["c_grid"]),
+        lambda c_grid, reps, jobs: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, c_grid,
+                                                reps, 1, jobs),
+        dict(c_grid=[0.1, 0.5], reps=100, jobs=1), [], ["reps", "jobs"], ["c_grid"]),
+    "arl_curve limit": (lambda c_grid, jobs: dw.arl_curve(LIMIT, G, c_grid, 100, 1, jobs),
+                        dict(c_grid=[0.1, 0.5], jobs=1), [], ["jobs"], ["c_grid"]),
     "conservativeness_check": (
         lambda **kw: dw.conservativeness_check(kernel=G, seed=1, **kw),
-        dict(N=20, h=5.0, c_grid=[0.1, 0.5], reps=100, min_grid=64),
-        ["h"], ["N", "reps", "min_grid"], ["c_grid"]),
+        dict(N=20, h=5.0, c_grid=[0.1, 0.5], reps=100, min_grid=64, jobs=1),
+        ["h"], ["N", "reps", "min_grid", "jobs"], ["c_grid"]),
     "coverage_sim": (lambda **kw: dw.coverage_sim(kernel=G, seed=1, **kw),
-                     dict(N=20, h=5.0, alpha=0.1, reps=100, sigma=1.0),
-                     ["h", "alpha", "sigma"], ["N", "reps"], []),
+                     dict(N=20, h=5.0, alpha=0.1, reps=100, sigma=1.0, jobs=1),
+                     ["h", "alpha", "sigma"], ["N", "reps", "jobs"], []),
     "critical_value_for_arl": (
         lambda target: dw.critical_value_for_arl(dw.CalibrationTable([0.1, 0.2], [0.5, 0.6]),
                                                  target),

@@ -202,6 +202,16 @@ def test_verify_optimality_names_every_duplicate_candidate():
     assert len(set(report.candidate_delays.values())) == 1
 
 
+def test_verify_optimality_and_the_comparison_rank_candidates_alike():
+    G, E, L = dw.gaussian_kernel(), dw.epanechnikov_kernel(), dw.laplace_kernel()
+    candidates = [G, E, L, G]
+    report = dw.verify_optimality(STEP, 1.0, 0.2, candidates, t_max=1.0, grid_M=256)
+    comp = dw.kernel_comparison_curves(candidates, STEP, 1.0, 0.2, grid_M=256)
+    assert list(report.candidate_delays) == comp.names == ["gaussian", "epanechnikov",
+                                                           "laplace", "gaussian#2"]
+    assert np.array_equal(list(report.candidate_delays.values()), comp.crossings)
+
+
 def test_solution_csv_loadable_as_kernel(tmp_path):
     sol = dw.optimal_kernel(STEP, 1.0, 0.2, t_max=1.0)
     path = tmp_path / "opt.csv"

@@ -48,7 +48,7 @@ from hypothesis import strategies as st
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_charts, _null_walks
 from driftwatch.estimator import (
-    _anchor_times, _block_weights, _lag_rows, _process_parts, causal_sums, check_weights,
+    _block_weights, _process_parts, anchor_times, causal_sums, check_weights, lag_rows,
     scaling_factor,
 )
 from driftwatch.kernels import _quad
@@ -676,7 +676,7 @@ def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, fixed_design, 
     times = _edge_times(rng, N, kernel.support[0] * h, True)
     design = dw.TimeDesign(gamma=0.6, mode="fixed", snap_grid=0.25) if fixed_design else None
     cfg = dw.SmootherConfig(kernel=kernel, h=h, design=design)
-    arr = _anchor_times(np.array(times), cfg, N)
+    arr = anchor_times(np.array(times), cfg, N)
     start = 0
     for n in range(1, N + 1):
         full = kernel.evaluate((arr[:n] - arr[n - 1]) / h) / h
@@ -766,8 +766,8 @@ def test_one_anchor_block_matches_the_single_anchor_weights_bitwise(
     design = {"fixed": dw.TimeDesign(gamma=0.6, mode="fixed", snap_grid=0.25),
               "rolling": dw.TimeDesign(gamma=0.5, snap_grid=0.5)}.get(layout)
     cfg = dw.SmootherConfig(kernel=kernel, h=h, design=design)
-    templates = [None] + ([_lag_rows(cfg, horizon, 1)] if layout == "unit" else [])
-    t = _anchor_times(times, cfg, horizon)
+    templates = [None] + ([lag_rows(cfg, horizon, 1)] if layout == "unit" else [])
+    t = anchor_times(times, cfg, horizon)
     start = 0
     for n in range(1, N + 1):
         want_start, want = weights_at_reference(times, cfg, n, horizon)
