@@ -7,7 +7,8 @@ ARL curves reuse the same replicate paths across the whole threshold grid
 (common random numbers), which makes the curve exactly nondecreasing in c
 per replicate, not just in expectation.
 Every routine runs its replicates through one chunk driver, ``_chunked``, and
-checks its threshold grid with ``_check_grid``.
+checks its threshold grid with ``_check_grid``.  A finite-sample chunk draws its
+walks and prerun with ``_variant_rows`` and takes its stops with ``_variant_stops``.
 Each finite-sample replicate is the monitor's own ``monitor.chart`` at
 threshold +inf: the same statistic, delayed start and degenerate-index rule.
 Its rows are whole walks, so the smoother numerator is their causal
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
-from .kernels import KernelSpec
+from .kernels import KernelSpec, check_bandwidth
 from .limitsim import LimitConfig, _batch_null_values, _drift_curve, _null_values, sigma_k_sq
 from .monitor import MonitorConfig, chart
 from .seriesgen import (
@@ -59,9 +60,8 @@ class FiniteSampleVariant:
     start_fraction: float = 0.0
 
     def __post_init__(self):
-        check_count("horizon N", self.N, 1)
-        if not 0 < self.h < np.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.h!r}")
+        check_count("horizon N", self.N, 2)
+        check_bandwidth(self.h)
         if not 0.0 <= self.start_fraction < 1.0:
             raise ValueError(f"start_fraction must lie in [0, 1), got {self.start_fraction!r}")
         if self.prerun_length is not None:
@@ -97,14 +97,15 @@ class CalibrationTable:
             raise ValueError("normed ARL values must lie in (0, 1]")
 
 
-def _stops_from_values(values: np.ndarray, c_grid: np.ndarray, normed_times: np.ndarray) -> np.ndarray:
-    """First-exceedance normed times per replicate row and threshold.
+def _stops_from_values(values: np.ndarray, c_grid: np.ndarray) -> np.ndarray:
+    """First-exceedance normed times j/n per replicate row of length n and threshold.
 
     ``values`` rows are statistic trajectories with ineligible entries at
     -inf; no exceedance maps to 1 (truncation).
     """
     pmax = np.maximum.accumulate(values, axis=1)
     n_idx = values.shape[1]
+    normed_times = np.arange(1, n_idx + 1) / n_idx
     stops = np.empty((values.shape[0], len(c_grid)))
     for r in range(values.shape[0]):
         idx = np.searchsorted(pmax[r], c_grid, side="right")
@@ -130,14 +131,16 @@ def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop
     return np.array([generate(spec, s).values for s in seeds])
 
 
-def _prerun_increments(variant: FiniteSampleVariant, seed: int, start: int, stop: int,
-                       key: int) -> np.ndarray | None:
-    """Increments of the variant's null prerun rows (substream (seed, start + r, key)) that
-    seed its variance estimator; None without a variance method or below two observations."""
+def _variant_rows(variant: FiniteSampleVariant, seed: int, start: int, stop: int,
+                  key: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The variant's null walks for replicates [start, stop), and the increments of its null
+    prerun rows (substream (seed, start + r, key)) that seed its variance estimator; None
+    without a variance method or below two prerun observations."""
+    values = _null_walks(variant.innovations, variant.N, seed, start, stop)
     length = variant.resolved_prerun()
     if variant.variance_method is None or length < 2:
-        return None
-    return np.diff(_null_walks(variant.innovations, length, seed, start, stop, key), axis=1)
+        return values, None
+    return values, np.diff(_null_walks(variant.innovations, length, seed, start, stop, key), axis=1)
 
 
 def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None) -> np.ndarray:
@@ -147,13 +150,13 @@ def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None)
     return np.where(eligible, traj, -np.inf)
 
 
-def _variant_charts(variant: FiniteSampleVariant, kernel: KernelSpec, values: np.ndarray,
-                    seed: int, start: int, stop: int, key: int) -> np.ndarray:
-    """The variant's chart over the walk rows ``values`` of replicates [start, stop), -inf
-    where ineligible; its prerun draws from substream (seed, start + r, key)."""
+def _variant_stops(variant: FiniteSampleVariant, kernel: KernelSpec, c_grid: np.ndarray,
+                   values: np.ndarray, pre: np.ndarray | None) -> np.ndarray:
+    """Stops on ``c_grid`` of the variant's chart over the walk rows ``values``, whose
+    variance estimator the prerun increments ``pre`` seed."""
     smoother = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
     cfg = MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, variant.variance_method)
-    return _null_charts(values, cfg, _prerun_increments(variant, seed, start, stop, key))
+    return _stops_from_values(_null_charts(values, cfg, pre), c_grid)
 
 
 def run_chunked(worker, payloads, jobs: int = 1) -> list:
@@ -192,17 +195,14 @@ def _check_grid(c_grid) -> np.ndarray:
 def _finite_chunk(payload) -> np.ndarray:
     """Stops of the variant's eligible charts for replicates [start, stop) on ``c_grid``."""
     variant, kernel, c_grid, seed, start, stop = payload
-    N = variant.N
-    values = _null_walks(variant.innovations, N, seed, start, stop)
-    traj = _variant_charts(variant, kernel, values, seed, start, stop, 1)
-    return _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
+    return _variant_stops(variant, kernel, c_grid, *_variant_rows(variant, seed, start, stop, 1))
 
 
-def _limit_stops(vals: np.ndarray, c_grid: np.ndarray, cfg: LimitConfig) -> np.ndarray:
-    """Stops of limit-process rows on ``cfg.s_grid``; ``vals`` is overwritten."""
+def _limit_stops(vals: np.ndarray, c_grid: np.ndarray) -> np.ndarray:
+    """Stops of limit-process rows on their grid s_j = j/M; ``vals`` is overwritten."""
     # cells below s_min are NaN, hence never eligible
     np.copyto(vals, -np.inf, where=np.isnan(vals))
-    return _stops_from_values(vals, c_grid, cfg.s_grid)
+    return _stops_from_values(vals, c_grid)
 
 
 def _limit_chunk(payload) -> np.ndarray:
@@ -211,7 +211,7 @@ def _limit_chunk(payload) -> np.ndarray:
     vals = _batch_null_values(cfg, seeds)
     if cfg.drift is not None:
         vals += _drift_curve(cfg)
-    return _limit_stops(vals, c_grid, cfg)
+    return _limit_stops(vals, c_grid)
 
 
 def arl_curve(
@@ -276,13 +276,12 @@ def _coverage_chunk(payload) -> int:
     from scipy.stats import norm  # imported here: it is the module's only user
 
     z = norm.ppf(1.0 - alpha / 2.0)
-    values = _null_walks(variant.innovations, N, seed, start, stop)
+    values, pre = _variant_rows(variant, seed, start, stop, 1)
     times = np.arange(1.0, N + 1.0)
     stats = np.array([nw_estimate(TimeSeries(times, y), cfg, N) for y in values]) * scale
     if method is None:
         sig_hat = variant.innovations.sigma
     else:
-        pre = _prerun_increments(variant, seed, start, stop, 1)
         sig_hat = np.sqrt(running_estimates(values, method, pre)[:, N - 1])
     return int(np.count_nonzero(np.abs(stats) <= z * sk * sig_hat))
 
@@ -366,18 +365,14 @@ def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop:
 
 
 def _coupled_chunk(payload):
-    variant, kernel, c_grid, seed, refine, start, stop = payload
-    N = variant.N
-    cfg = LimitConfig(zeta=N / variant.h, kernel=kernel, grid_M=refine * N)
-
+    variant, c_grid, seed, cfg, start, stop = payload
     # finite side; the prerun draws from substream key 2, since the bridges below take key 1
-    values = _null_walks(variant.innovations, N, seed, start, stop)
-    traj = _variant_charts(variant, kernel, values, seed, start, stop, 2)
-    fstops = _stops_from_values(traj, c_grid, np.arange(1, N + 1) / N)
+    values, pre = _variant_rows(variant, seed, start, stop, 2)
+    fstops = _variant_stops(variant, cfg.kernel, c_grid, values, pre)
 
     # limit side: an exact Brownian path at resolution 1/grid_M around each walk
-    B = _brownian_paths(values, refine, seed, start, stop)
-    return fstops, _limit_stops(_null_values(cfg, B), c_grid, cfg)
+    B = _brownian_paths(values, cfg.grid_M // variant.N, seed, start, stop)
+    return fstops, _limit_stops(_null_values(cfg, B), c_grid)
 
 
 def conservativeness_check(
@@ -404,21 +399,18 @@ def conservativeness_check(
     c_grid = _check_grid(c_grid)
     check_count("min_grid", min_grid, -np.inf)
     variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
-    zeta = N / h
+    # coupled: refine each unit cell of the walks into at least min_grid / N cells
+    grid_M = max(1, int(np.ceil(min_grid / N))) * N if coupled else min_grid
+    cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=grid_M)
     if coupled:
-        refine = max(1, int(np.ceil(min_grid / N)))
-        grid_M = refine * N
-        fchunks, lchunks = zip(*_chunked(_coupled_chunk, reps, jobs, variant, kernel, c_grid,
-                                         seed, refine))
+        fchunks, lchunks = zip(*_chunked(_coupled_chunk, reps, jobs, variant, c_grid, seed, cfg))
     else:
-        grid_M = min_grid
-        cfg = LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M)
         fchunks = _chunked(_finite_chunk, reps, jobs, variant, kernel, c_grid, seed)
         lchunks = _chunked(_limit_chunk, reps, jobs, cfg, c_grid, seed, (3,))
     return ConservativenessReport(
         c_grid=c_grid,
         finite_arl=_mean_stops(fchunks),
         limit_arl=_mean_stops(lchunks),
-        meta={"N": N, "h": h, "zeta": zeta, "kernel": kernel.family,
+        meta={"N": N, "h": h, "zeta": cfg.zeta, "kernel": kernel.family,
               "reps": reps, "seed": seed, "coupled": bool(coupled), "grid_M": grid_M},
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .kernels import KernelSpec
+from .kernels import KernelSpec, check_bandwidth
 from .seriesgen import TimeDesign, TimeSeries, check_count, design_times
 
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
@@ -63,8 +63,7 @@ class SmootherConfig:
     design: TimeDesign | None = None
 
     def __post_init__(self):
-        if not 0 < self.h < np.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.h!r}")
+        check_bandwidth(self.h)
         if self.scaling not in SCALINGS:
             raise ValueError(f"scaling must be one of {SCALINGS}, got {self.scaling!r}")
 

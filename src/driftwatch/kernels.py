@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate
 
-from .seriesgen import check_count, read_two_columns, write_two_columns
+from .seriesgen import check_count, read_two_columns, seed_sequence, write_two_columns
 
 # Tail mass beyond the radius must stay below 1e-14:
 # Gaussian: 2*Phi(-8) ~ 1.2e-15.  Laplace: exp(-sqrt(2)*24) ~ 1.8e-15.
@@ -200,20 +200,24 @@ def eval_kernel(kernel: KernelSpec, z: float) -> float:
     return float(kernel.evaluate(z))
 
 
+def check_bandwidth(h) -> None:
+    """Raise ValueError unless the bandwidth h is positive and finite."""
+    if not 0 < h < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {h!r}")
+
+
 def eval_rescaled(kernel: KernelSpec, h: float, z: float) -> float:
     """Rescaled kernel K_h(z) = K(z/h)/h for bandwidth h > 0."""
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
+    check_bandwidth(h)
     return eval_kernel(kernel, z / h) / h
 
 
 def weight_sum(kernel: KernelSpec, h: float, times, t_now: float) -> float:
     """Discrete weight mass sum_i K_h(t_i - t_now) over the given times."""
     times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("weight_sum needs at least one time point")
-    if not h > 0:
-        raise ValueError(f"bandwidth must be positive, got {h!r}")
+    if times.size == 0 or not (np.isfinite(times).all() and np.isfinite(t_now)):
+        raise ValueError("weight_sum needs at least one time point, all finite, and a finite t_now")
+    check_bandwidth(h)
     return float(np.sum(kernel.evaluate((times - t_now) / h)) / h)
 
 
@@ -269,7 +273,7 @@ def validate_kernel(kernel: KernelSpec, seed: int = 0, n_pairs: int = 256) -> di
     if not np.isfinite(second):
         raise ValueError("kernel second moment is not finite")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_sequence(seed))
     z1 = rng.uniform(lo - 1.0, hi + 1.0, n_pairs)
     z2 = rng.uniform(lo - 1.0, hi + 1.0, n_pairs)
     k1, k2 = kernel.evaluate(z1), kernel.evaluate(z2)

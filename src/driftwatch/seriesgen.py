@@ -145,10 +145,11 @@ def check_count(name: str, value, lo=0, hi=math.inf) -> None:
     The one check on integer parameters: NaN, ±inf and a non-integral float
     such as 2.5 fail alike, where Python would raise TypeError or silently
     truncate; an integral float such as 20.0 passes and is used as it is.
+    An int past the float range (a long seed) passes too: ``abs`` compares it exactly.
     """
-    if not (lo <= value <= hi and math.isfinite(value) and value % 1 == 0):
-        bound = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    if not (lo <= value <= hi and abs(value) < math.inf and value % 1 == 0):
+        bound = "" if lo == -math.inf else f" >= {lo}" if hi == math.inf else f" in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -345,12 +346,16 @@ class SeriesSpec:
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:
-    """The SeedSequence a seed stands for; a SeedSequence stands for itself."""
-    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """The SeedSequence a seed (an integer >= 0) stands for; a SeedSequence stands for itself."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    check_count("seed", seed)
+    return np.random.SeedSequence(int(seed))
 
 
 def substream(seed: int, *key: int) -> np.random.SeedSequence:
     """Deterministic child stream for (master seed, replicate key...)."""
+    check_count("seed", seed)
     return np.random.SeedSequence((int(seed), *[int(k) for k in key]))
 
 

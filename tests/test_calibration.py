@@ -135,6 +135,36 @@ def test_unknown_variance_method_is_rejected_at_construction():
         dw.coverage_sim(20, 5.0, G, 0.1, 100, 1, variance_method="bogus")
 
 
+def test_a_one_point_horizon_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="horizon N must be an integer >= 2, got 1"):
+        dw.FiniteSampleVariant(N=1, h=1.0)
+    with pytest.raises(ValueError, match="horizon N must be an integer >= 2, got 1"):
+        dw.coverage_sim(1, 1.0, G, 0.1, 100, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, [0.1], 100, 1, jobs=2.5),
+     "jobs must be an integer, got 2.5"),
+    (lambda: dw.conservativeness_check(20, 5.0, G, [0.1], 100, 1, min_grid=64.5),
+     "min_grid must be an integer, got 64.5"),
+], ids=["jobs", "min_grid"])
+def test_a_count_without_lower_bound_names_none(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("h, min_grid, match", [(25.0, 2048, "zeta"), (5.0, 32, "grid_M")])
+def test_a_coupled_check_rejects_its_limit_config_before_any_chunk(monkeypatch, h, min_grid,
+                                                                   match):
+    def no_chunk(payload):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(dw.calibration, "_coupled_chunk", no_chunk)
+    with pytest.raises(ValueError, match=match):
+        dw.conservativeness_check(20, h, G, [0.1], 100, 1, min_grid=min_grid, jobs=2)
+
+
 def test_coverage_known_sigma_binomial_band():
     cov = dw.coverage_sim(500, 250.0, G, 0.05, 2000, 17, variance_method=None)
     band = 3 * np.sqrt(0.95 * 0.05 / 2000)

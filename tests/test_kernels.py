@@ -98,6 +98,24 @@ def test_weight_sum_empty_times():
         dw.weight_sum(ALL_KERNELS["gaussian"], 1.0, [], 0.0)
 
 
+@pytest.mark.parametrize("h", [math.inf, math.nan, -1.0, 0.0])
+def test_kernel_helpers_reject_a_bandwidth_the_smoother_rejects(h):
+    k = ALL_KERNELS["gaussian"]
+    message = f"bandwidth must be positive and finite, got {h!r}"
+    for call in (lambda: dw.eval_rescaled(k, h, 0.5), lambda: dw.weight_sum(k, h, [1.0], 1.0),
+                 lambda: dw.SmootherConfig(k, h)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("times, t_now", [([1.0, math.nan], 2.0), ([1.0, math.inf], 2.0),
+                                          ([1.0, 2.0], math.nan), ([1.0, 2.0], -math.inf)])
+def test_weight_sum_rejects_a_non_finite_time(times, t_now):
+    with pytest.raises(ValueError, match="finite"):
+        dw.weight_sum(ALL_KERNELS["gaussian"], 1.0, times, t_now)
+
+
 def test_limit_weight_integral_gaussian():
     # zeta=1, s=1: int_0^1 phi(r-1) dr = Phi(0) - Phi(-1)
     oracle = norm.cdf(0) - norm.cdf(-1)

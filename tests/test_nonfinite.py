@@ -30,9 +30,9 @@ DRIFTED = dataclasses.replace(LIMIT, drift=dw.LimitDrift(STEP))
 CP2 = dw.DriftSpec(STEP, 0.0, "cp2", theta=0.5)
 
 
-def _variant_curve(**fields):
+def _variant_curve(seed, **fields):
     variant = dw.FiniteSampleVariant(**{"N": 20, "h": 5.0, "variance_method": "naive", **fields})
-    return dw.arl_curve(variant, G, [0.1, 0.5], 100, 1)
+    return dw.arl_curve(variant, G, [0.1, 0.5], 100, seed)
 
 
 # name -> (call, valid keyword arguments, float, integer and array parameters)
@@ -45,7 +45,8 @@ TABLE = {
                               ["zeta", "s"], [], []),
     "weight_sum": (dw.weight_sum, dict(kernel=G, h=2.0, times=[1.0, 2.0, 3.0], t_now=3.0),
                    ["h", "t_now"], [], ["times"]),
-    "validate_kernel": (dw.validate_kernel, dict(kernel=G, n_pairs=16), [], ["n_pairs"], []),
+    "validate_kernel": (dw.validate_kernel, dict(kernel=G, seed=0, n_pairs=16), [],
+                        ["seed", "n_pairs"], []),
     "DriftSpec": (dw.DriftSpec, dict(m0=STEP, beta=-0.2, cp_model="cp2", theta=0.5, h_link=2.0),
                   ["beta", "theta", "h_link"], [], []),
     "DriftSpec cp1": (dw.DriftSpec, dict(m0=STEP, beta=0.0, cp_model="cp1", q=3), [], ["q"], []),
@@ -68,7 +69,7 @@ TABLE = {
                      [], ["n", "horizon"], []),
     "drift_value": (dw.drift_value, dict(drift=CP2, t=7.0, horizon=10), ["t"], ["horizon"], []),
     "draw_innovations": (dw.draw_innovations, dict(spec=dw.InnovationSpec(), n=5, seed=1), [],
-                         ["n"], []),
+                         ["n", "seed"], []),
     "SmootherConfig": (dw.SmootherConfig, dict(kernel=G, h=2.0), ["h"], [], []),
     "nw_estimate": (dw.nw_estimate, dict(series=SERIES, cfg=SMOOTHER, n=10), [], ["n"], []),
     "scaling_factor": (dw.scaling_factor, dict(cfg=SMOOTHER, N=30), [], ["N"], []),
@@ -90,7 +91,7 @@ TABLE = {
                                                          h=5.0, N=30, alpha=0.05),
                             ["m_hat", "sigma_k", "sigma_hat", "h", "alpha"], ["N"], []),
     "false_alarm_rate": (dw.false_alarm_rate, dict(cfg=MONITOR, n=20, reps=5, seed=1), [],
-                         ["n", "reps"], []),
+                         ["n", "reps", "seed"], []),
     "StreamMonitor.update": (lambda t, y: dw.StreamMonitor(MONITOR).update(t, y),
                              dict(t=1.0, y=0.5), ["t", "y"], [], []),
     "LimitConfig": (dw.LimitConfig, dict(zeta=2.0, kernel=G, sigma=1.0, grid_M=64),
@@ -103,8 +104,8 @@ TABLE = {
                            ["c", "x_max"], ["n_grid"], []),
     "drift_term": (dw.drift_term, dict(cfg=DRIFTED, s=0.5), ["s"], [], []),
     "limit_stop_sample": (dw.limit_stop_sample, dict(cfg=LIMIT, c=0.5, a=0.0, seed=1),
-                          ["c", "a"], [], []),
-    "sample_bm": (dw.sample_bm, dict(grid_M=8, seed=1), [], ["grid_M"], []),
+                          ["c", "a"], ["seed"], []),
+    "sample_bm": (dw.sample_bm, dict(grid_M=8, seed=1), [], ["grid_M", "seed"], []),
     "sigma_k_sq": (dw.sigma_k_sq, dict(cfg=LIMIT, s=0.5), ["s"], [], []),
     "CalibrationTable": (dw.CalibrationTable, dict(thresholds=[0.1, 0.2], normed_arl=[0.5, 0.6]),
                          [], [], ["thresholds", "normed_arl"]),
@@ -112,21 +113,24 @@ TABLE = {
     "FiniteSampleVariant": (dw.FiniteSampleVariant, dict(N=20, h=5.0, prerun_length=5,
                                                          start_fraction=0.1),
                             ["h", "start_fraction"], ["N", "prerun_length"], []),
-    "arl_curve of a FiniteSampleVariant": (_variant_curve, dict(N=20, prerun_length=5),
-                                           ["h", "start_fraction"], ["N", "prerun_length"], []),
+    "arl_curve of a FiniteSampleVariant": (_variant_curve, dict(N=20, prerun_length=5, seed=1),
+                                           ["h", "start_fraction"],
+                                           ["N", "prerun_length", "seed"], []),
     "arl_curve finite": (
-        lambda c_grid, reps, jobs: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, c_grid,
-                                                reps, 1, jobs),
-        dict(c_grid=[0.1, 0.5], reps=100, jobs=1), [], ["reps", "jobs"], ["c_grid"]),
-    "arl_curve limit": (lambda c_grid, jobs: dw.arl_curve(LIMIT, G, c_grid, 100, 1, jobs),
-                        dict(c_grid=[0.1, 0.5], jobs=1), [], ["jobs"], ["c_grid"]),
+        lambda c_grid, reps, seed, jobs: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G,
+                                                      c_grid, reps, seed, jobs),
+        dict(c_grid=[0.1, 0.5], reps=100, seed=1, jobs=1), [], ["reps", "seed", "jobs"],
+        ["c_grid"]),
+    "arl_curve limit": (lambda c_grid, seed, jobs: dw.arl_curve(LIMIT, G, c_grid, 100, seed, jobs),
+                        dict(c_grid=[0.1, 0.5], seed=1, jobs=1), [], ["seed", "jobs"],
+                        ["c_grid"]),
     "conservativeness_check": (
-        lambda **kw: dw.conservativeness_check(kernel=G, seed=1, **kw),
-        dict(N=20, h=5.0, c_grid=[0.1, 0.5], reps=100, min_grid=64, jobs=1),
-        ["h"], ["N", "reps", "min_grid", "jobs"], ["c_grid"]),
-    "coverage_sim": (lambda **kw: dw.coverage_sim(kernel=G, seed=1, **kw),
-                     dict(N=20, h=5.0, alpha=0.1, reps=100, sigma=1.0, jobs=1),
-                     ["h", "alpha", "sigma"], ["N", "reps", "jobs"], []),
+        lambda **kw: dw.conservativeness_check(kernel=G, **kw),
+        dict(N=20, h=5.0, c_grid=[0.1, 0.5], reps=100, seed=1, min_grid=64, jobs=1),
+        ["h"], ["N", "reps", "seed", "min_grid", "jobs"], ["c_grid"]),
+    "coverage_sim": (lambda **kw: dw.coverage_sim(kernel=G, **kw),
+                     dict(N=20, h=5.0, alpha=0.1, reps=100, seed=1, sigma=1.0, jobs=1),
+                     ["h", "alpha", "sigma"], ["N", "reps", "seed", "jobs"], []),
     "critical_value_for_arl": (
         lambda target: dw.critical_value_for_arl(dw.CalibrationTable([0.1, 0.2], [0.5, 0.6]),
                                                  target),

@@ -6,6 +6,8 @@ from scipy import integrate
 
 import driftwatch as dw
 
+G = dw.gaussian_kernel()
+LIMIT = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=64)
 
 def step_drift(beta=0.0, cp="cp1", q=5, theta=None, h_link=10.0):
     return dw.DriftSpec(
@@ -102,6 +104,40 @@ def test_null_walk_functional_clt():
     scaled = vals / np.sqrt(N)
     for j, r in enumerate((0.25, 0.5, 1.0)):
         assert scaled[:, j].var() == pytest.approx((idx[r] + 1) / N, rel=0.05)
+
+
+# entry point -> the numbers its call on a seed gives
+SEEDED = {
+    "substream": lambda seed: dw.substream(seed, 4).generate_state(4),
+    "generate": lambda seed: dw.generate(dw.SeriesSpec(N=10), seed).values,
+    "draw_innovations": lambda seed: dw.draw_innovations(dw.InnovationSpec(), 5, seed),
+    "sample_bm": lambda seed: dw.sample_bm(8, seed),
+    "validate_kernel": lambda seed: dw.validate_kernel(dw.epanechnikov_kernel(), seed, 16)["mass"],
+    "null_limit_process": lambda seed: dw.null_limit_process(LIMIT, seed),
+    "limit_stop_sample": lambda seed: dw.limit_stop_sample(LIMIT, 0.3, 0.0, seed),
+    "false_alarm_rate": lambda seed: dw.false_alarm_rate(
+        dw.MonitorConfig(dw.SmootherConfig(G, 5.0, "null_scale"), 0.5, 20), 20, 5, seed),
+    "arl_curve finite": lambda seed: dw.arl_curve(
+        dw.FiniteSampleVariant(40, 8.0, variance_method="naive"), G, [0.1, 0.3], 100,
+        seed).normed_arl,
+    "arl_curve limit": lambda seed: dw.arl_curve(LIMIT, G, [0.1, 0.3], 100, seed).normed_arl,
+    "coverage_sim": lambda seed: dw.coverage_sim(20, 5.0, G, 0.1, 100, seed),
+    "conservativeness_check": lambda seed: dw.conservativeness_check(
+        20, 5.0, G, [0.1, 0.3], 100, seed, min_grid=64).gaps,
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED))
+@pytest.mark.parametrize("seed", [np.nan, np.inf, -np.inf, -1, 2.5])
+def test_a_seed_must_be_a_nonnegative_integer(name, seed):
+    # int() used to turn 2.5 into 2 without a word
+    with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed!r}"):
+        SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", list(SEEDED))
+def test_an_integral_float_seed_is_that_integer(name):
+    assert np.array_equal(SEEDED[name](2.0), SEEDED[name](2), equal_nan=True)
 
 
 def test_garch_innovation_variance():

@@ -1,18 +1,23 @@
 """The layer-cost harness ``tools/cost.py`` still runs: each measuring function at tiny
-sizes, and its command line rejects out-of-range options."""
+sizes, and its command line rejects out-of-range options.  The hash corpus
+``tools/corpus.py`` prints the same hashes on every run."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-COST = Path(__file__).resolve().parent.parent / "tools" / "cost.py"
+ROOT = Path(__file__).resolve().parent.parent
+COST = ROOT / "tools" / "cost.py"
+CORPUS = ROOT / "tools" / "corpus.py"
 
 
-def _load():
-    spec = importlib.util.spec_from_file_location("tools_cost", COST)
+def _load(path=COST):
+    spec = importlib.util.spec_from_file_location(f"tools_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     with mock.patch.dict(os.environ):  # the script pins BLAS threads for its own process
         spec.loader.exec_module(module)
@@ -88,3 +93,20 @@ def test_out_of_range_option_exits_2(argv, capsys):
         tool.main(argv)
     assert exit_.value.code == 2
     assert "must" in capsys.readouterr().err
+
+
+def test_corpus_hashes_repeat():
+    runs = [subprocess.run([sys.executable, str(CORPUS), "--size", "tiny", *src], check=True,
+                           capture_output=True, text=True).stdout
+            for src in ([], ["--src", str(ROOT / "src")])]
+    assert runs[0] == runs[1]
+    lines = [line.split() for line in runs[0].splitlines()]
+    assert [line[0] for line in lines] == list(_load(CORPUS).GROUPS)
+    assert all(len(line[1]) == 64 and int(line[2]) > 0 for line in lines)
+
+
+def test_corpus_rejects_a_tree_without_the_package(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        _load(CORPUS).main(["--src", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--src must hold a driftwatch package" in capsys.readouterr().err

@@ -1,0 +1,179 @@
+"""A fixed corpus of seeded calls, hashed per group, to show that two source
+trees give the same results bit for bit.
+
+    python tools/corpus.py [--src PATH] [--size tiny|full]
+
+Each output line is a group name, the SHA-256 of its calls' results in
+order, the number of calls and how many of them raised.  A result enters the
+hash by its exact bits (arrays and floats by their bytes, containers item by
+item, dataclasses field by field); a call that raises enters it by the
+exception's type, message and ``index``.  The corpus calls public ``driftwatch`` names
+only, so one copy of this script hashes any tree: ``--src`` imports the
+package from that ``src/`` directory (default: the one next to this script),
+which is named on stderr.  Run it on two trees and compare the lines.
+
+Groups (``--size full`` runs the seeds 20100111 and 3, N = 200, h = 20 and
+600 replicates, two chunks; ``tiny`` runs seed 20100111, N = 20, h = 5 and
+100 replicates, one chunk):
+
+- ``finite_arl``: finite ``arl_curve`` over i.i.d., GARCH(1,1), AR(1) and
+  sigma = 1.3 innovations x no/naive/rice/gasser variance x prerun length
+  None/0/7 x start fraction 0/0.3 (Gaussian kernel), then a kernel with
+  K(0) = 0, whose first index has no weight, with no and naive variance at
+  start fractions 0 and 0.3 (at 0 the call raises); ``full`` adds one
+  ``jobs=2`` call.
+- ``coverage``: ``coverage_sim`` over the four variance settings and sigma
+  1 and 1.3.
+- ``conservativeness``: ``conservativeness_check``, coupled and not, with
+  no and naive variance, on the Gaussian and Epanechnikov kernels.
+- ``limit_arl``: limit ``arl_curve`` without drift and with step and ramp
+  drifts (cp1, and cp2 at theta = 0.5).
+- ``seeded``: ``generate`` (i.i.d., GARCH, AR(1), a drifted series),
+  ``sample_bm`` and ``validate_kernel`` on the three built-in kernels.
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import sys
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+C_GRID = [0.0, 0.1, 0.2, 0.4, 0.7, 1.0, 1.5, 2.5]
+VARIANCE_METHODS = (None, "naive", "rice", "gasser")
+SIZES = {
+    "tiny": {"seeds": (20100111,), "N": 20, "h": 5.0, "reps": 100, "grid_M": 64},
+    "full": {"seeds": (20100111, 3), "N": 200, "h": 20.0, "reps": 600, "grid_M": 2048},
+}
+
+
+def innovations(dw):
+    """The innovation laws of the finite groups, by name."""
+    return {
+        "iid": dw.InnovationSpec(),
+        "garch11": dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1,
+                                     garch_beta1=0.8),
+        "ar1": dw.InnovationSpec(family="ar1", ar_a=0.5),
+        "sigma 1.3": dw.InnovationSpec(sigma=1.3),
+    }
+
+
+def finite_arl(dw, size):
+    G = dw.gaussian_kernel()
+    for seed in size["seeds"]:
+        for inno in innovations(dw).values():
+            for method in VARIANCE_METHODS:
+                for prerun in (None, 0, 7):
+                    for start in (0.0, 0.3):
+                        variant = dw.FiniteSampleVariant(size["N"], size["h"], inno, method,
+                                                          prerun, start)
+                        yield partial(dw.arl_curve, variant, G, C_GRID, size["reps"], seed)
+        k0 = dw.tabulated_kernel([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0])
+        for method in (None, "naive"):
+            for start in (0.0, 0.3):
+                variant = dw.FiniteSampleVariant(size["N"], size["h"], variance_method=method,
+                                                  start_fraction=start)
+                yield partial(dw.arl_curve, variant, k0, C_GRID, size["reps"], seed)
+    if size["reps"] > 512:
+        variant = dw.FiniteSampleVariant(size["N"], size["h"], variance_method="naive")
+        yield partial(dw.arl_curve, variant, G, C_GRID, size["reps"], size["seeds"][0], jobs=2)
+
+
+def coverage(dw, size):
+    G = dw.gaussian_kernel()
+    for seed in size["seeds"]:
+        for method in VARIANCE_METHODS:
+            for sigma in (1.0, 1.3):
+                yield partial(dw.coverage_sim, size["N"], size["h"], G, 0.1, size["reps"], seed,
+                              method, sigma)
+
+
+def conservativeness(dw, size):
+    for seed in size["seeds"]:
+        for kernel in (dw.gaussian_kernel(), dw.epanechnikov_kernel()):
+            for method in (None, "naive"):
+                for coupled in (True, False):
+                    yield partial(dw.conservativeness_check, size["N"], size["h"], kernel, C_GRID,
+                                  size["reps"], seed, method, coupled, size["grid_M"])
+
+
+def limit_arl(dw, size):
+    G = dw.gaussian_kernel()
+    drifts = [None] + [dw.LimitDrift(dw.alternative_by_name(name), *cp)
+                       for name in ("step", "ramp") for cp in (("cp1",), ("cp2", 0.5))]
+    for seed in size["seeds"]:
+        for drift in drifts:
+            cfg = dw.LimitConfig(zeta=size["N"] / size["h"], kernel=G, grid_M=size["grid_M"],
+                                 drift=drift)
+            yield partial(dw.arl_curve, cfg, G, C_GRID, size["reps"], seed)
+
+
+def seeded(dw, size):
+    drift = dw.DriftSpec(dw.alternative_by_name("step"), -0.5, "cp2", theta=0.5,
+                         h_link=size["h"])
+    specs = [dw.SeriesSpec(N=size["N"], innovations=inno) for inno in innovations(dw).values()]
+    specs.append(dw.SeriesSpec(N=size["N"], drift=drift))
+    for seed in (*size["seeds"], 0, 2**40 + 7):
+        yield from (partial(dw.generate, spec, seed) for spec in specs)
+        yield partial(dw.sample_bm, size["grid_M"], seed)
+        for name in ("gaussian", "epanechnikov", "laplace"):
+            yield partial(dw.validate_kernel, dw.kernel_by_name(name), seed)
+
+
+GROUPS = {"finite_arl": finite_arl, "coverage": coverage, "conservativeness": conservativeness,
+          "limit_arl": limit_arl, "seeded": seeded}
+
+
+def feed(digest, x):
+    """Add ``x`` to ``digest`` by its exact bits."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, dict):
+        for key in sorted(x):
+            digest.update(repr(key).encode())
+            feed(digest, x[key])
+    elif isinstance(x, (list, tuple)):
+        digest.update(f"{type(x).__name__}{len(x)}".encode())
+        for item in x:
+            feed(digest, item)
+    elif isinstance(x, (float, np.ndarray, np.generic)):
+        a = np.ascontiguousarray(x)
+        digest.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+    else:
+        digest.update(repr(x).encode())
+
+
+def group_hash(calls):
+    """SHA-256 hex digest over the results of ``calls``, the call count and the raised count."""
+    digest, n, raised = hashlib.sha256(), 0, 0
+    for call in calls:
+        n += 1
+        try:
+            result = call()
+        except Exception as exc:  # a raised error is part of the result
+            raised += 1
+            result = f"{type(exc).__name__}: {exc} (index {getattr(exc, 'index', None)})"
+        feed(digest, result)
+    return digest.hexdigest(), n, raised
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src")
+    parser.add_argument("--size", choices=SIZES, default="full")
+    args = parser.parse_args(argv)
+    if not (args.src / "driftwatch" / "__init__.py").is_file():
+        parser.error(f"--src must hold a driftwatch package, got {args.src}")
+    sys.path.insert(0, str(args.src.resolve()))
+    import driftwatch as dw
+
+    print(f"driftwatch from {Path(dw.__file__).parent}", file=sys.stderr)
+    for name, group in GROUPS.items():
+        digest, n, raised = group_hash(group(dw, SIZES[args.size]))
+        print(f"{name:<17} {digest}  {n} calls, {raised} raised", flush=True)
+
+
+if __name__ == "__main__":
+    main()

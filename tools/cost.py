@@ -199,7 +199,7 @@ def limit_cost(paths, grid_M, repeats, seed):
     stages = {
         "path sampling": lambda: _bm_paths(grid_M, seeds),
         "FFT num/den": lambda: _num_den(cfg, B),
-        "stop extraction": lambda: _stops_from_values(vals, C_GRID, cfg.s_grid),
+        "stop extraction": lambda: _stops_from_values(vals, C_GRID),
     }
     return {name: best_ms(fn, repeats) for name, fn in stages.items()}
 
