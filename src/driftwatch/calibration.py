@@ -33,7 +33,7 @@ import numpy as np
 from .estimator import SmootherConfig, _process_parts, nw_estimate, scaling_factor
 from .kernels import KernelSpec, check_bandwidth
 from .limitsim import LimitConfig, _batch_null_values, _drift_curve, _null_values, sigma_k_sq
-from .monitor import MonitorConfig, chart
+from .monitor import MonitorConfig, chart, first_crossings
 from .seriesgen import (
     InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, innovation_rows, substream,
     walk_rows,
@@ -98,19 +98,10 @@ class CalibrationTable:
 
 
 def _stops_from_values(values: np.ndarray, c_grid: np.ndarray) -> np.ndarray:
-    """First-exceedance normed times j/n per replicate row of length n and threshold.
-
-    ``values`` rows are statistic trajectories with ineligible entries at
-    -inf; no exceedance maps to 1 (truncation).
-    """
-    pmax = np.maximum.accumulate(values, axis=1)
-    n_idx = values.shape[1]
-    normed_times = np.arange(1, n_idx + 1) / n_idx
-    stops = np.empty((values.shape[0], len(c_grid)))
-    for r in range(values.shape[0]):
-        idx = np.searchsorted(pmax[r], c_grid, side="right")
-        stops[r] = np.where(idx < n_idx, normed_times[np.minimum(idx, n_idx - 1)], 1.0)
-    return stops
+    """First-exceedance normed times j/n per replicate row of length n and threshold, 1 where
+    none (truncation); ineligible entries are -inf or NaN, and ``values`` is overwritten."""
+    j = first_crossings(values, c_grid)
+    return np.where(j > 0, j / values.shape[1], 1.0)
 
 
 def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop: int,
@@ -198,20 +189,13 @@ def _finite_chunk(payload) -> np.ndarray:
     return _variant_stops(variant, kernel, c_grid, *_variant_rows(variant, seed, start, stop, 1))
 
 
-def _limit_stops(vals: np.ndarray, c_grid: np.ndarray) -> np.ndarray:
-    """Stops of limit-process rows on their grid s_j = j/M; ``vals`` is overwritten."""
-    # cells below s_min are NaN, hence never eligible
-    np.copyto(vals, -np.inf, where=np.isnan(vals))
-    return _stops_from_values(vals, c_grid)
-
-
 def _limit_chunk(payload) -> np.ndarray:
     cfg, c_grid, seed, key, start, stop = payload
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
     vals = _batch_null_values(cfg, seeds)
     if cfg.drift is not None:
         vals += _drift_curve(cfg)
-    return _limit_stops(vals, c_grid)
+    return _stops_from_values(vals, c_grid)
 
 
 def arl_curve(
@@ -229,6 +213,7 @@ def arl_curve(
     replicate paths are reused across the threshold grid.
     """
     c_grid = _check_grid(c_grid)
+    check_count("seed", seed)  # here, not in the first chunk, which may be a worker's
     if isinstance(variant, LimitConfig):
         cfg = replace(variant, kernel=kernel)
         chunks = _chunked(_limit_chunk, reps, jobs, cfg, c_grid, seed, ())
@@ -307,6 +292,7 @@ def coverage_sim(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    check_count("seed", seed)
     variant = FiniteSampleVariant(N, h, InnovationSpec(sigma=sigma), variance_method)
     variant = replace(variant, prerun_length=max(int(round(h)), 2))  # h is checked by now
     sk = float(np.sqrt(sigma_k_sq(LimitConfig(zeta=N / h, kernel=kernel), 1.0)))
@@ -372,7 +358,7 @@ def _coupled_chunk(payload):
 
     # limit side: an exact Brownian path at resolution 1/grid_M around each walk
     B = _brownian_paths(values, cfg.grid_M // variant.N, seed, start, stop)
-    return fstops, _limit_stops(_null_values(cfg, B), c_grid)
+    return fstops, _stops_from_values(_null_values(cfg, B), c_grid)
 
 
 def conservativeness_check(
@@ -394,13 +380,14 @@ def conservativeness_check(
     with Brownian-bridge refinement to at least ``min_grid`` points), which
     sharpens the per-threshold gap estimate without changing either
     estimand; ``coupled=False`` uses independent substreams and a
-    ``min_grid``-point limit grid.
+    ``min_grid``-point limit grid; ``min_grid`` is at least 64.
     """
     c_grid = _check_grid(c_grid)
-    check_count("min_grid", min_grid, -np.inf)
+    check_count("min_grid", min_grid, 64)
+    check_count("seed", seed)
     variant = FiniteSampleVariant(N=N, h=h, variance_method=variance_method)
     # coupled: refine each unit cell of the walks into at least min_grid / N cells
-    grid_M = max(1, int(np.ceil(min_grid / N))) * N if coupled else min_grid
+    grid_M = int(np.ceil(min_grid / N)) * N if coupled else min_grid
     cfg = LimitConfig(zeta=N / h, kernel=kernel, grid_M=grid_M)
     if coupled:
         fchunks, lchunks = zip(*_chunked(_coupled_chunk, reps, jobs, variant, c_grid, seed, cfg))

@@ -38,6 +38,7 @@ from scipy.optimize import brentq
 
 from .estimator import SmootherConfig, _process_parts, causal_sums
 from .kernels import KernelSpec, _quad
+from .monitor import first_crossings
 from .seriesgen import (
     GenericAlternative, TimeDesign, check_count, seed_sequence, write_two_columns,
 )
@@ -365,20 +366,19 @@ def alt_limit_process(cfg: LimitConfig, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _first_crossing(values: np.ndarray, c: float, a: float) -> int:
-    """The 1-based index j of the first value above c with j/M >= a, M = len(values), else 0;
-    NaN compares False, so the cells below s_min never cross."""
-    j0 = max(int(np.ceil(a * len(values) - 1e-9)), 1)
-    exceed = values[j0 - 1 :] > c
-    return j0 + int(np.argmax(exceed)) if np.any(exceed) else 0
+def _first_cell(c: float, a: float, M: int) -> int:
+    """The start cell of a stop scan from a on the s-grid {j/M}: the least j >= 1 with
+    j/M >= a (up to 1e-9).  Raises unless c is not NaN and a lies in [0, 1)."""
+    if np.isnan(c) or not 0.0 <= a < 1.0:
+        raise ValueError(f"need c not NaN and a in [0, 1), got c={c!r}, a={a!r}")
+    return max(int(np.ceil(a * M - 1e-9)), 1)
 
 
 def limit_stop_sample(cfg: LimitConfig, c: float, a: float, seed) -> float:
     """First s-grid point >= a where a sampled limit path exceeds c; 1 if none."""
-    if np.isnan(c) or not 0.0 <= a < 1.0:
-        raise ValueError(f"need c not NaN and a in [0, 1), got c={c!r}, a={a!r}")
+    start = _first_cell(c, a, cfg.grid_M)
     vals = alt_limit_process(cfg, seed) if cfg.drift is not None else null_limit_process(cfg, seed)
-    j = _first_crossing(vals, c, a)
+    j = int(first_crossings(vals, [c], start)[0])
     return j / cfg.grid_M if j else 1.0
 
 
@@ -391,9 +391,8 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
     """
     if cfg.drift is None:
         raise ValueError("asymptotic_normed_delay needs a LimitConfig with a drift")
-    if np.isnan(c) or not 0.0 <= a < 1.0:
-        raise ValueError(f"need c not NaN and a in [0, 1), got c={c!r}, a={a!r}")
     M = cfg.grid_M
+    start = _first_cell(c, a, M)
     floor = max(a, 1e-6)
 
     @cache
@@ -404,7 +403,7 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
         # exceeds already at the first eligible instant; the infimum is a
         return a
 
-    j = _first_crossing(_drift_curve(cfg), c, a)
+    j = int(first_crossings(_drift_curve(cfg), [c], start)[0])
     if not j:
         if not g(1.0) > 0.0:
             return 1.0

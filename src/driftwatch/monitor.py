@@ -61,6 +61,18 @@ class StoppingResult:
     normed_time: float
 
 
+def first_crossings(values: np.ndarray, c_grid, start: int = 1) -> np.ndarray:
+    """Per threshold in ``c_grid``, the 1-based index j >= ``start`` of the first entry above
+    it along the last axis of ``values``, else 0: the one first-crossing scan.  -inf and NaN
+    entries never cross; ``values`` is overwritten by its running maximum."""
+    np.copyto(values, -np.inf, where=np.isnan(values))
+    values[..., : start - 1] = -np.inf
+    n = values.shape[-1]
+    pmax = np.maximum.accumulate(values, axis=-1, out=values).reshape(-1, n)
+    idx = np.array([np.searchsorted(row, c_grid, side="right") for row in pmax])
+    return np.where(idx < n, idx + 1, 0).reshape(*values.shape[:-1], -1)
+
+
 def chart(num, den, values, cfg: MonitorConfig, pre_inc=None) -> tuple[np.ndarray, np.ndarray]:
     """Scaled (and standardized) statistic rows plus their eligibility masks.
 
@@ -114,9 +126,8 @@ def run_monitor(
 ) -> StoppingResult:
     """Scan for the first eligible index with statistic > threshold."""
     traj, eligible = monitor_trajectory(series, cfg, prerun)
-    exceed = eligible & (traj > cfg.threshold)
-    if np.any(exceed):
-        idx = int(np.argmax(exceed)) + 1
+    idx = int(first_crossings(np.where(eligible, traj, -np.inf), [cfg.threshold])[0])
+    if idx:
         return StoppingResult(idx, True, traj, idx / cfg.N)
     return StoppingResult(cfg.N, False, traj, 1.0)
 

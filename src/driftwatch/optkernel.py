@@ -122,7 +122,7 @@ def optimal_kernel(
     t_max: float | None = None,
     n_points: int = 1001,
 ) -> OptimalSolution:
-    """Tabulate the optimal kernel on [-zeta s*, zeta s*].
+    """Tabulate the optimal kernel on [-zeta s*, zeta s*]; the threshold c must be >= 0.
 
     The shape is truncated at ``t_max`` (default zeta) so the normalizer
     2 int_0^{t_max} M0(r) dr is finite; the tabulated values are
@@ -136,6 +136,8 @@ def optimal_kernel(
     check_count("n_points", n_points)
     trunc = TruncatedAlternative(m0, t_max)
     s_star = optimal_delay(trunc, c)
+    if s_star == 0.0:  # c < 0: crossed at once, so the window [-zeta s*, zeta s*] is a point
+        raise ValueError(f"the threshold c must be >= 0 for an optimal kernel, got {c!r}")
     normalizer = 2.0 * _power_integral(trunc, t_max, 1)
     if not (np.isfinite(normalizer) and normalizer > 0.0):
         raise ValueError(f"normalizer is degenerate ({normalizer!r}) after truncation")

@@ -323,6 +323,8 @@ def change_point_index(drift: DriftSpec, horizon: int) -> float:
 
 def drift_value(drift: DriftSpec, t: float, horizon: int | None = None) -> float:
     """Drift increment m0((t - t_q)/h_link) * h_link**beta at time t."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     if drift.cp_model == "cp2":
         if horizon is None:
             raise ValueError("cp2 drift needs the horizon to resolve the change point")

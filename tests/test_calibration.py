@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -145,16 +146,42 @@ def test_a_one_point_horizon_is_rejected_at_construction():
 @pytest.mark.parametrize("call, message", [
     (lambda: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, [0.1], 100, 1, jobs=2.5),
      "jobs must be an integer, got 2.5"),
-    (lambda: dw.conservativeness_check(20, 5.0, G, [0.1], 100, 1, min_grid=64.5),
-     "min_grid must be an integer, got 64.5"),
-], ids=["jobs", "min_grid"])
+], ids=["jobs"])
 def test_a_count_without_lower_bound_names_none(call, message):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("h, min_grid, match", [(25.0, 2048, "zeta"), (5.0, 32, "grid_M")])
+@pytest.mark.parametrize("coupled", [True, False])
+@pytest.mark.parametrize("min_grid", [-5, 1, 63])
+def test_min_grid_below_64_is_rejected_by_its_own_name(coupled, min_grid):
+    # coupled, every min_grid from 1 to 63 used to give a walk of N >= 64 the grid of 64
+    with pytest.raises(ValueError, match=f"^min_grid must be an integer >= 64, got {min_grid}$"):
+        dw.conservativeness_check(64, 8.0, G, [0.1], 100, 1, coupled=coupled, min_grid=min_grid)
+
+
+SEEDED_CALLS = {
+    "arl_curve": lambda seed: dw.arl_curve(dw.FiniteSampleVariant(N=20, h=5.0), G, [0.1], 1024,
+                                           seed, jobs=2),
+    "coverage_sim": lambda seed: dw.coverage_sim(20, 5.0, G, 0.1, 1024, seed, jobs=2),
+    "conservativeness_check": lambda seed: dw.conservativeness_check(20, 5.0, G, [0.1], 1024,
+                                                                     seed, min_grid=64, jobs=2),
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED_CALLS))
+@pytest.mark.parametrize("seed", [2.5, -1, math.nan])
+def test_a_bad_seed_is_rejected_before_any_pool_starts(monkeypatch, name, seed):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool started")
+
+    monkeypatch.setattr(dw.calibration, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        SEEDED_CALLS[name](seed)
+
+
+@pytest.mark.parametrize("h, min_grid, match", [(25.0, 2048, "zeta"), (5.0, 32, "min_grid")])
 def test_a_coupled_check_rejects_its_limit_config_before_any_chunk(monkeypatch, h, min_grid,
                                                                    match):
     def no_chunk(payload):

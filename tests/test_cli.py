@@ -309,6 +309,10 @@ BAD_INPUTS = {
         "bandwidth must be positive and finite, got 0.0"),
     "optkernel c nan": (lambda d: (["optkernel", "--m0", "step", "--c", "nan"], None, None),
                         "the threshold c must not be NaN"),
+    # s* = 0 used to write 1001 rows of 0.0,0.0, a file load_kernel_csv rejects
+    "optkernel c negative": (
+        lambda d: (["optkernel", "--m0", "step", "--c", "-0.1", "--out", str(d / "k.csv")], None,
+                   None), "the threshold c must be >= 0 for an optimal kernel, got -0.1"),
     "coverage zeta nan": (
         lambda d: (["coverage", "--zeta", "nan", "--n", "100", "--reps", "100"], None, None),
         "Invalid value for '--zeta': must not be NaN"),

@@ -11,7 +11,7 @@ from scipy.stats import norm
 
 import driftwatch as dw
 from driftwatch import limitsim
-from driftwatch.calibration import _limit_stops
+from driftwatch.calibration import _stops_from_values
 from driftwatch.limitsim import _batch_null_values, _bm_paths, _drift_curve
 
 G = dw.gaussian_kernel()
@@ -230,7 +230,7 @@ def test_limit_stop_sample_is_the_calibration_stop(c):
     cfg = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=256)
     for i in range(10):
         seed = dw.substream(41, i)
-        stop = _limit_stops(_batch_null_values(cfg, [seed]), np.array([c]))[0, 0]
+        stop = _stops_from_values(_batch_null_values(cfg, [seed]), np.array([c]))[0, 0]
         assert np.float64(dw.limit_stop_sample(cfg, c, 0.0, seed)).tobytes() == stop.tobytes()
 
 

@@ -41,6 +41,21 @@ def config(N, h=10.0, c=0.1, a=0.0, variance=None, scaling="null_scale"):
     )
 
 
+def test_first_crossings_is_the_first_index_above_each_threshold():
+    # the loop it replaces: the first j >= start with values[j - 1] > c, else 0
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((6, 40))
+    values[rng.random(values.shape) < 0.2] = np.nan
+    values[rng.random(values.shape) < 0.2] = -np.inf
+    values[0, 7] = np.inf
+    c_grid = [-np.inf, -1.0, 0.0, 0.5, 1.5, 2.5, np.inf]
+    for start in (1, 2, 13, 40):
+        want = [[next((j for j in range(start, 41) if row[j - 1] > c), 0) for c in c_grid]
+                for row in values]
+        assert monitor.first_crossings(values.copy(), c_grid, start).tolist() == want
+        assert monitor.first_crossings(values[1].copy(), c_grid, start).tolist() == want[1]
+
+
 def test_truncation_on_zero_series():
     res = dw.run_monitor(make_series(np.zeros(30)), config(30, c=1.0))
     assert not res.alarmed

@@ -85,6 +85,15 @@ def test_optimal_kernel_step_example():
     assert np.all(np.diff(sol.kernel_values) >= -1e-15)
 
 
+@pytest.mark.parametrize("c", [-0.1, -np.inf])
+def test_a_negative_threshold_has_no_optimal_kernel(c):
+    # crossed at once: s* = 0 would tabulate every knot at z = 0 with value 0,
+    # a file that load_kernel_csv rejects
+    assert dw.optimal_delay(STEP, c) == 0.0
+    with pytest.raises(ValueError, match=r"threshold c must be >= 0 for an optimal kernel"):
+        dw.optimal_kernel(STEP, 2.0, c)
+
+
 def test_optimal_kernel_default_truncation():
     sol = dw.optimal_kernel(RAMP, 2.0, 0.03)
     assert sol.t_max == 2.0

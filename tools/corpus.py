@@ -30,6 +30,15 @@ Groups (``--size full`` runs the seeds 20100111 and 3, N = 200, h = 20 and
   drifts (cp1, and cp2 at theta = 0.5).
 - ``seeded``: ``generate`` (i.i.d., GARCH, AR(1), a drifted series),
   ``sample_bm`` and ``validate_kernel`` on the three built-in kernels.
+- ``stops``: the callers of the one first-crossing scan outside the
+  replicate routines.  ``run_monitor`` on a null and a drifted walk with no,
+  naive and gasser variance (the last two seeded by a prerun) at start
+  fractions 0 and 0.3; ``limit_stop_sample`` without drift and with a step
+  drift (cp1, and cp2 at theta = 0.5) at a = 0, 0.3 and 0.5;
+  ``asymptotic_normed_delay`` on the drifted ones (once: it takes no seed);
+  ``kernel_comparison_curves`` of the three built-in kernels under the step
+  and ramp shapes.  Each runs over the thresholds with -inf and +inf added,
+  so both alarm and truncation occur.
 """
 
 import argparse
@@ -122,8 +131,38 @@ def seeded(dw, size):
             yield partial(dw.validate_kernel, dw.kernel_by_name(name), seed)
 
 
+def stops(dw, size):
+    N, h, G = size["N"], size["h"], dw.gaussian_kernel()
+    thresholds = [-np.inf, *C_GRID, np.inf]
+    step = dw.alternative_by_name("step")
+    smoother = dw.SmootherConfig(G, h, "null_scale")
+    drift = dw.DriftSpec(step, -0.5, "cp2", theta=0.5, h_link=h)
+    limits = [dw.LimitConfig(zeta=N / h, kernel=G, grid_M=size["grid_M"], drift=d)
+              for d in (None, dw.LimitDrift(step), dw.LimitDrift(step, "cp2", 0.5))]
+    for seed in size["seeds"]:
+        prerun = dw.generate(dw.SeriesSpec(N=int(h)), dw.substream(seed, 1))
+        for spec in (dw.SeriesSpec(N=N), dw.SeriesSpec(N=N, drift=drift)):
+            series = dw.generate(spec, seed)
+            for method, pre in ((None, None), ("naive", prerun), ("gasser", prerun)):
+                for start in (0.0, 0.3):
+                    for c in thresholds:
+                        cfg = dw.MonitorConfig(smoother, c, N, start, method)
+                        yield partial(dw.run_monitor, series, cfg, pre)
+        for cfg in limits:
+            for a in (0.0, 0.3, 0.5):
+                yield from (partial(dw.limit_stop_sample, cfg, c, a, seed) for c in thresholds)
+    for cfg in limits[1:]:  # the drift term's delay takes no seed
+        for a in (0.0, 0.3, 0.5):
+            yield from (partial(dw.asymptotic_normed_delay, cfg, c, a) for c in thresholds)
+    kernels = [dw.kernel_by_name(name) for name in ("gaussian", "epanechnikov", "laplace")]
+    for name in ("step", "ramp"):
+        for c in thresholds:
+            yield partial(dw.kernel_comparison_curves, kernels, dw.alternative_by_name(name),
+                          N / h, c, size["grid_M"])
+
+
 GROUPS = {"finite_arl": finite_arl, "coverage": coverage, "conservativeness": conservativeness,
-          "limit_arl": limit_arl, "seeded": seeded}
+          "limit_arl": limit_arl, "seeded": seeded, "stops": stops}
 
 
 def feed(digest, x):

@@ -41,7 +41,11 @@ limit: the stages ``calibration._limit_chunk`` runs on one chunk of null
 replicates (Gaussian kernel, zeta = 10, 20 thresholds on [0, 0.3]): Brownian
 path sampling (``limitsim._bm_paths``), the FFT numerator and denominator of
 the limit ratio (``limitsim._num_den``) and stop extraction
-(``calibration._stops_from_values``).
+(``calibration._stops_from_values``, which takes the rows with their NaN
+cells below s_min as ``_limit_chunk`` hands them over).  The stop scan
+overwrites its rows with their running maximum, so repeats after the first
+scan rows that are already their own maximum, with no NaN left; the work per
+call is the same.
 
 quad: three quadrature-bound calls, with the scipy ``quad`` calls and
 integrand evaluations one call makes (every point ``quad`` asks for, nested
@@ -193,9 +197,8 @@ def limit_cost(paths, grid_M, repeats, seed):
     cfg = dw.LimitConfig(zeta=10.0, kernel=dw.gaussian_kernel(), grid_M=grid_M)
     seeds = [dw.substream(seed, i) for i in range(paths)]
     B = _bm_paths(grid_M, seeds)
-    # the stop stage's input as _limit_chunk hands it over: NaN cells ineligible
+    # the stop stage's input as _limit_chunk hands it over, NaN cells below s_min included
     vals = _null_values(cfg, B)
-    np.copyto(vals, -np.inf, where=np.isnan(vals))
     stages = {
         "path sampling": lambda: _bm_paths(grid_M, seeds),
         "FFT num/den": lambda: _num_den(cfg, B),
