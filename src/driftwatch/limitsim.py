@@ -8,12 +8,13 @@ The null limit of the scaled smoother at normed time s is the ratio
 with B standard Brownian motion and zeta the horizon-to-bandwidth ratio.
 Under slowly vanishing alternatives a deterministic drift term
 
-    mu(s) = int_0^s K(zeta (r - s)) int_0^{zeta r} m0(t - offset) dt dr
+    mu(s) = int_0^s K(zeta (r - s)) M0(zeta (r - theta)) dr
             / (zeta^{3/2} int_0^s K(zeta (r - s)) dr)
 
-is added (offset = zeta * theta under the fractional change-point model,
-0 under the fixed one).  Generalized time designs replace the kernel factor
-by its design-transformed argument.
+is added, with M0(x) = int_0^x m0 and theta = 0 under cp1.  Designs replace
+the kernel factor by its design-transformed argument; a fixed design, which
+moves the data off the walk's unit times, also turns M0 into an integral over
+normed time (``_drift_inner``).
 
 Every quadrature limit object integrates over one kernel window: the one
 design-aware ``window_integral`` gives int_0^s w(r) g(r) dr for the kernel
@@ -276,46 +277,37 @@ def sigma_k_sq(cfg: LimitConfig, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _drift_offset(cfg: LimitConfig) -> float:
-    d = cfg.drift
-    return cfg.zeta * d.theta if d.cp_model == "cp2" else 0.0
-
-
 def _drift_inner(cfg: LimitConfig):
-    """(r -> int_0^{zeta r} m0(...) dt, kinks of that map in r).
+    """(r -> the drift's inner integral up to normed time r, kinks of that map in r).
 
-    The kink locations come from the knots of the drift shape pushed through
-    the change-point offset (and, under a fixed design, through the design
-    map); they guide the outer quadrature panels.
+    This is the one place that knows the drift's time axis.  Without a design,
+    and under a rolled design, which re-weights past records but keeps them on
+    the walk's unit times, the map is the closed form M0(zeta r - zeta theta)
+    (theta = 0 under cp1).  A fixed design moves the data: the map is
+    int_0^r zeta m0(zeta (F^{-1}(u) - F^{-1}(theta))) du over normed time u,
+    one quadrature per point.  The kinks, the drift shape's knots pushed
+    through the change point (and the design map), guide the outer
+    quadrature panels.  The map takes a point or an array of them.
     """
-    d = cfg.drift
-    zeta = cfg.zeta
-    design = cfg.design
-    if design is None:
-        off = _drift_offset(cfg)
+    d, zeta, design = cfg.drift, cfg.zeta, cfg.design
+    if design is None or design.mode == "rolling":
+        off = zeta * d.theta if d.cp_model == "cp2" else 0.0
         return (lambda r: d.m0.integral(zeta * r - off)), [(off + k) / zeta for k in d.m0.knots()]
-    if design.mode == "rolling":
-        # rolled designs keep the change-point-free inner integral int_0^r m0
-        return d.m0.integral, list(d.m0.knots())
 
     ftheta = float(design.ft_inverse(d.theta))
-    # composed-argument jump points: zeta (F^{-1}(t/zeta) - F^{-1}(theta)) = knot
-    t_breaks = []
-    for k in d.m0.knots():
-        v = ftheta + k / zeta
-        if 0.0 <= v <= 1.0:
-            t_breaks.append(zeta * float(design.ft_forward(v)))
+    # the u where zeta (F^{-1}(u) - F^{-1}(theta)) meets a knot
+    u_breaks = [float(design.ft_forward(ftheta + k / zeta)) for k in d.m0.knots()
+                if 0.0 <= ftheta + k / zeta <= 1.0]
 
-    def inner(r: float) -> float:
-        hi = zeta * float(r)
-        if hi <= 0.0:
+    def inner(r):
+        if np.ndim(r):
+            return np.array([inner(x) for x in r])
+        if r <= 0.0:
             return 0.0
-        return _quad(
-            lambda t: d.m0.value(zeta * (design.ft_inverse(t / zeta) - ftheta)),
-            0.0, hi, t_breaks,
-        )
+        return _quad(lambda u: zeta * float(d.m0.value(zeta * (design.ft_inverse(u) - ftheta))),
+                     0.0, r, u_breaks)
 
-    return inner, [t / zeta for t in t_breaks]
+    return inner, u_breaks
 
 
 def drift_term(cfg: LimitConfig, s: float) -> float:
@@ -339,9 +331,7 @@ def _drift_curve(cfg: LimitConfig) -> np.ndarray:
     """
     M = cfg.grid_M
     inner, _ = _drift_inner(cfg)
-    r = np.arange(M + 1) / M
-    g = np.asarray(inner(r) if cfg.design is None or cfg.design.mode == "rolling"
-                   else [inner(x) for x in r], dtype=float)
+    g = np.asarray(inner(np.arange(M + 1) / M), dtype=float)
     num, den = _num_den(cfg, g[None, :])
     # den carries one factor of zeta; the drift denominator needs zeta^{3/2}
     with np.errstate(divide="ignore", invalid="ignore"):

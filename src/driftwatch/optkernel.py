@@ -82,10 +82,11 @@ def _delay_ratio(m0, s: float) -> float:
 
 
 def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> float:
-    """First s in (0, 1] where the optimal-kernel delay ratio exceeds c.
+    """First s in [0, 1] where the optimal-kernel delay ratio exceeds c.
 
     Requires int_0^s M0^2 to be positive and finite on all of (0, 1]
-    (checked numerically at the scan scale); 1 when there is no crossing.
+    (checked numerically at the scan scale), so the ratio is positive there
+    and every c <= 0 is crossed at s = 0; 1 when there is no crossing.
     Each s is evaluated once per call: the scan and the root search share
     one memo of the delay ratio.
     """
@@ -97,7 +98,7 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
         )
     if np.isnan(c):
         raise ValueError("the threshold c must not be NaN")
-    if c < 0.0:
+    if c <= 0.0:
         return 0.0
 
     @cache
@@ -122,7 +123,7 @@ def optimal_kernel(
     t_max: float | None = None,
     n_points: int = 1001,
 ) -> OptimalSolution:
-    """Tabulate the optimal kernel on [-zeta s*, zeta s*]; the threshold c must be >= 0.
+    """Tabulate the optimal kernel on [-zeta s*, zeta s*]; the threshold c must be > 0.
 
     The shape is truncated at ``t_max`` (default zeta) so the normalizer
     2 int_0^{t_max} M0(r) dr is finite; the tabulated values are
@@ -136,8 +137,8 @@ def optimal_kernel(
     check_count("n_points", n_points)
     trunc = TruncatedAlternative(m0, t_max)
     s_star = optimal_delay(trunc, c)
-    if s_star == 0.0:  # c < 0: crossed at once, so the window [-zeta s*, zeta s*] is a point
-        raise ValueError(f"the threshold c must be >= 0 for an optimal kernel, got {c!r}")
+    if s_star == 0.0:  # c <= 0: crossed at once, so the window [-zeta s*, zeta s*] is a point
+        raise ValueError(f"the threshold c must be > 0 for an optimal kernel, got {c!r}")
     normalizer = 2.0 * _power_integral(trunc, t_max, 1)
     if not (np.isfinite(normalizer) and normalizer > 0.0):
         raise ValueError(f"normalizer is degenerate ({normalizer!r}) after truncation")

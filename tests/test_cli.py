@@ -312,7 +312,11 @@ BAD_INPUTS = {
     # s* = 0 used to write 1001 rows of 0.0,0.0, a file load_kernel_csv rejects
     "optkernel c negative": (
         lambda d: (["optkernel", "--m0", "step", "--c", "-0.1", "--out", str(d / "k.csv")], None,
-                   None), "the threshold c must be >= 0 for an optimal kernel, got -0.1"),
+                   None), "the threshold c must be > 0 for an optimal kernel, got -0.1"),
+    # s* = 1e-9, the scan's first point, used to write a kernel on [-2e-9, 2e-9]
+    "optkernel c 0": (
+        lambda d: (["optkernel", "--m0", "step", "--c", "0", "--out", str(d / "k.csv")], None,
+                   None), "the threshold c must be > 0 for an optimal kernel, got 0.0"),
     "coverage zeta nan": (
         lambda d: (["coverage", "--zeta", "nan", "--n", "100", "--reps", "100"], None, None),
         "Invalid value for '--zeta': must not be NaN"),

@@ -381,13 +381,42 @@ def test_fixed_design_drift_reduces_to_plain():
 
 
 def test_rolling_design_drift_at_unit_zeta():
-    # at zeta = 1 the rolled-design drift display coincides with the plain cp1 drift
     td = dw.TimeDesign(gamma=1.0, mode="rolling")
     drift = dw.LimitDrift(STEP, "cp1")
-    cfg_d = dw.LimitConfig(zeta=1.0, kernel=G, grid_M=128, design=td, drift=drift)
-    cfg_p = dw.LimitConfig(zeta=1.0, kernel=G, grid_M=128, drift=drift)
-    for s in (0.5, 1.0):
-        assert dw.drift_term(cfg_d, s) == pytest.approx(dw.drift_term(cfg_p, s), rel=1e-8)
+    for zeta in (1.0, 2.0, 4.0):
+        cfg_d = dw.LimitConfig(zeta=zeta, kernel=G, grid_M=128, design=td, drift=drift)
+        cfg_p = dw.LimitConfig(zeta=zeta, kernel=G, grid_M=128, drift=drift)
+        for s in (0.5, 1.0):
+            assert dw.drift_term(cfg_d, s) == pytest.approx(dw.drift_term(cfg_p, s), rel=1e-8)
+
+
+# (time design, limit change point, finite change point): the designs pair with
+# the change-point models as ``LimitConfig`` requires
+LINK_DESIGNS = {
+    "plain cp1": (None, ("cp1",), dict(q=1)),
+    "plain cp2": (None, ("cp2", 0.3), dict(theta=0.3)),
+    "fixed cp2": (dw.TimeDesign(gamma=2.0, mode="fixed"), ("cp2", 0.3), dict(theta=0.3)),
+    "rolled cp1": (dw.TimeDesign(gamma=2.0, mode="rolling"), ("cp1",), dict(q=1)),
+}
+
+
+@pytest.mark.parametrize("shape", ["step", "ramp"])
+@pytest.mark.parametrize("kernel", [G, E], ids=["gaussian", "epanechnikov"])
+@pytest.mark.parametrize("design", list(LINK_DESIGNS))
+def test_drift_term_is_the_limit_of_the_scaled_smoother(design, kernel, shape):
+    # a pure-drift walk (beta = 0, h_link = h, sigma = 1e-9) under slow-alternative
+    # scaling is the drift term up to O(1/h), for every design: the term's time axis
+    # and its zeta^{-3/2} both show at zeta = 4
+    N, zeta = 2000, 4.0
+    td, limit_cp, finite_cp = LINK_DESIGNS[design]
+    m0 = dw.alternative_by_name(shape)
+    drift = dw.DriftSpec(m0, 0.0, limit_cp[0], h_link=N / zeta, **finite_cp)
+    spec = dw.SeriesSpec(N=N, innovations=dw.InnovationSpec(sigma=1e-9), drift=drift, design=td)
+    smoother = dw.SmootherConfig(kernel, N / zeta, "slow_alt_scale", td)
+    finite = dw.nw_process(dw.generate(spec, 5), smoother) * dw.scaling_factor(smoother, N)
+    cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, drift=dw.LimitDrift(m0, *limit_cp), design=td)
+    for s in (0.5, 0.75, 1.0):
+        assert finite[int(s * N) - 1] == pytest.approx(dw.drift_term(cfg, s), rel=1e-2)
 
 
 def test_design_pairing_enforced():

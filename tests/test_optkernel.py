@@ -90,8 +90,16 @@ def test_a_negative_threshold_has_no_optimal_kernel(c):
     # crossed at once: s* = 0 would tabulate every knot at z = 0 with value 0,
     # a file that load_kernel_csv rejects
     assert dw.optimal_delay(STEP, c) == 0.0
-    with pytest.raises(ValueError, match=r"threshold c must be >= 0 for an optimal kernel"):
+    with pytest.raises(ValueError, match=r"threshold c must be > 0 for an optimal kernel"):
         dw.optimal_kernel(STEP, 2.0, c)
+
+
+@pytest.mark.parametrize("m0", [STEP, RAMP], ids=["step", "ramp"])
+def test_a_zero_threshold_is_crossed_at_once(m0):
+    # the delay ratio is positive on (0, 1], so c = 0 is crossed at s = 0
+    assert dw.optimal_delay(m0, 0.0) == 0.0
+    with pytest.raises(ValueError, match=r"threshold c must be > 0 for an optimal kernel, got 0.0"):
+        dw.optimal_kernel(m0, 2.0, 0.0)
 
 
 def test_optimal_kernel_default_truncation():

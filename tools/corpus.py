@@ -39,6 +39,13 @@ Groups (``--size full`` runs the seeds 20100111 and 3, N = 200, h = 20 and
   ``kernel_comparison_curves`` of the three built-in kernels under the step
   and ramp shapes.  Each runs over the thresholds with -inf and +inf added,
   so both alarm and truncation occur.
+- ``designs``: ``null_limit_process``, ``sigma_k_sq`` at s = 1 and the
+  limit ``arl_curve`` without drift under fixed and rolled time designs, each
+  with the power map of gamma = 2 and a tabulated map.
+- ``design_drift``: ``drift_term`` at s = 0.5 and 1, ``alt_limit_process``,
+  ``asymptotic_normed_delay`` and the limit ``arl_curve`` under the fixed
+  (cp2 at theta = 0.3) and rolled (cp1) designs of gamma = 2, on the step,
+  ramp and a tabulated shape.
 """
 
 import argparse
@@ -161,8 +168,37 @@ def stops(dw, size):
                           N / h, c, size["grid_M"])
 
 
+def designs(dw, size):
+    G, zeta = dw.gaussian_kernel(), size["N"] / size["h"]
+    maps = (dict(gamma=2.0), dict(knots_u=np.array([0.0, 0.4, 1.0]),
+                                   knots_v=np.array([0.0, 0.2, 1.0])))
+    for design in (dw.TimeDesign(**m, mode=mode) for m in maps for mode in ("fixed", "rolling")):
+        cfg = dw.LimitConfig(zeta=zeta, kernel=G, grid_M=size["grid_M"], design=design)
+        yield partial(dw.sigma_k_sq, cfg, 1.0)
+        for seed in size["seeds"]:
+            yield partial(dw.null_limit_process, cfg, seed)
+            yield partial(dw.arl_curve, cfg, G, C_GRID, size["reps"], seed)
+
+
+def design_drift(dw, size):
+    G, zeta = dw.gaussian_kernel(), size["N"] / size["h"]
+    shapes = [dw.alternative_by_name("step"), dw.alternative_by_name("ramp"),
+              dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [0.0, 1.0, 0.25])]
+    for m0 in shapes:
+        for mode, cp in (("fixed", ("cp2", 0.3)), ("rolling", ("cp1",))):
+            cfg = dw.LimitConfig(zeta=zeta, kernel=G, grid_M=size["grid_M"],
+                                 drift=dw.LimitDrift(m0, *cp),
+                                 design=dw.TimeDesign(gamma=2.0, mode=mode))
+            yield from (partial(dw.drift_term, cfg, s) for s in (0.5, 1.0))
+            yield from (partial(dw.asymptotic_normed_delay, cfg, c) for c in (0.1, 0.4, 1.0))
+            for seed in size["seeds"]:
+                yield partial(dw.alt_limit_process, cfg, seed)
+                yield partial(dw.arl_curve, cfg, G, C_GRID, size["reps"], seed)
+
+
 GROUPS = {"finite_arl": finite_arl, "coverage": coverage, "conservativeness": conservativeness,
-          "limit_arl": limit_arl, "seeded": seeded, "stops": stops}
+          "limit_arl": limit_arl, "seeded": seeded, "stops": stops, "designs": designs,
+          "design_drift": design_drift}
 
 
 def feed(digest, x):
