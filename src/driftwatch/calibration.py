@@ -138,7 +138,8 @@ def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None)
     """The chart of each unit-time row at threshold +inf, -inf where ineligible."""
     num, den = _process_parts(np.arange(1.0, cfg.N + 1.0), values, cfg.smoother, whole_rows=True)
     traj, eligible = chart(num, den, values, cfg, pre)
-    return np.where(eligible, traj, -np.inf)
+    np.copyto(traj, -np.inf, where=~eligible)
+    return traj
 
 
 def _variant_stops(variant: FiniteSampleVariant, kernel: KernelSpec, c_grid: np.ndarray,

@@ -83,27 +83,32 @@ def chart(num, den, values, cfg: MonitorConfig, pre_inc=None) -> tuple[np.ndarra
     the variance estimate is undefined are ineligible.  A row's chart stops at
     its first eligible index that exceeds the threshold or cannot be formed;
     up to there a degenerate eligible index raises DriftwatchError.  At
-    threshold +inf only a degenerate index stops a row.
+    threshold +inf only a degenerate index stops a row.  The chart overwrites
+    ``num`` and is returned; ``den``, ``values`` and ``pre_inc`` are left as
+    they are.  Besides the masks, the one block it allocates is the running
+    variance, whose root divides the chart in place.
     """
     N = cfg.N
     # dividing by NaN marks the entries that cannot be formed, without a warning
-    traj = num / np.where(den > 0.0, den, np.nan)
+    traj = np.divide(num, np.where(den > 0.0, den, np.nan), out=num)
     traj *= scaling_factor(cfg.smoother, N)
     eligible = np.zeros(traj.shape, dtype=bool)
     eligible[:, cfg.start_index - 1 :] = True
-    est = None
+    zero = None
     if cfg.variance_method is not None:
         est = running_estimates(values, cfg.variance_method, pre_inc)
         eligible &= ~np.isnan(est)
-        traj /= np.sqrt(np.where(est > 0.0, est, np.nan))
+        zero = est <= 0.0
+        np.copyto(est, np.nan, where=zero)
+        traj /= np.sqrt(est, out=est)
 
     # indices after a row's stop are never reached, as in StreamMonitor
     reached = eligible & ~(traj <= cfg.threshold)
     stop = np.where(reached.any(axis=1), reached.argmax(axis=1) + 1, N)
     checked = eligible & (np.arange(1, N + 1) <= stop[:, None])
     check_weights(den, checked)
-    if est is not None:
-        check_variance(est, checked)
+    if zero is not None:
+        check_variance(0.0, zero & checked)  # 0.0 stands for the estimate where it was zero
     return traj, eligible
 
 

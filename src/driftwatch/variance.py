@@ -146,7 +146,11 @@ def running_estimates(
 
     Entries where the estimator is undefined are NaN.  Prerun increments are
     a separate segment: they contribute their own terms but no term that
-    spans the junction with the series.
+    spans the junction with the series.  The estimates are built in the one
+    output, each step in place: the first differences go to its columns 1..,
+    the terms over them to its columns span.. (the naive terms are the
+    differences themselves; rice and gasser allocate theirs).  ``values`` is
+    left as it is.
     """
     _, span, factor = _method(method)
     values = np.asarray(values, dtype=float)
@@ -155,14 +159,18 @@ def running_estimates(
     batch, N = values.shape
     head, cnt0 = _prerun_head(prerun_increments, method, batch)
 
-    out = np.full((batch, N), np.nan)
-    # up to index span the series carries no term of its own
-    if cnt0:
-        out[:, :span] = (factor * head / cnt0)[:, None]
+    out = np.empty((batch, N))
     if N > span:
-        terms = _terms(method, np.diff(values, axis=1))
-        counts = cnt0 + np.arange(1, N - span + 1)
-        out[:, span:] = factor * (head[:, None] + np.cumsum(terms * terms, axis=1)) / counts
+        d = np.subtract(values[:, 1:], values[:, :-1], out=out[:, 1:])
+        body = out[:, span:]
+        body[...] = _terms(method, d)
+        np.square(body, out=body)
+        np.cumsum(body, axis=1, out=body)
+        body += head[:, None]
+        body *= factor
+        body /= cnt0 + np.arange(1, N - span + 1)
+    # up to index span the series carries no term of its own
+    out[:, :span] = (factor * head / cnt0)[:, None] if cnt0 else np.nan
     return out[0] if squeeze else out
 
 

@@ -21,7 +21,10 @@ smoother's weight builder, bit for bit, start included.
 direct real FFT, bit for bit.  The banded smoother and ``monitor.chart`` are
 the reference for calibration's null charts, whose numerator is an FFT
 (``causal_sums``): the same error at the same index, and chart values within
-a stated tolerance of the FFT's rounding.  The dense smoother, which
+a stated tolerance of the FFT's rounding.  ``chart`` builds the chart in
+its numerator's block and ``running_estimates`` in its output, step by step
+in place; the references see every input layout, and the inputs other than
+the numerator stay as they were.  The dense smoother, which
 weighted every record at every anchor, is the reference for the banded one;
 its weights are unchanged and only the summation order differs, so the two
 agree to a few ulps of the largest term and keep every exact zero.  The same
@@ -35,6 +38,7 @@ return the same bits, so every ``quad`` result built on them is unchanged.
 
 import dataclasses
 import math
+import tracemalloc
 from bisect import bisect_left
 from contextlib import nullcontext
 from functools import cache
@@ -165,6 +169,60 @@ def test_running_estimates_match_reference_bitwise(method, N, batch, prerun, one
     want = running_reference(values, method, pre)
     assert got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("method", ["naive", "rice", "gasser"])
+@pytest.mark.parametrize("layout", ["Fortran-ordered", "strided"])
+def test_running_estimates_of_any_layout_match_reference_bitwise(method, layout):
+    # the estimates are built in one C-ordered output, whatever the rows' layout
+    rng = np.random.default_rng(7)
+    block = np.cumsum(rng.standard_normal((9, 61)), axis=1)
+    values = np.asfortranarray(block) if layout == "Fortran-ordered" else block[::2, ::3]
+    kept = values.copy()
+    pre = rng.standard_normal((len(values), 6))
+    for p in (None, pre[:1], pre):
+        got = running_estimates(values, method, p)
+        assert got.tobytes() == running_reference(values, method, p).tobytes()
+        assert got.tobytes() == running_estimates(values.copy(), method, p).tobytes()
+    assert values.tobytes() == kept.tobytes()
+
+
+def _chart_inputs(rows, N, method, whole_rows=False):
+    rng = np.random.default_rng(rows * N)
+    values = np.cumsum(rng.standard_normal((rows, N)), axis=1)
+    pre = rng.standard_normal((rows, N // 10))
+    smoother = dw.SmootherConfig(dw.gaussian_kernel(), N / 10, "null_scale")
+    cfg = dw.MonitorConfig(smoother, np.inf, N, 0.1, method)
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother, whole_rows=whole_rows)
+    return num, den, values, cfg, pre
+
+
+@pytest.mark.parametrize("method", [None, "naive", "rice", "gasser"])
+def test_chart_overwrites_only_its_numerator(method):
+    num, den, values, cfg, pre = _chart_inputs(3, 300, method)
+    kept = [x.copy() for x in (den, values, pre)]
+    want = np.where(den > 0.0, num / den, np.nan) * scaling_factor(cfg.smoother, cfg.N)
+    traj, _ = chart(num, den, values, cfg, pre)
+    assert np.shares_memory(traj, num)
+    assert all(x.tobytes() == k.tobytes() for x, k in zip((den, values, pre), kept))
+    if method is None:
+        assert traj.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", [None, "naive"])
+def test_chart_peak_is_at_most_two_blocks(method):
+    # the running variance is the one float block chart allocates; the parent's
+    # out-of-place chart peaked at about five blocks
+    num, den, values, cfg, pre = _chart_inputs(64, 2000, method, whole_rows=True)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        chart(num, den, values, cfg, pre)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * num.nbytes
 
 
 @settings(max_examples=40, deadline=None)

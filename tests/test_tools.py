@@ -6,6 +6,7 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -77,6 +78,15 @@ def test_draw_cost_runs():
     assert list(cost) == ["iid", "garch11"] and all(ms > 0.0 for ms in cost.values())
 
 
+def test_chart_cost_runs():
+    assert tool.CHART_METHODS == ("naive", "rice", "gasser")
+    for method in tool.CHART_METHODS:
+        cost = tool.chart_cost(rows=3, N=40, repeats=1, seed=1, method=method)
+        assert list(cost) == ["running_estimates", "chart"]
+        assert all(ms > 0.0 and peak > 0 for ms, peak in cost.values())
+    assert not tracemalloc.is_tracing()
+
+
 @pytest.mark.parametrize("argv", [
     ["batch", "--rows", "0"],
     ["batch", "--repeats", "0"],
@@ -87,6 +97,9 @@ def test_draw_cost_runs():
     ["limit", "--grid-m", "63"],
     ["quad", "--repeats", "0"],
     ["draw", "--repeats", "0"],
+    ["chart", "--rows", "0"],
+    ["chart", "--n", "0"],
+    ["chart", "--repeats", "0"],
 ], ids=" ".join)
 def test_out_of_range_option_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exit_:

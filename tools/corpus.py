@@ -39,6 +39,18 @@ Groups (``--size full`` runs the seeds 20100111 and 3, N = 200, h = 20 and
   ``kernel_comparison_curves`` of the three built-in kernels under the step
   and ramp shapes.  Each runs over the thresholds with -inf and +inf added,
   so both alarm and truncation occur.
+- ``charts``: the monitor's chart and its running variance.  ``run_monitor``
+  on a walk and on one whose first N/2 increments are zero (so without a
+  prerun the variance estimate is zero at the first eligible index) with no,
+  naive, rice and gasser variance, the last three without a prerun, with a
+  prerun and with a flat one, at start fractions 0 and 0.3, over the
+  ``stops`` thresholds; on the Gaussian kernel and on a kernel with K(0) = 0
+  at h = 1, whose first index has no weight (with a flat prerun that index
+  is eligible and its variance estimate zero too, and the weights are
+  named); ``running_estimates`` of the three methods on five walks as
+  C-ordered, Fortran-ordered and strided (every other row, every other
+  column) rows and as one row, without a prerun, with a one-row prerun and
+  with one prerun per row.
 - ``designs``: ``null_limit_process``, ``sigma_k_sq`` at s = 1 and the
   limit ``arl_curve`` without drift under fixed and rolled time designs, each
   with the power map of gamma = 2 and a tabulated map.
@@ -168,6 +180,38 @@ def stops(dw, size):
                           N / h, c, size["grid_M"])
 
 
+def charts(dw, size):
+    N, h = size["N"], size["h"]
+    thresholds = [-np.inf, *C_GRID, np.inf]
+    k0 = dw.tabulated_kernel([-2.0, -1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 0.0, 0.5, 0.0])
+    smoothers = [dw.SmootherConfig(dw.gaussian_kernel(), h, "null_scale"),
+                 dw.SmootherConfig(k0, 1.0, "null_scale")]
+    times = np.arange(1.0, N + 1.0)
+    for seed in size["seeds"]:
+        rng = np.random.default_rng(dw.substream(seed, 2))
+        inc = rng.standard_normal(N)
+        flat = np.where(times <= N // 2, 0.0, inc)
+        prerun = dw.generate(dw.SeriesSpec(N=int(h)), dw.substream(seed, 1))
+        preruns = (None, prerun, dw.TimeSeries(prerun.times, np.zeros(int(h))))
+        for values in (np.cumsum(inc), np.cumsum(flat)):
+            series = dw.TimeSeries(times, values)
+            for smoother in smoothers:
+                for method in VARIANCE_METHODS:
+                    for pre in preruns if method else (None,):
+                        for start in (0.0, 0.3):
+                            for c in thresholds:
+                                cfg = dw.MonitorConfig(smoother, c, N, start, method)
+                                yield partial(dw.run_monitor, series, cfg, pre)
+        walks = np.cumsum(rng.standard_normal((5, N)), axis=1)
+        pre_rows = rng.standard_normal((5, int(h)))
+        for method in ("naive", "rice", "gasser"):
+            for rows in (walks, np.asfortranarray(walks), walks[::2, ::2]):
+                for pre in (None, pre_rows[:1], pre_rows[: len(rows)]):
+                    yield partial(dw.running_estimates, rows, method, pre)
+            for pre in (None, pre_rows[0]):
+                yield partial(dw.running_estimates, walks[0], method, pre)
+
+
 def designs(dw, size):
     G, zeta = dw.gaussian_kernel(), size["N"] / size["h"]
     maps = (dict(gamma=2.0), dict(knots_u=np.array([0.0, 0.4, 1.0]),
@@ -197,8 +241,8 @@ def design_drift(dw, size):
 
 
 GROUPS = {"finite_arl": finite_arl, "coverage": coverage, "conservativeness": conservativeness,
-          "limit_arl": limit_arl, "seeded": seeded, "stops": stops, "designs": designs,
-          "design_drift": design_drift}
+          "limit_arl": limit_arl, "seeded": seeded, "stops": stops, "charts": charts,
+          "designs": designs, "design_drift": design_drift}
 
 
 def feed(digest, x):

@@ -5,6 +5,7 @@
     python tools/cost.py limit  [--paths 512] [--grid-m 2048] [--repeats 5] [--seed 1]
     python tools/cost.py quad   [--repeats 3] [--grid-m 2048]
     python tools/cost.py draw   [--repeats 5] [--seed 1]
+    python tools/cost.py chart  [--rows 256] [--n 4000] [--repeats 5] [--seed 1]
 
 Each subcommand prints the best wall time of a call over ``--repeats`` calls
 (``stream``: window medians).  BLAS runs on one thread, and driftwatch is
@@ -62,12 +63,23 @@ replicates [0, rows) as one array: i.i.d. Gaussian innovations at the
 ``finite_long`` size (256 rows of N = 4000) and GARCH(1,1) innovations
 (alpha0 = 0.1, alpha1 = 0.1, beta1 = 0.8, 500 burn-in steps) at the
 ``finite_garch`` size (250 rows of N = 500).
+
+chart: the replicate chart of ``calibration._null_charts`` on (rows, N) null
+random walks (Gaussian kernel, h = N/10, null scaling, a prerun of h
+increments, threshold +inf), per variance method: ``variance.running_estimates``
+and ``monitor.chart`` on the FFT numerator, each with the ``tracemalloc``
+peak of one call in MB and in float blocks of (rows, N).  ``chart``
+overwrites its numerator, so each call gets a fresh copy, made outside the
+timing and the trace.  The naive method builds the chart in one block: the
+running variance, whose root divides the numerator in place, plus the
+boolean masks; rice and gasser also allocate their terms.
 """
 
 import argparse
 import os
 import sys
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -84,6 +96,8 @@ from driftwatch import kernels  # noqa: E402
 from driftwatch.calibration import _null_walks, _stops_from_values  # noqa: E402
 from driftwatch.estimator import _process_parts  # noqa: E402
 from driftwatch.limitsim import _bm_paths, _null_values, _num_den  # noqa: E402
+from driftwatch.monitor import chart  # noqa: E402
+from driftwatch.variance import running_estimates  # noqa: E402
 
 
 def best_ms(fn, repeats):
@@ -252,6 +266,42 @@ def draw_cost(cases, repeats, seed):
             for name, (innovations, rows, N) in cases.items()}
 
 
+CHART_METHODS = ("naive", "rice", "gasser")
+
+
+def chart_cost(rows, N, repeats, seed, method):
+    """Best milliseconds per call and the traced peak bytes of one call, for
+    ``running_estimates`` and ``chart`` by name."""
+    rng = np.random.default_rng(seed)
+    values = np.cumsum(rng.standard_normal((rows, N)), axis=1)
+    h = N / 10
+    pre = rng.standard_normal((rows, max(int(round(h)), 1)))
+    smoother = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=h, scaling="null_scale")
+    cfg = dw.MonitorConfig(smoother, np.inf, N, variance_method=method)
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother, whole_rows=True)
+    layers = {
+        "running_estimates": lambda block: running_estimates(values, method, pre),
+        "chart": lambda block: chart(block, den, values, cfg, pre),
+    }
+    cost = {}
+    for name, fn in layers.items():
+        best = np.inf
+        for _ in range(repeats):
+            block = num.copy()
+            t0 = time.perf_counter()
+            fn(block)
+            best = min(best, time.perf_counter() - t0)
+        block = num.copy()
+        tracemalloc.start()
+        try:
+            fn(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cost[name] = (best * 1e3, peak)
+    return cost
+
+
 def run_batch(args):
     for N in args.sizes:
         for layout, kwargs in BATCH_LAYOUTS.items():
@@ -288,6 +338,15 @@ def run_draw(args):
         print(f"{name:<8} {ms:9.2f} ms/call  ({rows} rows x N = {N})")
 
 
+def run_chart(args):
+    block = args.rows * args.n * 8
+    for method in CHART_METHODS:
+        for name, (ms, peak) in chart_cost(args.rows, args.n, args.repeats, args.seed,
+                                           method).items():
+            print(f"{method:<7} {name:<18} {ms:8.2f} ms/call  {peak / 1e6:6.1f} MB peak"
+                  f"  ({peak / block:.2f} blocks of {args.rows} x N = {args.n})")
+
+
 # subcommand -> (printer, option defaults)
 LAYERS = {
     "batch": (run_batch, {"sizes": "1000,4000,16000", "rows": 256, "repeats": 3, "seed": 1}),
@@ -295,6 +354,7 @@ LAYERS = {
     "limit": (run_limit, {"paths": 512, "grid_m": 2048, "repeats": 5, "seed": 1}),
     "quad": (run_quad, {"repeats": 3, "grid_m": 2048}),
     "draw": (run_draw, {"repeats": 5, "seed": 1}),
+    "chart": (run_chart, {"rows": 256, "n": 4000, "repeats": 5, "seed": 1}),
 }
 
 
@@ -313,7 +373,7 @@ def main(argv=None):
                              type=sizes if name == "sizes" else type(default))
         sub.set_defaults(run=run)
     args = parser.parse_args(argv)
-    for name in ("rows", "paths", "repeats"):
+    for name in ("rows", "n", "paths", "repeats"):
         if getattr(args, name, 1) < 1:
             parser.error(f"--{name} must be >= 1")
     if getattr(args, "grid_m", 64) < 64:
