@@ -18,6 +18,7 @@ by their asymptotic normed delays under one drift shape.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cache
 
@@ -87,8 +88,10 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
     Requires int_0^s M0^2 to be positive and finite on all of (0, 1]
     (checked numerically at the scan scale), so the ratio is positive there
     and every c <= 0 is crossed at s = 0; 1 when there is no crossing.
-    Each s is evaluated once per call: the scan and the root search share
-    one memo of the delay ratio.
+    With m0 >= 0 (M0 nondecreasing) the ratio R(s) = int_0^s M0^2 / int_0^s M0
+    is nondecreasing, so bisecting the scan grid finds the cell that the root
+    search brackets; both share one memo of R.  R and s* are on the zeta = 1
+    scale: M0(r), not the M0(zeta r) zeta^(-3/2) of ``limitsim.drift_term``.
     """
     probe, full = _power_integral(m0, SCAN_STEP, 2), _power_integral(m0, 1.0, 2)
     if not (probe > 0.0 and np.isfinite(full)):
@@ -105,15 +108,14 @@ def optimal_delay(m0: GenericAlternative | TruncatedAlternative, c: float) -> fl
     def g(s: float) -> float:
         return _delay_ratio(m0, s) - c
 
-    grid = np.arange(SCAN_STEP, 1.0 + SCAN_STEP / 2, SCAN_STEP)
-    prev = 1e-9
-    for s in grid:
-        if g(float(s)) > 0.0:
-            if g(prev) > 0.0:
-                return float(prev)
-            return float(brentq(g, prev, float(s), xtol=DELAY_TOL / 4))
-        prev = float(s)
-    return 1.0
+    grid = np.arange(SCAN_STEP, 1.0 + SCAN_STEP / 2, SCAN_STEP).tolist()
+    j = bisect_left(grid, True, key=lambda s: g(s) > 0.0)
+    if j == len(grid):
+        return 1.0
+    prev = grid[j - 1] if j else 1e-9
+    if g(prev) > 0.0:
+        return prev
+    return float(brentq(g, prev, grid[j], xtol=DELAY_TOL / 4))
 
 
 def optimal_kernel(
@@ -223,7 +225,8 @@ def verify_optimality(
     candidate under the same drift shape, and reports whether the completed
     kernel's delay is within a grid tolerance (2/grid_M) of being smallest.
     Also reports the detection-functional identity at s*: tau of the
-    completed kernel against the closed-form delay ratio.
+    completed kernel against the closed-form delay ratio.  ``delay_bound`` is s*
+    on the zeta = 1 scale, so at zeta != 1 ``is_optimal`` does not check it.
     """
     names, cfgs, delays = _candidate_delays(candidates, m0, zeta, c, grid_M)
     sol = optimal_kernel(m0, zeta, c, t_max)

@@ -21,6 +21,8 @@ L = dw.laplace_kernel()
 STEP = dw.alternative_by_name("step")
 RAMP = dw.alternative_by_name("ramp")
 ZERO = dw.alternative_by_name("zero")
+TAB = dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [1.0, 0.25, 1.5])
+KM_SHAPES = {"zero": ZERO, "step": STEP, "ramp": RAMP, "tabulated": TAB}
 
 
 def test_import_loads_neither_scipy_signal_nor_scipy_stats():
@@ -324,6 +326,55 @@ def test_check_km_condition():
     xs = np.linspace(0.0, 20.0, 81)
     oracle = any(inner(float(x)) > 0.1 for x in xs)
     assert dw.check_km_condition(G, RAMP, 0.1) == oracle
+
+
+def _detectability(kernel, m0, x):
+    return limitsim.window_integral(dw.LimitConfig(zeta=1.0, kernel=kernel), x, m0.integral)
+
+
+def grid_reference(kernel, m0, c, x_max=20.0, n_grid=81):
+    """``check_km_condition`` by the detectability integral on a grid of x."""
+    xs = np.linspace(0.0, x_max, n_grid)
+    vals = np.empty(n_grid)
+    for i, x in enumerate(xs):
+        try:
+            vals[i] = _detectability(kernel, m0, x) if x != 0.0 else 0.0
+        except (ArithmeticError, RuntimeWarning):
+            return False
+    if np.any(~np.isfinite(vals)) or np.any(np.abs(vals) > limitsim.OVERFLOW_GUARD):
+        return False
+    return bool(np.any(vals > c))
+
+
+@pytest.mark.parametrize("shape", KM_SHAPES)
+@pytest.mark.parametrize("kernel", [G, E], ids=["gaussian", "epanechnikov"])
+def test_check_km_condition_equals_the_grid(kernel, shape):
+    for c in (-0.5, 0.1, 30.0):
+        assert dw.check_km_condition(kernel, KM_SHAPES[shape], c, 5.0) == \
+            grid_reference(kernel, KM_SHAPES[shape], c, 5.0), c
+
+
+def test_check_km_condition_takes_one_integral(monkeypatch):
+    window_integral = limitsim.window_integral
+    calls = []
+
+    def counting(cfg, s, g=None, breaks=()):
+        calls.append(s)
+        return window_integral(cfg, s, g, breaks)
+
+    monkeypatch.setattr(limitsim, "window_integral", counting)
+    dw.check_km_condition(G, RAMP, 0.1)
+    assert calls == [20.0]
+
+
+@pytest.mark.parametrize("shape", KM_SHAPES)
+def test_the_detectability_integral_is_nondecreasing(shape):
+    # the premise of the one integral: K >= 0 and m0 >= 0 make
+    # I(x) = int_0^x K(-u) M0(x - u) du nondecreasing in x
+    completed = dw.completed_kernel(dw.optimal_kernel(RAMP, 1.0, 0.03, n_points=101))
+    for kernel in (G, E, completed):
+        vals = [_detectability(kernel, KM_SHAPES[shape], x) for x in np.arange(1, 11) * 0.5]
+        assert np.all(np.diff([0.0, *vals]) >= 0.0), kernel.family
 
 
 class _RaisingKernel:

@@ -101,9 +101,8 @@ TABLE = {
     "LimitDrift": (dw.LimitDrift, dict(m0=STEP, cp_model="cp2", theta=0.5), ["theta"], [], []),
     "asymptotic_normed_delay": (dw.asymptotic_normed_delay, dict(cfg=DRIFTED, c=0.2, a=0.0),
                                 ["c", "a"], [], []),
-    "check_km_condition": (dw.check_km_condition, dict(kernel=G, m0=STEP, c=0.2, x_max=5.0,
-                                                       n_grid=9),
-                           ["c", "x_max"], ["n_grid"], []),
+    "check_km_condition": (dw.check_km_condition, dict(kernel=G, m0=STEP, c=0.2, x_max=5.0),
+                           ["c", "x_max"], [], []),
     "drift_term": (dw.drift_term, dict(cfg=DRIFTED, s=0.5), ["s"], [], []),
     "limit_stop_sample": (dw.limit_stop_sample, dict(cfg=LIMIT, c=0.5, a=0.0, seed=1),
                           ["c", "a"], ["seed"], []),

@@ -3,13 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 
 import driftwatch as dw
 from driftwatch import limitsim, optkernel
-from driftwatch.optkernel import TruncatedAlternative, tau_ratio
+from driftwatch.optkernel import DELAY_TOL, SCAN_STEP, TruncatedAlternative, tau_ratio
 
 STEP = dw.alternative_by_name("step")
 RAMP = dw.alternative_by_name("ramp")
+# m0 falls, then rises: not monotone itself, while M0 is
+TAB = dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [1.0, 0.25, 1.5])
+SHAPES = {"step": STEP, "ramp": RAMP, "tabulated": TAB}
 
 
 def delay_ratio_oracle(m0, s):
@@ -67,6 +71,64 @@ def test_optimal_delay_evaluates_each_s_once(monkeypatch):
     monkeypatch.setattr(optkernel, "_delay_ratio", counting)
     assert dw.optimal_delay(RAMP, 0.03) == pytest.approx(np.sqrt(0.1), abs=1e-6)
     assert len(calls) > 2 and len(calls) == len(set(calls))
+
+
+def test_optimal_delay_bisects_the_scan_grid(monkeypatch):
+    # no crossing: a linear scan evaluates all 1000 grid points, a bisection about log2(1000)
+    delay_ratio = optkernel._delay_ratio
+    calls = []
+
+    def counting(m0, s):
+        calls.append(s)
+        return delay_ratio(m0, s)
+
+    monkeypatch.setattr(optkernel, "_delay_ratio", counting)
+    assert dw.optimal_delay(STEP, 10.0) == 1.0
+    assert len(calls) <= 12
+
+
+def scan_reference(m0, c):
+    """``optimal_delay`` by a linear scan of its grid, with the same root search."""
+    probe = optkernel._power_integral(m0, SCAN_STEP, 2)
+    if not (probe > 0.0 and np.isfinite(optkernel._power_integral(m0, 1.0, 2))):
+        raise ValueError("the squared cumulative drift must be positive and finite on (0, 1]")
+    if c <= 0.0:
+        return 0.0
+
+    def g(s):
+        return optkernel._delay_ratio(m0, s) - c
+
+    grid = np.arange(SCAN_STEP, 1.0 + SCAN_STEP / 2, SCAN_STEP)
+    prev = 1e-9
+    for s in grid:
+        if g(float(s)) > 0.0:
+            if g(prev) > 0.0:
+                return float(prev)
+            return float(brentq(g, prev, float(s), xtol=DELAY_TOL / 4))
+        prev = float(s)
+    return 1.0
+
+
+@pytest.mark.parametrize("t_max", [None, 0.3])
+@pytest.mark.parametrize("name", SHAPES)
+def test_optimal_delay_equals_the_linear_scan(name, t_max):
+    m0 = SHAPES[name] if t_max is None else TruncatedAlternative(SHAPES[name], t_max)
+    thresholds = [-0.1, 0.0, 0.03, 0.2, 0.6]
+    if name == "tabulated":
+        # the scan evaluates each grid point up to the crossing, at milliseconds each on
+        # this kinked integral: its late crossings would take seconds
+        thresholds = thresholds[: 4 if t_max is None else 3]
+    for c in thresholds:
+        assert dw.optimal_delay(m0, c) == scan_reference(m0, c), c
+
+
+@pytest.mark.parametrize("t_max", [None, 0.3])
+@pytest.mark.parametrize("name", SHAPES)
+def test_the_delay_ratio_is_nondecreasing(name, t_max):
+    # the premise of the bisection: m0 >= 0 makes R(s) = int_0^s M0^2 / int_0^s M0 nondecreasing
+    m0 = SHAPES[name] if t_max is None else TruncatedAlternative(SHAPES[name], t_max)
+    ratios = [optkernel._delay_ratio(m0, s) for s in np.arange(1, 21) * 0.05]
+    assert np.all(np.diff(ratios) >= 0.0)
 
 
 def test_optimal_kernel_step_example():

@@ -64,10 +64,14 @@ def test_limit_cost_runs():
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_quad_cost_runs():
     cases = tool.quad_cases(zetas=(2.0,), table_kernels=("gaussian",), grid_M=64)
-    assert len(cases) == 3
-    for fn in cases.values():
-        ms, calls, evaluations = tool.quad_cost(fn, repeats=1)
-        assert ms > 0.0 and calls > 0 and evaluations > 0
+    assert len(cases) == 5
+    calls = {}
+    for label, fn in cases.items():
+        ms, calls[label], evaluations = tool.quad_cost(fn, repeats=1)
+        assert ms > 0.0 and calls[label] > 0 and evaluations > 0
+    # one detectability integral; s* by bisection, not by a scan of its 1000-point grid
+    assert calls["check_km_condition(gaussian, ramp, 0.1)"] == 1
+    assert calls["optimal_kernel(ramp, 1, 0.03)"] < 100
     assert tool.kernels.integrate is tool.integrate  # the counter is off
 
 
@@ -116,6 +120,15 @@ def test_corpus_hashes_repeat():
     lines = [line.split() for line in runs[0].splitlines()]
     assert [line[0] for line in lines] == list(_load(CORPUS).GROUPS)
     assert all(len(line[1]) == 64 and int(line[2]) > 0 for line in lines)
+
+
+def test_corpus_optimal_group_runs():
+    corpus = _load(CORPUS)
+    tiny, full = (list(corpus.optimal(tool.dw, corpus.SIZES[size])) for size in ("tiny", "full"))
+    # full adds verify_optimality
+    assert len(tiny) == 3 * 8 + 16 + 3 * 4 * 4 * 2 and len(full) == len(tiny) + 1
+    digest, n, raised = corpus.group_hash(tiny)
+    assert len(digest) == 64 and n == len(tiny) and raised == 0
 
 
 def test_corpus_rejects_a_tree_without_the_package(tmp_path, capsys):

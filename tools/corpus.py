@@ -58,6 +58,14 @@ Groups (``--size full`` runs the seeds 20100111 and 3, N = 200, h = 20 and
   ``asymptotic_normed_delay`` and the limit ``arl_curve`` under the fixed
   (cp2 at theta = 0.3) and rolled (cp1) designs of gamma = 2, on the step,
   ramp and a tabulated shape.
+- ``optimal``: the two monotone limit objects and their callers.
+  ``optimal_delay`` on the step, ramp and the tabulated shape over the
+  thresholds -inf, -0.1, 0, 0.03, 0.2, 0.6, 10 and +inf; ``optimal_kernel``
+  for the ramp and step shapes at zeta 1 and 2, c 0.03 and 0.2 and t_max None
+  and 0.5; ``check_km_condition`` on the three built-in kernels x the zero,
+  step, ramp and tabulated shapes at c -0.5, 0, 0.1 and 30 and x_max 5 and
+  20; ``full`` adds ``verify_optimality`` for the ramp at zeta 1, c 0.03
+  against the three built-in kernels.
 """
 
 import argparse
@@ -224,11 +232,15 @@ def designs(dw, size):
             yield partial(dw.arl_curve, cfg, G, C_GRID, size["reps"], seed)
 
 
+def shapes(dw):
+    """The step, ramp and tabulated drift shapes of the drift groups."""
+    return [dw.alternative_by_name("step"), dw.alternative_by_name("ramp"),
+            dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [0.0, 1.0, 0.25])]
+
+
 def design_drift(dw, size):
     G, zeta = dw.gaussian_kernel(), size["N"] / size["h"]
-    shapes = [dw.alternative_by_name("step"), dw.alternative_by_name("ramp"),
-              dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [0.0, 1.0, 0.25])]
-    for m0 in shapes:
+    for m0 in shapes(dw):
         for mode, cp in (("fixed", ("cp2", 0.3)), ("rolling", ("cp1",))):
             cfg = dw.LimitConfig(zeta=zeta, kernel=G, grid_M=size["grid_M"],
                                  drift=dw.LimitDrift(m0, *cp),
@@ -240,9 +252,29 @@ def design_drift(dw, size):
                 yield partial(dw.arl_curve, cfg, G, C_GRID, size["reps"], seed)
 
 
+def optimal(dw, size):
+    step, ramp, tab = shapes(dw)
+    for m0 in (step, ramp, tab):
+        for c in (-np.inf, -0.1, 0.0, 0.03, 0.2, 0.6, 10.0, np.inf):
+            yield partial(dw.optimal_delay, m0, c)
+    for m0 in (ramp, step):
+        for zeta in (1.0, 2.0):
+            for c in (0.03, 0.2):
+                for t_max in (None, 0.5):
+                    yield partial(dw.optimal_kernel, m0, zeta, c, t_max)
+    kernels = [dw.kernel_by_name(name) for name in ("gaussian", "epanechnikov", "laplace")]
+    for kernel in kernels:
+        for m0 in (dw.alternative_by_name("zero"), step, ramp, tab):
+            for c in (-0.5, 0.0, 0.1, 30.0):
+                for x_max in (5.0, 20.0):
+                    yield partial(dw.check_km_condition, kernel, m0, c, x_max)
+    if size["reps"] > 512:
+        yield partial(dw.verify_optimality, ramp, 1.0, 0.03, kernels, grid_M=size["grid_M"])
+
+
 GROUPS = {"finite_arl": finite_arl, "coverage": coverage, "conservativeness": conservativeness,
           "limit_arl": limit_arl, "seeded": seeded, "stops": stops, "charts": charts,
-          "designs": designs, "design_drift": design_drift}
+          "designs": designs, "design_drift": design_drift, "optimal": optimal}
 
 
 def feed(digest, x):

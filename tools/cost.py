@@ -48,15 +48,17 @@ overwrites its rows with their running maximum, so repeats after the first
 scan rows that are already their own maximum, with no NaN left; the work per
 call is the same.
 
-quad: three quadrature-bound calls, with the scipy ``quad`` calls and
+quad: five quadrature-bound calls, with the scipy ``quad`` calls and
 integrand evaluations one call makes (every point ``quad`` asks for, nested
 rules included; counted at the ``integrate`` name in ``kernels``, through
 which every ``_quad`` binding calls scipy): ``drift_term`` at s* on the
 completed optimal kernel for the ramp shape (zeta = 1, c = 0.03), a tabulated
 kernel with 1001 knots; the Table-1 grid, ``sigma_k_sq`` at s = 1 for the
 Gaussian, Laplace and Epanechnikov kernels at seven zeta values, 21 cells;
-``verify_optimality`` for the ramp shape at zeta = 1, c = 0.03 against the
-three built-in kernels.
+``optimal_kernel`` for the ramp shape at zeta = 1, c = 0.03, which bisects
+for s*; ``check_km_condition`` for the Gaussian kernel and the ramp shape at
+c = 0.1, one detectability integral; ``verify_optimality`` for the ramp shape
+at zeta = 1, c = 0.03 against the three built-in kernels.
 
 draw: ``calibration._null_walks``, which draws the null random walks of
 replicates [0, rows) as one array: i.i.d. Gaussian innovations at the
@@ -237,6 +239,9 @@ def quad_cases(zetas=TABLE1_ZETAS, table_kernels=TABLE1_KERNELS, grid_M=2048):
     return {
         "drift_term, completed ramp kernel": lambda: dw.drift_term(drift, sol.s_star),
         f"sigma_k_sq grid, {len(grid)} cells": lambda: [dw.sigma_k_sq(c, 1.0) for c in grid],
+        "optimal_kernel(ramp, 1, 0.03)": lambda: dw.optimal_kernel(ramp, 1.0, 0.03),
+        "check_km_condition(gaussian, ramp, 0.1)": lambda: dw.check_km_condition(
+            dw.gaussian_kernel(), ramp, 0.1),
         "verify_optimality(ramp, 1, 0.03)": lambda: dw.verify_optimality(
             ramp, 1.0, 0.03, candidates, grid_M=grid_M),
     }
@@ -328,7 +333,7 @@ def run_limit(args):
 def run_quad(args):
     for label, fn in quad_cases(grid_M=args.grid_m).items():
         ms, calls, evaluations = quad_cost(fn, args.repeats)
-        print(f"{label:<36} {ms:10.1f} ms/call  {calls:>6} quad calls/call"
+        print(f"{label:<39} {ms:10.1f} ms/call  {calls:>6} quad calls/call"
               f"  {evaluations:>8} integrand evaluations/call")
 
 
