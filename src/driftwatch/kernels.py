@@ -10,18 +10,27 @@ Unbounded families are truncated for quadrature and weight sums; the
 truncation radii are chosen so the discarded tail mass stays below 1e-14,
 which keeps the density/mean checks valid at their 1e-8 tolerance.  The
 limit layer's kernel-window integrals are ``limitsim.window_integral``.
+
+Each kernel builds its float -> float evaluator once, ``KernelSpec.scalar``:
+the support test and the family's one formula, or for a tabulated kernel
+np.interp's rule on the knot lists with per-interval slopes.  It returns
+bit for bit what a one-element array would; ``evaluate``'s float branch is
+this evaluator, and the limit layer's quadrature integrands call it
+directly.  A pickled kernel leaves it out and rebuilds it on first use.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import integrate
 
-from .seriesgen import check_count, read_two_columns, seed_sequence, write_two_columns
+from .seriesgen import (
+    ScalarEvaluators, check_count, read_two_columns, seed_sequence, write_two_columns,
+)
 
 # Tail mass beyond the radius must stay below 1e-14:
 # Gaussian: 2*Phi(-8) ~ 1.2e-15.  Laplace: exp(-sqrt(2)*24) ~ 1.8e-15.
@@ -35,11 +44,17 @@ _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
 
-_FAMILIES = ("gaussian", "epanechnikov", "laplace", "tabulated")
+# K(z) on the support, one expression per built-in family, for a float or an array;
+# np.exp, not math.exp: the two differ in the last bit on some inputs
+_FORMULAS = {
+    "gaussian": lambda z: _GAUSS_NORM * np.exp(-0.5 * z * z),
+    "epanechnikov": lambda z: 0.75 * (1.0 - z * z),
+    "laplace": lambda z: (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z)),
+}
 
 
 @dataclass(frozen=True, eq=False)
-class KernelSpec:
+class KernelSpec(ScalarEvaluators):
     """A smoothing kernel with its support and Lipschitz constant.
 
     Attributes
@@ -61,49 +76,68 @@ class KernelSpec:
     knots_z: np.ndarray | None = field(default=None, repr=False)
     knots_k: np.ndarray | None = field(default=None, repr=False)
 
-    @cached_property
-    def _knots(self) -> tuple[list[float], list[float]]:
-        return self.knots_z.tolist(), self.knots_k.tolist()
-
     def evaluate(self, z) -> np.ndarray:
         """Vectorized K(z); zero outside the support.
 
-        A float argument, one quadrature point, takes a scalar branch that
-        applies the same IEEE operations in the same order as the array
-        branch, so it returns bit for bit what a one-element array would.
+        A float argument, one quadrature point, is ``scalar``'s.  An array
+        whose arguments all lie in the support goes to the formula as it is;
+        otherwise the formula sees 0 outside the support, so it cannot
+        overflow there, and the mask sets those entries to 0.
         """
+        if isinstance(z, float):
+            return self.scalar(z)
         lo, hi = self.support
-        if isinstance(z, float) and self.family in _FAMILIES:
-            if not lo <= z <= hi:
-                return 0.0
-            if self.family == "tabulated":
-                # np.interp's rule: a knot (or the last one) keeps its value, otherwise the
-                # left knot's slope; knots over 1.8e308 apart give NaN, which np.interp retries
-                zs, ks = self._knots
-                j = bisect_right(zs, z) - 1
-                if j == len(zs) - 1 or zs[j] == z:
-                    return ks[j]
-                out = (ks[j + 1] - ks[j]) / (zs[j + 1] - zs[j]) * (z - zs[j]) + ks[j]
-                if out == out:
-                    return out
-            return self._formula(z)
         z = np.asarray(z, dtype=float)
+        if z.size and lo <= z.min() and z.max() <= hi:  # NaN fails both tests
+            # np.asarray keeps a 0-d input a 0-d array, as np.where returns it
+            return np.asarray(self._formula(z))
         inside = (z >= lo) & (z <= hi)
-        # the formula sees 0 outside the support, so it cannot overflow there
         return np.where(inside, self._formula(np.where(inside, z, 0.0)), 0.0)
 
-    def _formula(self, z):
-        """K(z) on the support for a float or an array: one expression per family."""
-        # np.exp, not math.exp: the two differ in the last bit on some inputs
-        if self.family == "gaussian":
-            return _GAUSS_NORM * np.exp(-0.5 * z * z)
-        if self.family == "epanechnikov":
-            return 0.75 * (1.0 - z * z)
-        if self.family == "laplace":
-            return (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z))
+    @property
+    def _formula(self):
+        """The family's K(z) on the support, one function for a float or an array."""
         if self.family == "tabulated":
-            return np.interp(z, self.knots_z, self.knots_k)
-        raise ValueError(f"unknown kernel family {self.family!r}")
+            return partial(np.interp, xp=self.knots_z, fp=self.knots_k)
+        try:
+            return _FORMULAS[self.family]
+        except KeyError:
+            raise ValueError(f"unknown kernel family {self.family!r}") from None
+
+    @cached_property
+    def scalar(self):
+        """K as a float -> float function, built once, which the limit layer's
+        quadrature integrands call directly.
+
+        It applies the array branch's IEEE operations in the same order, so it
+        returns bit for bit what a one-element array would: the support test,
+        then the family's formula.  A tabulated kernel follows np.interp's rule
+        on the knot lists instead: a knot (or the last one) keeps its value,
+        otherwise the left knot's slope, each slope the same division
+        np.interp makes; knots over 1.8e308 apart give NaN, which np.interp
+        retries.
+        """
+        lo, hi = self.support
+        formula = self._formula
+        if self.family != "tabulated":
+            def k(z):
+                return formula(z) if lo <= z <= hi else 0.0
+
+            return k
+        zs, ks = self.knots_z.tolist(), self.knots_k.tolist()
+        slopes = [(k1 - k0) / (z1 - z0) for z0, z1, k0, k1 in zip(zs, zs[1:], ks, ks[1:])]
+        j_max = len(zs) - 1
+
+        def k(z):
+            if not lo <= z <= hi:
+                return 0.0
+            j = bisect_right(zs, z) - 1
+            if j == j_max or zs[j] == z:
+                return ks[j]
+            out = slopes[j] * (z - zs[j]) + ks[j]
+            return out if out == out else formula(z)
+
+        return k
 
     __call__ = evaluate
 

@@ -18,7 +18,14 @@ normed time (``_drift_inner``).
 
 Every quadrature limit object integrates over one kernel window: the one
 design-aware ``window_integral`` gives int_0^s w(r) g(r) dr for the kernel
-factor w above (design-transformed under a design) and any g.
+factor w above (design-transformed under a design) and any g.  Without a
+design each call builds one integrand, r -> k(zeta (r - s)) g(r), that calls
+the kernel's scalar evaluator k (``KernelSpec.scalar``) directly, and
+``sigma_k_sq``'s inner rule u -> u w(u) calls the same w.  A drift's g calls
+the shape's scalar evaluator (``scalar_integral``), directly or through
+``integral``'s float branch.  The evaluators return what a one-element array
+would, so every ``quad`` result is what it was when each point went through
+``KernelSpec.evaluate``.
 
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
@@ -132,18 +139,28 @@ def sample_bm(grid_M: int, seed) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _weight_fn(cfg: LimitConfig, s):
-    """r -> K(arg(r, s)) with the design-transformed argument; ``s`` may be an array."""
+def _weight_fn(cfg: LimitConfig, s, g=None):
+    """r -> K(arg(r, s)) g(r) with the design-transformed argument, g = 1 when omitted.
+
+    Without a design this is one closure over the kernel's scalar evaluator
+    (and ``g``), for float r and s; under one, ``s`` may be an array.
+    """
     K, zeta = cfg.kernel, cfg.zeta
     design = cfg.design
     if design is None:
-        return lambda r: K.evaluate(zeta * (r - s))
+        k = K.scalar
+        if g is None:
+            return lambda r: k(zeta * (r - s))
+        return lambda r: k(zeta * (r - s)) * g(r)
     if design.mode == "rolling":
-        return lambda r: K.evaluate(
-            zeta * s * (design.ft_inverse(np.asarray(r, dtype=float) / s) - 1.0)
-        )
-    fs = design.ft_inverse(s)
-    return lambda r: K.evaluate(zeta * (design.ft_inverse(np.asarray(r, dtype=float)) - fs))
+        def w(r):
+            return K.evaluate(zeta * s * (design.ft_inverse(np.asarray(r, dtype=float) / s) - 1.0))
+    else:
+        fs = design.ft_inverse(s)
+
+        def w(r):
+            return K.evaluate(zeta * (design.ft_inverse(np.asarray(r, dtype=float)) - fs))
+    return w if g is None else lambda r: w(r) * g(r)
 
 
 def _weight_breaks(cfg: LimitConfig, s: float) -> list[float]:
@@ -154,9 +171,7 @@ def _weight_breaks(cfg: LimitConfig, s: float) -> list[float]:
 def window_integral(cfg: LimitConfig, s: float, g=None, breaks=()) -> float:
     """int_0^s w(r) g(r) dr for the (design-transformed) kernel factor w, g = 1 when
     omitted, on panels cut at the kernel's kinks and at ``breaks``, the kinks of g."""
-    w = _weight_fn(cfg, s)
-    f = w if g is None else lambda r: w(r) * g(r)
-    return _quad(f, 0.0, s, _weight_breaks(cfg, s) + list(breaks))
+    return _quad(_weight_fn(cfg, s, g), 0.0, s, _weight_breaks(cfg, s) + list(breaks))
 
 
 def _weight_mass(cfg: LimitConfig, s: float) -> float:
@@ -261,11 +276,14 @@ def sigma_k_sq(cfg: LimitConfig, s: float) -> float:
     """
     if not cfg.s_min < s <= 1.0:
         raise ValueError(f"s must lie in ({cfg.s_min}, 1], got {s!r}")
-    f = _weight_fn(cfg, s)
     breaks = _weight_breaks(cfg, s)
+    w = _weight_fn(cfg, s)
+
+    def uw(u):
+        return u * w(u)
 
     def inner(v: float) -> float:
-        return _quad(lambda u: u * f(u), 0.0, v, breaks)
+        return _quad(uw, 0.0, v, breaks)
 
     num = 2.0 * window_integral(cfg, s, inner)
     den = cfg.zeta * _weight_mass(cfg, s)
@@ -441,7 +459,7 @@ def check_km_condition(
     if np.isnan(c) or not 0 < x_max < np.inf:
         raise ValueError(f"need c not NaN and 0 < x_max < inf, got c={c!r}, x_max={x_max!r}")
     try:
-        val = window_integral(LimitConfig(zeta=1.0, kernel=kernel), float(x_max), m0.integral)
+        val = window_integral(LimitConfig(zeta=1.0, kernel=kernel), float(x_max), m0.scalar_integral)
     except (ArithmeticError, RuntimeWarning):
         # a divergent integrand: Python float overflow, or numpy's overflow
         # warning when warnings are errors; anything else is a bug and propagates

@@ -20,21 +20,21 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .kernels import KernelSpec, _quad, tabulated_kernel
 from .limitsim import LimitConfig, LimitDrift, _drift_curve, asymptotic_normed_delay, window_integral
-from .seriesgen import GenericAlternative, check_count, write_two_columns
+from .seriesgen import GenericAlternative, ScalarEvaluators, check_count, write_two_columns
 
 SCAN_STEP = 1e-3
 DELAY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class TruncatedAlternative:
+class TruncatedAlternative(ScalarEvaluators):
     """A drift shape forced to zero beyond t_max (finite total mass)."""
 
     base: GenericAlternative
@@ -52,11 +52,17 @@ class TruncatedAlternative:
 
     def integral(self, x) -> np.ndarray:
         if isinstance(x, float):
-            # np.minimum(x, t_max) on one value (NaN passes) up to the sign of a
-            # zero, which the base shape's integral maps to 0.0 either way
-            return self.base.integral(min(x, self.t_max))
+            return self.scalar_integral(x)
         x = np.asarray(x, dtype=float)
         return self.base.integral(np.minimum(x, self.t_max))
+
+    @cached_property
+    def scalar_integral(self):
+        """``integral`` as a float -> float function, built once: np.minimum(x, t_max)
+        on one value (NaN passes) up to the sign of a zero, which the base shape's
+        integral maps to 0.0 either way."""
+        base, t_max = self.base.scalar_integral, self.t_max
+        return lambda x: base(t_max if t_max < x else x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +80,8 @@ class OptimalSolution:
 
 def _power_integral(m0, u: float, p: int) -> float:
     """int_0^u M0(r)^p dr."""
-    return _quad(lambda r: float(m0.integral(r)) ** p, 0.0, u)
+    m = m0.scalar_integral
+    return _quad(lambda r: float(m(r)) ** p, 0.0, u)
 
 
 def _delay_ratio(m0, s: float) -> float:
@@ -170,7 +177,7 @@ def completed_kernel(sol: OptimalSolution) -> KernelSpec:
 def tau_ratio(kernel: KernelSpec, m0, zeta: float, s_star: float) -> float:
     """Detection functional int K(zeta(r-s*)) M0(r) dr / int K(zeta(r-s*)) dr."""
     cfg = LimitConfig(zeta=zeta, kernel=kernel)
-    num = window_integral(cfg, s_star, m0.integral)
+    num = window_integral(cfg, s_star, m0.scalar_integral)
     den = window_integral(cfg, s_star)
     if den <= 0.0:
         raise ValueError("kernel places no mass on the averaging window")

@@ -18,7 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +32,29 @@ GARCH_BURN_IN = 500
 # ---------------------------------------------------------------------------
 
 
+class ScalarEvaluators:
+    """Base of the kernels and drift shapes that build float -> float evaluators
+    once, as ``cached_property`` values.  Those are closures, which pickle cannot
+    carry, so the pickled state leaves every cached property out and a copy
+    rebuilds it on first use: process pools carry kernels and shapes."""
+
+    def __getstate__(self):
+        cls = type(self)
+        return {k: v for k, v in self.__dict__.items()
+                if not isinstance(getattr(cls, k, None), cached_property)}
+
+
+# M0 = int_0^x m0 of the built-in shapes for one float; ``x if x > 0.0 or x != x
+# else 0.0`` is np.maximum(x, 0.0) on one value: NaN stays NaN, -0.0 becomes 0.0
+_SCALAR_INTEGRALS = {
+    "zero": lambda x: 0.0,
+    "step": lambda x: x if x > 0.0 or x != x else 0.0,
+    "ramp": lambda x: 0.5 * x * x if x > 0.0 or x != x else 0.0,
+}
+
+
 @dataclass(frozen=True, eq=False)
-class GenericAlternative:
+class GenericAlternative(ScalarEvaluators):
     """A drift shape m0 with m0(t) = 0 for t <= 0 and m0 >= 0.
 
     ``integral(x)`` returns int_0^x m0(t) dt (0 for x <= 0); the built-in
@@ -72,13 +95,14 @@ class GenericAlternative:
     def integral(self, x) -> np.ndarray:
         """Cumulative integral int_0^x m0(t) dt.
 
-        One closed form per built-in shape serves a float argument and an
-        array alike.  A float is clamped at 0 as np.maximum(x, 0.0) clamps
-        an array: NaN stays NaN and -0.0 becomes 0.0.
+        A float argument, one quadrature point, is ``scalar_integral``'s.  An
+        array is clamped at 0 by np.maximum(x, 0.0).
         """
+        if isinstance(x, float):
+            return self.scalar_integral(x)
+        xp = np.maximum(np.asarray(x, dtype=float), 0.0)
         if self.name == "tabulated":
             t, m, cum = self.knots_t, self.knots_m, self._cum
-            xp = np.maximum(np.asarray(x, dtype=float), 0.0)
             xc = np.clip(xp, t[0], None)
             idx = np.clip(np.searchsorted(t, xc, side="right") - 1, 0, len(t) - 2)
             t0, t1 = t[idx], t[idx + 1]
@@ -89,17 +113,43 @@ class GenericAlternative:
             partial = (end - t0) * 0.5 * (m0v + m_end)
             tail = np.where(xc > t[-1], (xc - t[-1]) * m[-1], 0.0)
             return np.where(xp <= t[0], 0.0, cum[idx] + partial + tail)
-        if isinstance(x, float):
-            xp = x if x > 0.0 or x != x else 0.0
-        else:
-            xp = np.maximum(np.asarray(x, dtype=float), 0.0)
         if self.name == "zero":
-            return 0.0 if isinstance(x, float) else np.zeros_like(xp)
+            return np.zeros_like(xp)
         if self.name == "step":
             return xp
         if self.name == "ramp":
             return 0.5 * xp * xp
         raise ValueError(f"unknown alternative {self.name!r}")
+
+    @cached_property
+    def scalar_integral(self):
+        """``integral`` as a float -> float function, built once.
+
+        It returns bit for bit what a one-element array would: a built-in shape
+        has one closed form per float, and a tabulated one applies the array
+        branch's operations, in the same order, to the knot lists.
+        """
+        if self.name != "tabulated":
+            try:
+                return _SCALAR_INTEGRALS[self.name]
+            except KeyError:
+                raise ValueError(f"unknown alternative {self.name!r}") from None
+        t, m, cum = self.knots_t.tolist(), self.knots_m.tolist(), self._cum.tolist()
+        t_first, t_last, m_last, j_max = t[0], t[-1], m[-1], len(t) - 2
+
+        def integral(x):
+            xp = x if x > 0.0 or x != x else 0.0
+            if xp <= t_first:
+                return 0.0
+            # past the first knot the clip leaves xp as it is; NaN bisects past the last knot
+            j = min(bisect_right(t, xp) - 1, j_max)
+            t0, t1, m0v, m1v = t[j], t[j + 1], m[j], m[j + 1]
+            end = t1 if t1 < xp else xp  # np.minimum(xp, t1): NaN stays NaN
+            m_end = m0v + (m1v - m0v) * (end - t0) / (t1 - t0)
+            tail = (xp - t_last) * m_last if xp > t_last else 0.0
+            return cum[j] + (end - t0) * 0.5 * (m0v + m_end) + tail
+
+        return integral
 
 
 def tabulated_alternative(knots_t, knots_m) -> GenericAlternative:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -231,6 +232,49 @@ def test_worker_count_does_not_change_results():
     a = dw.arl_curve(variant, G, grid, 1200, 9, jobs=1).normed_arl
     b = dw.arl_curve(variant, G, grid, 1200, 9, jobs=2).normed_arl
     assert np.array_equal(a, b)
+
+
+def _served_shape(name):
+    """A drift shape whose scalar evaluator a quadrature has built."""
+    m0 = (dw.alternative_by_name(name) if name == "ramp"
+          else dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [1.0, 0.25, 1.5]))
+    dw.tau_ratio(G, m0, 1.0, 0.5)
+    return m0
+
+
+def _served_kernel(name):
+    """A kernel whose scalar evaluator a quadrature has built."""
+    kernel = (dw.completed_kernel(dw.optimal_kernel(dw.alternative_by_name("ramp"), 1.0, 0.03))
+              if name == "completed" else dw.kernel_by_name(name))
+    dw.limit_weight_integral(kernel, 2.0, 0.5)
+    return kernel
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # the completed kernel
+@pytest.mark.parametrize("obj, evaluator, call", [
+    (lambda: _served_kernel("gaussian"), "scalar", lambda k: dw.limit_weight_integral(k, 2.0, 0.5)),
+    (lambda: _served_kernel("completed"), "scalar",
+     lambda k: dw.limit_weight_integral(k, 2.0, 0.5)),
+    (lambda: _served_shape("ramp"), "scalar_integral", lambda m: dw.tau_ratio(G, m, 1.0, 0.5)),
+    (lambda: _served_shape("tabulated"), "scalar_integral",
+     lambda m: dw.tau_ratio(G, m, 1.0, 0.5)),
+], ids=["gaussian", "completed", "ramp", "tabulated"])
+def test_kernels_and_shapes_pickle_after_a_scalar_quadrature(obj, evaluator, call):
+    # process pools carry kernels and shapes; their cached evaluators are closures
+    original = obj()
+    assert evaluator in vars(original)
+    copy = pickle.loads(pickle.dumps(original))
+    assert evaluator not in vars(copy)
+    assert np.float64(call(copy)).tobytes() == np.float64(call(original)).tobytes()
+
+
+def test_coverage_workers_take_a_kernel_that_served_a_quadrature():
+    # coverage_sim takes sigma_k_sq on its kernel before the chunks fan out
+    kernel = dw.gaussian_kernel()
+    one = dw.coverage_sim(20, 5.0, kernel, 0.1, 1024, 3, jobs=1)
+    assert "scalar" in vars(kernel)
+    two = dw.coverage_sim(20, 5.0, kernel, 0.1, 1024, 3, jobs=2)
+    assert np.float64(one).tobytes() == np.float64(two).tobytes()
 
 
 def test_kernel_comparison_single_and_duplicates():

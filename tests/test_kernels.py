@@ -41,6 +41,30 @@ def test_array_evaluate_does_not_overflow_outside_the_support(name):
         assert ALL_KERNELS[name].evaluate(z).tolist() == [0.0] * 5
 
 
+def _masked_evaluate(kernel, z):
+    """The array branch that masked every call, inside the support or not."""
+    lo, hi = kernel.support
+    z = np.asarray(z, dtype=float)
+    inside = (z >= lo) & (z <= hi)
+    return np.where(inside, kernel._formula(np.where(inside, z, 0.0)), 0.0)
+
+
+@pytest.mark.parametrize("name", [*sorted(ALL_KERNELS), "tabulated"])
+@pytest.mark.parametrize("z", [
+    np.linspace(-0.9, 0.0, 400), np.array([[-0.5, 0.25], [0.0, -0.0]]), np.array(0.5),
+    np.array(-0.0), np.array([0.5, math.nan]), np.array(math.nan), np.array([0.5, 30.0]),
+    np.array([]), np.zeros((2, 0)), np.array([-1.0, 1.0]), [0.1, -0.2], 3,
+], ids=["window", "2-d", "0-d", "0-d -0.0", "nan", "0-d nan", "outside", "empty",
+        "empty 2-d", "support ends", "list", "int"])
+def test_array_evaluate_skips_the_mask_inside_the_support_bit_for_bit(name, z):
+    kernel = (dw.tabulated_kernel([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]) if name == "tabulated"
+              else ALL_KERNELS[name])
+    got, want = kernel.evaluate(z), _masked_evaluate(kernel, z)
+    assert type(got) is type(want) is np.ndarray
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_eval_nonfinite_argument():
     with pytest.raises(ValueError):
         dw.eval_kernel(ALL_KERNELS["gaussian"], float("nan"))

@@ -389,6 +389,8 @@ class _RaisingKernel:
     def evaluate(self, z):
         raise self.exc
 
+    scalar = evaluate  # the float evaluator that the limit layer's integrands call
+
 
 def test_check_km_condition_propagates_programming_errors():
     with pytest.raises(TypeError, match="not a divergence"):

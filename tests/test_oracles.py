@@ -31,9 +31,11 @@ agree to a few ulps of the largest term and keep every exact zero.  The same
 holds for the per-anchor loops that smoothed a time design, in the batch
 smoother and in the limit layer's trapezoid, against the row-block loop that
 replaced them.  The quadrature integrands used to pass every point through
-a 0-d array; the float branches of ``KernelSpec.evaluate``,
-``GenericAlternative.integral`` and ``TruncatedAlternative.integral`` must
-return the same bits, so every ``quad`` result built on them is unchanged.
+a 0-d array; the scalar evaluators that the float branches of
+``KernelSpec.evaluate``, ``GenericAlternative.integral`` (tabulated shapes
+included) and ``TruncatedAlternative.integral`` call, and that the limit
+layer's integrands call directly, must return the same bits, so every
+``quad`` result built on them is unchanged.
 """
 
 import dataclasses
@@ -61,6 +63,7 @@ from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
 from driftwatch.seriesgen import (
     _VECTOR_ROWS, GARCH_BURN_IN, _pow_may_differ, design_times, innovation_rows,
+    tabulated_alternative,
 )
 from driftwatch.variance import RunningVariance, check_variance, running_estimates
 
@@ -1195,19 +1198,31 @@ def test_scalar_kernel_evaluate_matches_the_array_on_a_dense_grid(name):
     assert [_bits(g) for g in got] == [_bits(w) for w in want]
 
 
-@settings(max_examples=300, deadline=None)
+_SHAPES = {
+    **{name: dw.alternative_by_name(name) for name in ("zero", "step", "ramp")},
+    "tabulated": tabulated_alternative([0.0, 0.5, 2.0], [1.0, 0.25, 1.5]),
+    # a first knot past 0 and a last value of 0, so an infinite x gives inf * 0 = NaN
+    "tabulated late": tabulated_alternative([0.2, 0.7, 1.0, 3.0], [0.0, 2.0, 0.5, 0.0]),
+}
+
+
+@settings(max_examples=600, deadline=None)
 @given(
-    name=st.sampled_from(["zero", "step", "ramp"]),
-    x=_scalar_points(_marks(-1.0, 1.0, [1e154, 1e155]), -3.0, 3.0),
+    name=st.sampled_from(list(_SHAPES)),
+    data=st.data(),
     t_max=st.none() | st.sampled_from([0.5, 1.0, 20.0]),
     as_numpy=st.booleans(),
 )
-def test_scalar_drift_integral_matches_one_element_array(name, x, t_max, as_numpy):
-    m0 = dw.alternative_by_name(name)
+def test_scalar_drift_integral_matches_one_element_array(name, data, t_max, as_numpy):
+    m0 = _SHAPES[name]
+    knots = m0.knots_t.tolist() if m0.name == "tabulated" else []
+    x = data.draw(_scalar_points(_marks(-1.0, 1.0, [1e154, 1e155, *knots]), -3.0, 3.0))
     if t_max is not None:
         m0 = TruncatedAlternative(m0, t_max)
     x = np.float64(x) if as_numpy else x
-    with np.errstate(over="ignore"):  # ramp squares x; np.float64 warns on overflow
+    # ramp squares x and a tabulated tail multiplies it: np.float64 warns on
+    # overflow, and the array branch computes the tail of an infinite x anyway
+    with np.errstate(over="ignore", invalid="ignore"):
         assert _bits(m0.integral(x)) == _bits(m0.integral(np.array([x]))[0])
 
 
@@ -1293,6 +1308,22 @@ def test_drift_term_matches_the_array_integrand(name, m0, cp):
         cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, drift=drift)
         for s in (0.5, 1.0):
             assert _bits(dw.drift_term(cfg, s)) == _bits(drift_term_reference(cfg, s))
+
+
+@_QUAD_WARNINGS
+@pytest.mark.parametrize("shape", ["tabulated", "tabulated late"])
+def test_tabulated_shape_quadratures_match_the_array_integrands(shape):
+    m0 = _SHAPES[shape]
+    trunc = TruncatedAlternative(m0, 1.5)
+    for name in ("gaussian", "laplace", "completed"):
+        kernel = _quad_kernel(name)
+        cfg = dw.LimitConfig(zeta=2.0, kernel=kernel, drift=dw.LimitDrift(m0, "cp1"))
+        assert _bits(dw.drift_term(cfg, 0.7)) == _bits(drift_term_reference(cfg, 0.7))
+        for shape_ in (m0, trunc):
+            assert _bits(dw.tau_ratio(kernel, shape_, 1.0, 0.6)) == _bits(
+                tau_ratio_reference(kernel, shape_, 1.0, 0.6))
+    for shape_ in (m0, trunc):
+        assert _bits(_delay_ratio(shape_, 0.8)) == _bits(delay_ratio_reference(shape_, 0.8))
 
 
 @_QUAD_WARNINGS

@@ -75,6 +75,21 @@ def test_quad_cost_runs():
     assert tool.kernels.integrate is tool.integrate  # the counter is off
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_quad_counts_are_pinned():
+    # an integrand that returns other values moves quad's adaptive path, and with it
+    # these counts: the scalar evaluators must keep every point's bits
+    cases = tool.quad_cases(zetas=(2.0,), table_kernels=("gaussian",), grid_M=64)
+    counts = {label: tool.quad_cost(fn, repeats=1)[1:] for label, fn in cases.items()}
+    assert counts == {
+        "drift_term, completed ramp kernel": (2, 15078),
+        "sigma_k_sq grid, 1 cells": (23, 483),
+        "optimal_kernel(ramp, 1, 0.03)": (29, 609),
+        "check_km_condition(gaussian, ramp, 0.1)": (1, 84),
+        "verify_optimality(ramp, 1, 0.03)": (83, 82257),
+    }
+
+
 def test_draw_cost_runs():
     assert list(tool.DRAW_CASES) == ["iid", "garch11"]
     cases = {name: (innovations, 3, 20) for name, (innovations, _, _) in tool.DRAW_CASES.items()}

@@ -58,7 +58,9 @@ Gaussian, Laplace and Epanechnikov kernels at seven zeta values, 21 cells;
 ``optimal_kernel`` for the ramp shape at zeta = 1, c = 0.03, which bisects
 for s*; ``check_km_condition`` for the Gaussian kernel and the ramp shape at
 c = 0.1, one detectability integral; ``verify_optimality`` for the ramp shape
-at zeta = 1, c = 0.03 against the three built-in kernels.
+at zeta = 1, c = 0.03 against the three built-in kernels.  The last column,
+the best time per call over its integrand evaluations, is the cost of one
+evaluation with ``quad``'s own work included.
 
 draw: ``calibration._null_walks``, which draws the null random walks of
 replicates [0, rows) as one array: i.i.d. Gaussian innovations at the
@@ -334,7 +336,8 @@ def run_quad(args):
     for label, fn in quad_cases(grid_M=args.grid_m).items():
         ms, calls, evaluations = quad_cost(fn, args.repeats)
         print(f"{label:<39} {ms:10.1f} ms/call  {calls:>6} quad calls/call"
-              f"  {evaluations:>8} integrand evaluations/call")
+              f"  {evaluations:>8} integrand evaluations/call"
+              f"  {1e3 * ms / evaluations:6.2f} us/evaluation")
 
 
 def run_draw(args):
