@@ -22,7 +22,9 @@ from .seriesgen import TimeDesign, TimeSeries, check_count, design_times
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
 _ROW_BLOCK = 256  # anchors per block of the batch smoother
-_FFT_ROWS = 64  # rows per FFT batch: 17 MB transforms freed to the heap made peak RSS vary
+# rows per FFT batch, and per batch of limit replicates (calibration._limit_chunk): whole-chunk
+# paths and transforms, or 17 MB ones freed to the heap, raised and scattered the peak RSS
+FFT_ROWS = 32
 EXACT = 2.0**53  # integers up to this magnitude, and their differences, are exact floats
 
 
@@ -195,7 +197,7 @@ def causal_sums(rows, k) -> np.ndarray:
     Entry n of a row's result is sum_d k[d] row[n - d] over the lags d <= n,
     for n in [0, N).  The sums are the first N columns of the full linear
     convolution, taken by a real FFT of the next fast length from
-    N + len(k) - 1 on batches of ``_FFT_ROWS`` rows; a row's sums do not
+    N + len(k) - 1 on batches of ``FFT_ROWS`` rows; a row's sums do not
     depend on the rows that share its batch.  They carry FFT rounding, so an
     exact zero sum may come out as a value of order 1e-17, and entry n picks
     up rounding from the values after n.
@@ -204,9 +206,9 @@ def causal_sums(rows, k) -> np.ndarray:
     N = rows.shape[1]
     L = fft.next_fast_len(N + max(len(k), 1) - 1, True)
     k_hat, sums = fft.rfft(k, L), np.empty(rows.shape)
-    for a in range(0, len(rows), _FFT_ROWS):
-        conv = fft.irfft(fft.rfft(rows[a : a + _FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
-        sums[a : a + _FFT_ROWS] = conv[:, :N]
+    for a in range(0, len(rows), FFT_ROWS):
+        conv = fft.irfft(fft.rfft(rows[a : a + FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
+        sums[a : a + FFT_ROWS] = conv[:, :N]
     return sums
 
 

@@ -29,9 +29,12 @@ would, so every ``quad`` result is what it was when each point went through
 
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
-points at once: through the FFT causal convolution (``estimator.causal_sums``,
-which calibration's null charts share) for stationary kernel arguments,
-and through the batch smoother's row blocks under a design.  Below
+points of the given paths at once: through the FFT causal convolution
+(``estimator.causal_sums``, which calibration's null charts share) for
+stationary kernel arguments, and through the batch smoother's row blocks
+under a design.  Every step works along a path, so a path's values do not
+depend on the paths it is batched with; calibration hands over its
+replicates in batches of ``estimator.FFT_ROWS`` rows.  Below
 s_min = 4 / grid_M the discretization is too coarse to be meaningful and
 process values are NaN.
 """

@@ -50,6 +50,10 @@ class TruncatedAlternative(ScalarEvaluators):
 
     __call__ = value
 
+    def knots(self) -> list[float]:
+        """The base shape's knots below t_max, and t_max, where the shape drops to 0."""
+        return [k for k in self.base.knots() if k < self.t_max] + [self.t_max]
+
     def integral(self, x) -> np.ndarray:
         if isinstance(x, float):
             return self.scalar_integral(x)
@@ -79,9 +83,9 @@ class OptimalSolution:
 
 
 def _power_integral(m0, u: float, p: int) -> float:
-    """int_0^u M0(r)^p dr."""
+    """int_0^u M0(r)^p dr, on panels cut at the shape's knots, where M0 kinks."""
     m = m0.scalar_integral
-    return _quad(lambda r: float(m(r)) ** p, 0.0, u)
+    return _quad(lambda r: float(m(r)) ** p, 0.0, u, m0.knots())
 
 
 def _delay_ratio(m0, s: float) -> float:

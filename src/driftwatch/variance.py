@@ -116,11 +116,15 @@ def nuisance_free(statistic: float, est: VarianceEstimate) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _terms(method: str, d: np.ndarray) -> np.ndarray:
-    """Every term of the rows of first differences ``d``: columns j.. of each span slot."""
+_STRIP = 256  # term columns per strip of running_estimates
+
+
+def _terms(method: str, d: np.ndarray, a: int = 0, b: int | None = None) -> np.ndarray:
+    """Terms a..b-1 (default: every term) of the rows of first differences ``d``; term j
+    takes columns j..j+span-1."""
     terms_of, span, _ = _method(method)
-    m = max(d.shape[1] - span + 1, 0)
-    return terms_of(*(d[:, j : j + m] for j in range(span)))
+    b = max(d.shape[1] - span + 1, 0) if b is None else b
+    return terms_of(*(d[:, a + j : b + j] for j in range(span)))
 
 
 def _prerun_head(prerun_increments, method: str, batch: int) -> tuple[np.ndarray, int]:
@@ -149,8 +153,11 @@ def running_estimates(
     spans the junction with the series.  The estimates are built in the one
     output, each step in place: the first differences go to its columns 1..,
     the terms over them to its columns span.. (the naive terms are the
-    differences themselves; rice and gasser allocate theirs).  ``values`` is
-    left as it is.
+    differences themselves).  Rice and gasser terms go in strips of
+    ``_STRIP`` columns from the right end: term j reads the differences in
+    columns j+1..j+span and is written to column j+span, so no strip
+    overwrites a difference that a strip to its left still reads, and only
+    one strip's terms are allocated at a time.  ``values`` is left as it is.
     """
     _, span, factor = _method(method)
     values = np.asarray(values, dtype=float)
@@ -163,7 +170,10 @@ def running_estimates(
     if N > span:
         d = np.subtract(values[:, 1:], values[:, :-1], out=out[:, 1:])
         body = out[:, span:]
-        body[...] = _terms(method, d)
+        if span > 1:
+            for b in range(N - span, 0, -_STRIP):
+                a = max(b - _STRIP, 0)
+                body[:, a:b] = _terms(method, d, a, b)
         np.square(body, out=body)
         np.cumsum(body, axis=1, out=body)
         body += head[:, None]

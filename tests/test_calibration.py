@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -7,7 +8,10 @@ import numpy as np
 import pytest
 
 import driftwatch as dw
-from driftwatch.calibration import _finite_chunk
+from driftwatch.calibration import (
+    _brownian_paths, _coupled_chunk, _finite_chunk, _limit_chunk, _stops_from_values, _variant_rows,
+)
+from driftwatch.limitsim import _batch_null_values, _drift_curve, _null_values
 
 G = dw.gaussian_kernel()
 
@@ -232,6 +236,62 @@ def test_worker_count_does_not_change_results():
     a = dw.arl_curve(variant, G, grid, 1200, 9, jobs=1).normed_arl
     b = dw.arl_curve(variant, G, grid, 1200, 9, jobs=2).normed_arl
     assert np.array_equal(a, b)
+
+
+def test_limit_worker_count_does_not_change_results():
+    cfg = dw.LimitConfig(zeta=3.0, kernel=G, grid_M=256)
+    grid = np.linspace(0.05, 0.6, 6)
+    a = dw.arl_curve(cfg, G, grid, 1100, 9, jobs=1).normed_arl
+    b = dw.arl_curve(cfg, G, grid, 1100, 9, jobs=2).normed_arl
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("drift", [None, dw.LimitDrift(dw.alternative_by_name("ramp"), "cp1")],
+                         ids=["null", "ramp cp1"])
+def test_limit_chunk_in_batches_is_the_whole_chunk(drift):
+    # 150 rows span five batches of estimator.FFT_ROWS = 32, the last one ragged; every
+    # step works along a row, so the stops are the whole-array ones byte for byte
+    cfg = dw.LimitConfig(zeta=4.0, kernel=G, grid_M=256, drift=drift)
+    grid = np.linspace(-0.2, 1.0, 7)
+    seed, key, start, stop = 5, (3,), 10, 160
+    vals = _batch_null_values(cfg, [dw.substream(seed, i, *key) for i in range(start, stop)])
+    if drift is not None:
+        vals += _drift_curve(cfg)
+    want = _stops_from_values(vals, grid)
+    assert 0.0 < np.mean(want < 1.0) < 1.0  # both alarms and truncations
+    assert _limit_chunk((cfg, grid, seed, key, start, stop)).tobytes() == want.tobytes()
+
+
+def test_coupled_chunk_in_batches_is_the_whole_chunk():
+    variant = dw.FiniteSampleVariant(N=64, h=16.0)
+    cfg = dw.LimitConfig(zeta=4.0, kernel=G, grid_M=128)  # refine 2
+    grid = np.linspace(0.0, 0.6, 7)
+    seed, start, stop = 7, 3, 153
+    fstops, lstops = _coupled_chunk((variant, grid, seed, cfg, start, stop))
+    values, _ = _variant_rows(variant, seed, start, stop, 2)
+    paths = _brownian_paths(values, 2, seed, start, stop)
+    want = _stops_from_values(_null_values(cfg, paths), grid)
+    assert 0.0 < np.mean(want < 1.0) < 1.0
+    assert lstops.tobytes() == want.tobytes()
+    assert fstops.tobytes() == _finite_chunk((variant, G, grid, seed, start, stop)).tobytes()
+
+
+def test_limit_chunk_peak_is_at_most_one_block():
+    # a chunk holds one batch of paths and transforms at a time; whole-chunk paths, FFT
+    # sums and ratios peaked near three (rows, grid_M) float blocks
+    rows, grid_M = 256, 1024
+    payload = (dw.LimitConfig(zeta=10.0, kernel=G, grid_M=grid_M), np.linspace(0.0, 0.3, 20), 1,
+               (), 0, rows)
+    _limit_chunk(payload)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _limit_chunk(payload)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * grid_M * 8
 
 
 def _served_shape(name):

@@ -64,7 +64,7 @@ def test_bm_paths_rows_are_sample_bm():
 
 def test_batch_null_values_do_not_depend_on_chunking():
     cfg = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=128)
-    # 150 rows span three FFT batches (estimator._FFT_ROWS), each chunk a different cut of them
+    # 150 rows span five FFT batches (estimator.FFT_ROWS), each chunk a different cut of them
     seeds = [dw.substream(3, i) for i in range(150)]
     whole = _batch_null_values(cfg, seeds)
     chunks = [_batch_null_values(cfg, seeds[a:b]) for a, b in ((0, 1), (1, 70), (70, 150))]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy import integrate
 from scipy.optimize import brentq
 
 import driftwatch as dw
-from driftwatch import limitsim, optkernel
+from driftwatch import kernels, limitsim, optkernel
 from driftwatch.optkernel import DELAY_TOL, SCAN_STEP, TruncatedAlternative, tau_ratio
 
 STEP = dw.alternative_by_name("step")
@@ -129,6 +130,37 @@ def test_the_delay_ratio_is_nondecreasing(name, t_max):
     m0 = SHAPES[name] if t_max is None else TruncatedAlternative(SHAPES[name], t_max)
     ratios = [optkernel._delay_ratio(m0, s) for s in np.arange(1, 21) * 0.05]
     assert np.all(np.diff(ratios) >= 0.0)
+
+
+def test_truncated_knots_end_at_the_truncation():
+    assert TruncatedAlternative(STEP, 0.3).knots() == [0.0, 0.3]
+    assert TruncatedAlternative(TAB, 1.0).knots() == [0.0, 0.0, 0.5, 1.0]
+    assert TruncatedAlternative(TAB, 0.5).knots() == [0.0, 0.0, 0.5]
+
+
+def test_the_power_integral_is_cut_at_the_truncation(monkeypatch):
+    # M0 of a step truncated at 0.3 kinks there: cut at it, the ratio's two integrals take
+    # 84 integrand evaluations (756 left to the adaptive rule), and the ratio
+    # (0.3^3/3 + 0.09 * 0.7) / (0.3^2/2 + 0.3 * 0.7) comes out to rounding
+    seen = SimpleNamespace(evaluations=0)
+
+    def quad(f, *args, **kwargs):
+        def counted(x):
+            seen.evaluations += 1
+            return f(x)
+
+        return integrate.quad(counted, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "integrate", SimpleNamespace(quad=quad))
+    assert optkernel._delay_ratio(TruncatedAlternative(STEP, 0.3), 1.0) == pytest.approx(
+        0.072 / 0.255, rel=1e-15)
+    assert seen.evaluations == 84
+    # a truncation at the interval's end is no interior breakpoint: the same rule as without it
+    seen.evaluations = 0
+    trunc = TruncatedAlternative(RAMP, 1.0)
+    assert optkernel._power_integral(trunc, 1.0, 2) == kernels._quad(
+        lambda r: float(trunc.scalar_integral(r)) ** 2, 0.0, 1.0)
+    assert seen.evaluations == 2 * 21
 
 
 def test_optimal_kernel_step_example():

@@ -212,10 +212,11 @@ def test_chart_overwrites_only_its_numerator(method):
         assert traj.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("method", [None, "naive"])
+@pytest.mark.parametrize("method", [None, "naive", "rice", "gasser"])
 def test_chart_peak_is_at_most_two_blocks(method):
-    # the running variance is the one float block chart allocates; the parent's
-    # out-of-place chart peaked at about five blocks
+    # the running variance is the one float block chart allocates (rice and gasser
+    # build their terms in column strips of it); an out-of-place chart peaked at about
+    # five blocks, and whole-block terms at 2.1 (rice) and 3.1 (gasser)
     num, den, values, cfg, pre = _chart_inputs(64, 2000, method, whole_rows=True)
     tracemalloc.start()
     try:
@@ -565,7 +566,7 @@ def test_causal_sums_of_a_row_do_not_depend_on_its_batch(N, lags):
     rng = np.random.default_rng(N + lags)
     rows = np.cumsum(rng.standard_normal((130, N)), axis=1)
     k = rng.random(lags)
-    whole = causal_sums(rows, k)  # batches of 64 rows: 0-63, 64-127 and 128-129
+    whole = causal_sums(rows, k)  # batches of 32 rows: 0-31, 32-63, 64-95, 96-127 and 128-129
     for i in (0, 5, 63, 64, 100, 129):
         assert causal_sums(rows[i : i + 1], k).tobytes() == whole[i].tobytes()
     assert causal_sums(rows[50:67], k).tobytes() == whole[50:67].tobytes()
@@ -1276,8 +1277,8 @@ def tau_ratio_reference(kernel, m0, zeta, s_star):
 
 
 def delay_ratio_reference(m0, s):
-    num = _quad(lambda r: float(m0.integral(np.asarray(r))) ** 2, 0.0, s)
-    den = _quad(lambda r: float(m0.integral(np.asarray(r))), 0.0, s)
+    num = _quad(lambda r: float(m0.integral(np.asarray(r))) ** 2, 0.0, s, m0.knots())
+    den = _quad(lambda r: float(m0.integral(np.asarray(r))), 0.0, s, m0.knots())
     return num / den
 
 

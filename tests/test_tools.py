@@ -57,8 +57,9 @@ def test_stream_cost_runs():
 
 def test_limit_cost_runs():
     cost = tool.limit_cost(paths=4, grid_M=64, repeats=1, seed=1)
-    assert list(cost) == ["path sampling", "FFT num/den", "stop extraction"]
-    assert all(ms > 0.0 for ms in cost.values())
+    assert list(cost) == ["path sampling", "FFT num/den", "stop extraction", "whole chunk"]
+    assert all(ms > 0.0 and peak > 0 for ms, peak in cost.values())
+    assert not tracemalloc.is_tracing()
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")

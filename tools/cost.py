@@ -38,15 +38,19 @@ about the same cost at every size.  Counting the kernel points adds one
 Python call, well under a microsecond, to the updates that evaluate the
 kernel.
 
-limit: the stages ``calibration._limit_chunk`` runs on one chunk of null
-replicates (Gaussian kernel, zeta = 10, 20 thresholds on [0, 0.3]): Brownian
-path sampling (``limitsim._bm_paths``), the FFT numerator and denominator of
-the limit ratio (``limitsim._num_den``) and stop extraction
+limit: one chunk of null replicates (Gaussian kernel, zeta = 10, 20
+thresholds on [0, 0.3]), each row with the ``tracemalloc`` peak of one call
+in MB and in float blocks of (paths, grid_M).  First the stages that
+``calibration._limit_chunk`` runs, each on all ``--paths`` rows at once:
+Brownian path sampling (``limitsim._bm_paths``), the FFT numerator and
+denominator of the limit ratio (``limitsim._num_den``) and stop extraction
 (``calibration._stops_from_values``, which takes the rows with their NaN
 cells below s_min as ``_limit_chunk`` hands them over).  The stop scan
 overwrites its rows with their running maximum, so repeats after the first
 scan rows that are already their own maximum, with no NaN left; the work per
-call is the same.
+call is the same.  Then the whole chunk, ``_limit_chunk`` itself, which runs
+the stages in batches of ``estimator.FFT_ROWS`` rows, so its peak is that
+of one batch's paths and transforms.
 
 quad: five quadrature-bound calls, with the scipy ``quad`` calls and
 integrand evaluations one call makes (every point ``quad`` asks for, nested
@@ -97,7 +101,7 @@ from scipy import integrate  # noqa: E402
 
 import driftwatch as dw  # noqa: E402
 from driftwatch import kernels  # noqa: E402
-from driftwatch.calibration import _null_walks, _stops_from_values  # noqa: E402
+from driftwatch.calibration import _limit_chunk, _null_walks, _stops_from_values  # noqa: E402
 from driftwatch.estimator import _process_parts  # noqa: E402
 from driftwatch.limitsim import _bm_paths, _null_values, _num_den  # noqa: E402
 from driftwatch.monitor import chart  # noqa: E402
@@ -112,6 +116,16 @@ def best_ms(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
+
+
+def traced_peak(fn):
+    """The ``tracemalloc`` peak of one ``fn()`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @contextmanager
@@ -211,7 +225,8 @@ C_GRID = np.linspace(0.0, 0.3, 20)
 
 
 def limit_cost(paths, grid_M, repeats, seed):
-    """Best milliseconds per call of each stage, by stage name."""
+    """Best milliseconds per call and the traced peak bytes of one call, for each stage
+    and the whole chunk, by name."""
     cfg = dw.LimitConfig(zeta=10.0, kernel=dw.gaussian_kernel(), grid_M=grid_M)
     seeds = [dw.substream(seed, i) for i in range(paths)]
     B = _bm_paths(grid_M, seeds)
@@ -221,8 +236,10 @@ def limit_cost(paths, grid_M, repeats, seed):
         "path sampling": lambda: _bm_paths(grid_M, seeds),
         "FFT num/den": lambda: _num_den(cfg, B),
         "stop extraction": lambda: _stops_from_values(vals, C_GRID),
+        # the same replicates: substream(seed, i) for i in [0, paths)
+        "whole chunk": lambda: _limit_chunk((cfg, C_GRID, seed, (), 0, paths)),
     }
-    return {name: best_ms(fn, repeats) for name, fn in stages.items()}
+    return {name: (best_ms(fn, repeats), traced_peak(fn)) for name, fn in stages.items()}
 
 
 TABLE1_ZETAS = (10.0, 5.0, 4.0, 2.0, 1.5, 1.2, 1.0)
@@ -299,13 +316,7 @@ def chart_cost(rows, N, repeats, seed, method):
             fn(block)
             best = min(best, time.perf_counter() - t0)
         block = num.copy()
-        tracemalloc.start()
-        try:
-            fn(block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        cost[name] = (best * 1e3, peak)
+        cost[name] = (best * 1e3, traced_peak(lambda: fn(block)))
     return cost
 
 
@@ -328,8 +339,10 @@ def run_stream(args):
 
 
 def run_limit(args):
-    for name, ms in limit_cost(args.paths, args.grid_m, args.repeats, args.seed).items():
-        print(f"{name:<16} {ms:9.2f} ms/call  ({args.paths} paths, grid_M {args.grid_m})")
+    block = args.paths * args.grid_m * 8
+    for name, (ms, peak) in limit_cost(args.paths, args.grid_m, args.repeats, args.seed).items():
+        print(f"{name:<16} {ms:9.2f} ms/call  {peak / 1e6:6.1f} MB peak  ({peak / block:.2f}"
+              f" blocks of {args.paths} paths x grid_M {args.grid_m})")
 
 
 def run_quad(args):
