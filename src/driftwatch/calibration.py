@@ -26,6 +26,9 @@ batches of ``estimator.FFT_ROWS`` rows from Brownian draw to stop
 the whole chunk bit for bit, while only one batch's paths and transforms are
 held at a time (a traced peak of 0.44 (rows, grid_M) float blocks for 512
 replicates on a 2048-point grid, against about three as whole-chunk arrays).
+What does not depend on the paths, the lag kernel, its transform, the weight
+mass and the ratio's denominator, is built once per chunk
+(``limitsim.ratio_terms``) and shared by its batches.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ import numpy as np
 
 from .estimator import FFT_ROWS, SmootherConfig, _process_parts, nw_estimate, scaling_factor
 from .kernels import KernelSpec, check_bandwidth
-from .limitsim import LimitConfig, _batch_null_values, _drift_curve, _null_values, sigma_k_sq
+from .limitsim import (
+    LimitConfig, _batch_null_values, _drift_curve, _null_values, ratio_terms, sigma_k_sq,
+)
 from .monitor import MonitorConfig, chart, first_crossings
 from .seriesgen import (
     InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, innovation_rows, substream,
@@ -212,9 +217,10 @@ def _limit_chunk(payload) -> np.ndarray:
     cfg, c_grid, seed, key, start, stop = payload
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
     drift = None if cfg.drift is None else _drift_curve(cfg)
+    terms = ratio_terms(cfg)
 
     def values_of(a, b):
-        vals = _batch_null_values(cfg, seeds[a:b])
+        vals = _batch_null_values(cfg, seeds[a:b], terms)
         if drift is not None:
             vals += drift
         return vals
@@ -382,9 +388,11 @@ def _coupled_chunk(payload):
 
     # limit side: an exact Brownian path at resolution 1/grid_M around each walk
     refine = cfg.grid_M // variant.N
+    terms = ratio_terms(cfg)
 
     def values_of(a, b):
-        return _null_values(cfg, _brownian_paths(values[a:b], refine, seed, start + a, start + b))
+        paths = _brownian_paths(values[a:b], refine, seed, start + a, start + b)
+        return _null_values(cfg, paths, terms)
 
     return fstops, _batched_stops(stop - start, c_grid, values_of)
 

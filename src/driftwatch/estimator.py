@@ -115,8 +115,8 @@ def lag_rows(cfg: SmootherConfig, N: int, rows: int) -> np.ndarray:
     return template
 
 
-def _block_weights(t: np.ndarray, a: int, b: int, cfg: SmootherConfig, template=None,
-                   lo: int = 0) -> tuple[int, np.ndarray]:
+def block_weights(t: np.ndarray, a: int, b: int, cfg: SmootherConfig, template=None,
+                  lo: int = 0) -> tuple[int, np.ndarray]:
     """Weights ``W`` of the anchors a+1..b (rows) on the records lo+1..b, with ``lo``.
 
     ``t`` holds the anchor times (``anchor_times``) and ``lo`` a window start
@@ -164,11 +164,20 @@ def window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig, 
                 lo: int = 0) -> tuple[int, float]:
     """Window start and smoother at index n, from the one-anchor block
     [n - 1, n); raises DriftwatchError at n when the weights vanish."""
-    lo, W = _block_weights(t, n - 1, n, cfg, template, lo)
+    lo, W = block_weights(t, n - 1, n, cfg, template, lo)
     w = W[0]
     den = float(w.sum())  # a float takes check_weights' scalar path
+    return lo, weighted_mean(w, den, values[lo:n], n)
+
+
+def weighted_mean(w: np.ndarray, den: float, values: np.ndarray, n: int) -> float:
+    """The smoother at index n: the dot product of its window's weights ``w``
+    with the window's ``values``, over the weight sum ``den``; raises
+    DriftwatchError at n when the weights vanish.  ``window_mean`` builds
+    ``w`` and ``den`` at every call; a stream on unit-spaced times holds the
+    full window's from its construction and calls this alone."""
     check_weights(den, first=n)
-    return lo, float(w @ values[lo:n] / den)
+    return float(w @ values / den)
 
 
 def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:
@@ -203,13 +212,24 @@ def causal_sums(rows, k) -> np.ndarray:
     up rounding from the values after n.
     """
     rows = np.asarray(rows, dtype=float)
-    N = rows.shape[1]
+    return causal_filter(k, rows.shape[1])(rows)
+
+
+def causal_filter(k, N: int):
+    """``rows -> causal_sums(rows, k)`` for rows of N columns, with the real
+    FFT of the lag kernel ``k`` taken once: a caller that convolves batch
+    after batch with one kernel transforms it once, bit for bit the same."""
     L = fft.next_fast_len(N + max(len(k), 1) - 1, True)
-    k_hat, sums = fft.rfft(k, L), np.empty(rows.shape)
-    for a in range(0, len(rows), FFT_ROWS):
-        conv = fft.irfft(fft.rfft(rows[a : a + FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
-        sums[a : a + FFT_ROWS] = conv[:, :N]
-    return sums
+    k_hat = fft.rfft(k, L)
+
+    def sums_of(rows: np.ndarray) -> np.ndarray:
+        sums = np.empty(rows.shape)
+        for a in range(0, len(rows), FFT_ROWS):
+            conv = fft.irfft(fft.rfft(rows[a : a + FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
+            sums[a : a + FFT_ROWS] = conv[:, :N]
+        return sums
+
+    return sums_of
 
 
 def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = False):
@@ -219,7 +239,7 @@ def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = Fal
     shape (N,); the smoother is num/den.
 
     Anchors go in row blocks [a, b), and a block multiplies only the columns
-    [lo, b) that can carry weight (``_block_weights``).  On unit-spaced
+    [lo, b) that can carry weight (``block_weights``).  On unit-spaced
     times, without a rolling design, every weight is K(-d/h)/h for a lag d
     of the window, so the kernel is evaluated once per lag and each block's
     weights are a view of one ``lag_rows`` template.  A fixed design is
@@ -243,7 +263,7 @@ def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = Fal
     lo = 0
     for a in range(0, N, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, N)
-        lo, W = _block_weights(t, a, b, cfg, template, lo)
+        lo, W = block_weights(t, a, b, cfg, template, lo)
         den[a:b] = W.sum(axis=1)
         if not by_fft:
             num[:, a:b] = values[:, lo:b] @ W.T

@@ -30,13 +30,13 @@ would, so every ``quad`` result is what it was when each point went through
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
 points of the given paths at once: through the FFT causal convolution
-(``estimator.causal_sums``, which calibration's null charts share) for
-stationary kernel arguments, and through the batch smoother's row blocks
-under a design.  Every step works along a path, so a path's values do not
-depend on the paths it is batched with; calibration hands over its
-replicates in batches of ``estimator.FFT_ROWS`` rows.  Below
-s_min = 4 / grid_M the discretization is too coarse to be meaningful and
-process values are NaN.
+(``estimator.causal_filter``, whose one-shot form ``causal_sums`` serves
+calibration's null charts) for stationary kernel arguments, and through the
+batch smoother's row blocks under a design.  Every step works along a path,
+so a path's values do not depend on the paths it is batched with;
+calibration hands over its replicates in batches of ``estimator.FFT_ROWS``
+rows.  Below s_min = 4 / grid_M the discretization is too coarse to be
+meaningful and process values are NaN.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from functools import cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .estimator import SmootherConfig, _process_parts, causal_sums
+from .estimator import SmootherConfig, _process_parts, causal_filter
 from .kernels import KernelSpec, _quad
 from .monitor import first_crossings
 from .seriesgen import (
@@ -202,11 +202,13 @@ def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid numerator/denominator of the ratio for stacked paths.
+def ratio_terms(cfg: LimitConfig):
+    """``paths -> (num, den)``, the trapezoid numerator/denominator of the ratio
+    for stacked paths, with every term that does not depend on the paths
+    taken once: the lag kernel, its transform, the weight mass and ``den``.
 
     ``paths`` has shape (batch, M+1) with column 0 at r = 0, where every
-    path is 0 (Brownian paths and drift integrals start there).  Returns
+    path is 0 (Brownian paths and drift integrals start there).  It returns
     num (batch, M) and den (M,) on s = j/M, j = 1..M.  Without a design the
     kernel arguments are stationary, and the sums over r = 0..s are one FFT
     convolution per path batch.  With one, the sums over r = 1/M..s are the
@@ -214,35 +216,52 @@ def _num_den(cfg: LimitConfig, paths: np.ndarray) -> tuple[np.ndarray, np.ndarra
     design is continuous, so it is not snapped), rescaled by that bandwidth,
     and the weight at r = 0 comes from ``_weight_fn``.  The end correction
     then halves the weights at both ends of every window: w_0 at r = 0,
-    whose path term vanishes, and w_s = K(0) at r = s.
+    whose path term vanishes, and w_s = K(0) at r = s.  A caller that
+    converts batch after batch of paths builds this once.
     """
     M = cfg.grid_M
     dt = 1.0 / M
     if cfg.design is None:
         # k_d = K(-zeta d / M), d = 0..M: the weight at lag d
         k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
-        # the causal part of the linear convolution of each path with k, as
-        # scipy.signal.fftconvolve computes it (a real FFT of the next fast
-        # length from 2M + 1), bit for bit
-        sums = causal_sums(paths, k)[:, 1:]
-        mass, w_0, w_s = np.cumsum(k)[1:], k[1:], k[0]
+        w_0, w_s = k[1:], k[0]
     else:
         h = M / cfg.zeta
         smoother = SmootherConfig(cfg.kernel, h, design=replace(cfg.design, snap_grid=None))
-        num, den = _process_parts(np.arange(1.0, M + 1.0), paths[:, 1:], smoother)
-        w_0 = _weight_fn(cfg, cfg.s_grid)(0.0)
-        sums, mass, w_s = h * num, h * den + w_0, cfg.kernel.evaluate(0.0)
-    # dt * (sums - 0.5 w_s path), one array: the same operations, in place
-    num = np.multiply(0.5 * w_s, paths[:, 1:])
-    np.subtract(sums, num, out=num)
-    num *= dt
-    den = cfg.zeta * dt * (mass - 0.5 * w_0 - 0.5 * w_s)
-    return num, den
+        w_0, w_s = _weight_fn(cfg, cfg.s_grid)(0.0), cfg.kernel.evaluate(0.0)
+
+    def den_of(mass):
+        return cfg.zeta * dt * (mass - 0.5 * w_0 - 0.5 * w_s)
+
+    if cfg.design is None:
+        # the causal part of the linear convolution of each path with k, as
+        # scipy.signal.fftconvolve computes it (a real FFT of the next fast
+        # length from 2M + 1), bit for bit
+        convolve, den = causal_filter(k, M + 1), den_of(np.cumsum(k)[1:])
+        den.flags.writeable = False  # every call returns this one array
+
+        def sums_den(paths):
+            return convolve(paths)[:, 1:], den
+    else:
+        def sums_den(paths):
+            num, den = _process_parts(np.arange(1.0, M + 1.0), paths[:, 1:], smoother)
+            return h * num, den_of(h * den + w_0)
+
+    def num_den(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sums, den = sums_den(paths)
+        # dt * (sums - 0.5 w_s path), one array: the same operations, in place
+        num = np.multiply(0.5 * w_s, paths[:, 1:])
+        np.subtract(sums, num, out=num)
+        num *= dt
+        return num, den
+
+    return num_den
 
 
-def _null_values(cfg: LimitConfig, paths: np.ndarray) -> np.ndarray:
-    """sigma * num / den with entries below s_min masked to NaN."""
-    vals, den = _num_den(cfg, paths)
+def _null_values(cfg: LimitConfig, paths: np.ndarray, terms=None) -> np.ndarray:
+    """sigma * num / den with entries below s_min masked to NaN; ``terms`` is
+    ``ratio_terms(cfg)``, built here when not given."""
+    vals, den = (terms or ratio_terms(cfg))(paths)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals *= cfg.sigma
         vals /= den
@@ -259,9 +278,10 @@ def null_limit_process(cfg: LimitConfig, seed) -> np.ndarray:
     return _null_values(cfg, B[None, :])[0]
 
 
-def _batch_null_values(cfg: LimitConfig, seeds) -> np.ndarray:
-    """Null-process values for many paths (rows); used by calibration."""
-    return _null_values(cfg, _bm_paths(cfg.grid_M, seeds))
+def _batch_null_values(cfg: LimitConfig, seeds, terms=None) -> np.ndarray:
+    """Null-process values for many paths (rows); used by calibration, which
+    passes one ``ratio_terms(cfg)`` for all of a chunk's batches."""
+    return _null_values(cfg, _bm_paths(cfg.grid_M, seeds), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +373,7 @@ def _drift_curve(cfg: LimitConfig) -> np.ndarray:
     M = cfg.grid_M
     inner, _ = _drift_inner(cfg)
     g = np.asarray(inner(np.arange(M + 1) / M), dtype=float)
-    num, den = _num_den(cfg, g[None, :])
+    num, den = ratio_terms(cfg)(g[None, :])
     # den carries one factor of zeta; the drift denominator needs zeta^{3/2}
     with np.errstate(divide="ignore", invalid="ignore"):
         curve = num[0] / den / np.sqrt(cfg.zeta)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import (
-    EXACT, DriftwatchError, SmootherConfig, _process_parts, anchor_times, check_weights, lag_rows,
-    nw_estimate, scaling_factor, window_mean,
+    EXACT, DriftwatchError, SmootherConfig, _process_parts, anchor_times, block_weights,
+    check_weights, lag_rows, nw_estimate, scaling_factor, weighted_mean, window_mean,
 )
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, substream
 from .variance import RunningVariance, check_variance, min_sample, running_estimates, standardized
@@ -204,18 +204,23 @@ class StreamMonitor:
     for Laplace, h for Epanechnikov, the part of the knot span left of 0
     for a tabulated kernel), and a ``RunningVariance`` adds one term per
     record.  The weights are the one-anchor block of the batch smoother's
-    weight builder (``estimator._block_weights``), as for ``nw_estimate``.
+    weight builder (``estimator.block_weights``), as for ``nw_estimate``.
     While the times run t_0, t_0 + 1, ... with integer t_0, they are a view
-    of a one-row lag template that the monitor evaluates once, so an update
-    costs a few slices and one dot product.  Other times, and windows that
-    reach back before the current unit-spaced run, evaluate the kernel on
-    the window, whose start is bisected from the last record's on.  A fixed
-    design takes the window on its design times, placed once by the horizon
-    N as ``run_monitor`` does.  A rolling design re-selects past time points
-    at every index, so with one each update weights the whole history.  The
-    records are kept in two float arrays whose capacity doubles as records
-    arrive, up to the horizon; ``times`` and ``values`` return the records
-    seen as lists.
+    of a one-row lag template that the monitor evaluates once.  Once the run
+    holds the full window of L records (and the record before it, unless the
+    run starts at the first record), the weights are the template's first L
+    entries at every index: the monitor takes them and their sum once, at
+    construction, so such an update is one dot product
+    (``estimator.weighted_mean``, which ``window_mean`` also calls).  Before
+    that an update slices the template and sums the slice.  Other times, and
+    windows that reach back before the current unit-spaced run, evaluate the
+    kernel on the window, whose start is bisected from the last record's on.
+    A fixed design takes the window on its design times, placed once by the
+    horizon N as ``run_monitor`` does.  A rolling design re-selects past time
+    points at every index, so with one each update weights the whole
+    history.  The records are kept in two float arrays whose capacity
+    doubles as records arrive, up to the horizon; ``times`` and ``values``
+    return the records seen as lists.
     """
 
     def __init__(self, cfg: MonitorConfig, prerun: TimeSeries | None = None):
@@ -226,9 +231,14 @@ class StreamMonitor:
         self._scale = scaling_factor(cfg.smoother, cfg.N)
         # a fixed design's times for the whole horizon; None: the observation times
         self._design_times = anchor_times(None, cfg.smoother, cfg.N)
-        # without a design, a one-row lag template and its lag count
+        # without a design, a one-row lag template and its lag count, the length
+        # L of the full window, with that window's weights and their sum
         self._template = lag_rows(cfg.smoother, cfg.N, 1) if cfg.smoother.design is None else None
         self._lags = 0 if self._template is None else self._template.shape[1] - 1
+        if self._template is not None:
+            L = self._lags
+            self._w = block_weights(None, L - 1, L, cfg.smoother, self._template)[1][0]
+            self._den = float(self._w.sum())
         self._variance = None
         if cfg.variance_method is not None:
             pre_inc = np.diff(prerun.values) if prerun is not None else None
@@ -283,8 +293,12 @@ class StreamMonitor:
         self._times[n - 1], self._values[n - 1] = t, y
         lo, stat = self._lo, None
         if n >= self._start_index and not math.isnan(est):
-            anchors = self._times if self._design_times is None else self._design_times
-            lo, mean = window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
+            if template is not None and n >= self._lags:  # the full window: fixed weights
+                lo = n - self._lags
+                mean = weighted_mean(self._w, self._den, self._values[lo:n], n)
+            else:
+                anchors = self._times if self._design_times is None else self._design_times
+                lo, mean = window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
             stat = standardized(mean, self._scale, est, n)
         self._variance, self._run, self._lo, self._last_t, self.n = variance, run, lo, t, n
         if stat is not None and stat > self.cfg.threshold:

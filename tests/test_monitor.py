@@ -261,6 +261,29 @@ def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
     assert running_calls == []
 
 
+def test_stream_steady_state_takes_no_window_weights(monkeypatch):
+    # on unit-spaced times the full window's weights and their sum are taken
+    # once: window_mean runs only before the window first fills, and after a
+    # gap until the run holds the window and the record before it again
+    N, h, gap = 5000, 5.0, 100
+    L = int(dw.kernels.GAUSSIAN_TRUNCATION * h) + 1  # 41 records
+    times = np.arange(1.0, N + 1.0)
+    times[gap - 1 :] += 1.0  # a step of 2 into index gap, past index L
+    values = dw.generate(dw.SeriesSpec(N=N), 12).values
+    indices, window_mean = [], monitor.window_mean
+
+    def counting_window_mean(t, values, n, *args):
+        indices.append(n)
+        return window_mean(t, values, n, *args)
+
+    monkeypatch.setattr(monitor, "window_mean", counting_window_mean)
+    stream = dw.StreamMonitor(config(N, h=h, c=np.inf))
+    for record in zip(times.tolist(), values.tolist()):
+        stream.update(*record)
+    assert stream.n == N
+    assert indices == [*range(1, L), *range(gap, gap + L)]
+
+
 def test_stream_monitor_rejects_nonincreasing_times():
     stream = dw.StreamMonitor(config(10, c=1.0))
     stream.update(1.0, 0.0)

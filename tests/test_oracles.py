@@ -54,11 +54,11 @@ from hypothesis import strategies as st
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_charts, _null_walks
 from driftwatch.estimator import (
-    _block_weights, _process_parts, anchor_times, causal_sums, check_weights, lag_rows,
+    _process_parts, anchor_times, block_weights, causal_sums, check_weights, lag_rows,
     scaling_factor,
 )
 from driftwatch.kernels import _quad
-from driftwatch.limitsim import _num_den, _weight_fn
+from driftwatch.limitsim import _weight_fn, ratio_terms
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
 from driftwatch.seriesgen import (
@@ -744,7 +744,7 @@ def test_support_window_leaves_out_only_exact_zeros(kernel, h, N, fixed_design, 
         full = kernel.evaluate((arr[:n] - arr[n - 1]) / h) / h
         # the bisection may begin at the previous index's start
         for lo in (0, start):
-            start, W = _block_weights(arr, n - 1, n, cfg, lo=lo)
+            start, W = block_weights(arr, n - 1, n, cfg, lo=lo)
             assert not full[:start].any()
             assert W[0].tobytes() == full[start:].tobytes()
 
@@ -834,7 +834,7 @@ def test_one_anchor_block_matches_the_single_anchor_weights_bitwise(
     for n in range(1, N + 1):
         want_start, want = weights_at_reference(times, cfg, n, horizon)
         for template in templates:
-            lo, W = _block_weights(t, n - 1, n, cfg, template, start)
+            lo, W = block_weights(t, n - 1, n, cfg, template, start)
             assert lo == want_start and W.shape == (1, len(want))
             assert W[0].tobytes() == want.tobytes()
         start = want_start
@@ -942,6 +942,28 @@ def test_stream_update_matches_the_window_update_bitwise(
     with mock.patch("driftwatch.monitor._FIRST_CAPACITY", capacity):
         mon = StreamMonitor(cfg, pre)
     assert outcomes(mon) == outcomes(StreamWindowReference(cfg, pre))
+
+
+def test_stream_update_matches_the_window_update_bitwise_at_workload_size():
+    # the test above reaches windows of at most 25 records; the stream
+    # workload's, N = 2500 and h = 50, holds 401, and from index 401 on its
+    # updates take the full window's weights and sum held since construction
+    N = 2500
+    series = dw.generate(dw.SeriesSpec(N=N), 5)
+    cfg = dw.MonitorConfig(dw.SmootherConfig(dw.gaussian_kernel(), 50.0, "null_scale"), -np.inf,
+                           N, variance_method="naive")
+
+    def statistics(mon):
+        out = []
+        for t, y in zip(series.times.tolist(), series.values.tolist()):
+            rec = mon.update(t, y)
+            out.append(None if rec is None else np.float64(rec["statistic"]).tobytes())
+            mon.alarmed = False
+        return out
+
+    stream = statistics(StreamMonitor(cfg))
+    assert stream[0] is None and None not in stream[1:]  # the variance is undefined at 1 only
+    assert stream == statistics(StreamWindowReference(cfg))
 
 
 def process_parts_reference(times, values, cfg):
@@ -1099,7 +1121,7 @@ def test_limit_design_process_matches_the_per_anchor_trapezoid(grid_M, design, k
     design = dataclasses.replace(design, snap_grid=None)  # the limit design is not snapped
     cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M, design=design)
     paths = np.stack([dw.sample_bm(grid_M, dw.substream(seed, i)) for i in range(2)])
-    num, den = _num_den(cfg, paths)
+    num, den = ratio_terms(cfg)(paths)
     ref_num, ref_den = design_num_den_reference(cfg, paths)
     assert np.all(np.abs(den - ref_den) <= 1e-13 * ref_den)
     assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
@@ -1126,7 +1148,7 @@ def stationary_num_den_reference(cfg, paths):
 def test_stationary_limit_process_matches_fftconvolve_bitwise(grid_M, kernel, zeta):
     cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M)
     paths = np.stack([dw.sample_bm(grid_M, dw.substream(7, i)) for i in range(3)])
-    for got, want in zip(_num_den(cfg, paths), stationary_num_den_reference(cfg, paths)):
+    for got, want in zip(ratio_terms(cfg)(paths), stationary_num_den_reference(cfg, paths)):
         assert got.tobytes() == want.tobytes()
 
 

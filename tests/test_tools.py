@@ -44,15 +44,23 @@ def test_batch_cost_runs():
 
 
 def test_stream_cost_runs():
-    points = {}
+    points, sums = {}, {}
     for layout, (h, design, irregular) in tool.STREAM_LAYOUTS.items():
-        cost, points[layout] = tool.per_update_us([20, 60], window=10, seed=1, h=h,
-                                                  design=design, irregular=irregular)
+        cost, points[layout], sums[layout] = tool.per_update_us(
+            [20, 60], window=10, seed=1, h=h, design=design, irregular=irregular)
         assert sorted(cost) == [20, 60] and all(v > 0.0 for v in cost.values())
     # unit times: one template of min(8h + 1, N) = 60 points for the whole stream
     assert points["unit times, h = 50"] == 1.0
     assert points["irregular times, h = 50"] > 1.0 and points["fixed design, h = 5"] > 1.0
-    assert tool.dw.KernelSpec.evaluate is tool.dw.KernelSpec.__call__  # the counter is off
+    # the naive variance is first defined at index 2; the window of 60 records
+    # fills at index 60, where the held weights and sum take over
+    assert sums == {"unit times, h = 50": 58 / 60, "irregular times, h = 50": 59 / 60,
+                    "fixed design, h = 5": 59 / 60}
+    # h = 2: the window of 8h + 1 = 17 records fills at index 17
+    assert tool.per_update_us([60], window=10, seed=1, h=2.0)[2] == 15 / 60
+    # the counters are off
+    assert tool.dw.KernelSpec.evaluate is tool.dw.KernelSpec.__call__
+    assert tool.monitor.window_mean is tool.dw.estimator.window_mean
 
 
 def test_limit_cost_runs():

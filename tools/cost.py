@@ -23,27 +23,31 @@ so it shows about N²/2.
 stream: one null random walk fed record by record to ``StreamMonitor.update``
 (Gaussian kernel, null scaling, ``naive`` variance, a threshold of +inf so the
 stream never stops): the median wall time per update over the last
-``--window`` updates before each size, and the kernel points per update over
-the whole stream.  The median, not the mean: one pause of the host can double
-a window's mean, while an update cost that grows with n still moves the
-median.  Three layouts: unit times with h = 50, where each update's weights
-are a slice of the lag template the monitor evaluates once; irregular times,
-gaps drawn from U(0.5, 1.5), with h = 50, where each update evaluates the
-kernel on its support window (at most about 800 records) and bisects for the
-window start from the previous update's; a fixed design F^{-1}(u) = u**(1/2)
-placed by the largest size with h = 5 (its design times lie 1/2 apart at the
-horizon and further apart before it, so the Gaussian's 8h window holds at
-most about 80 records).  A monitor whose work per record is bounded shows
-about the same cost at every size.  Counting the kernel points adds one
-Python call, well under a microsecond, to the updates that evaluate the
-kernel.
+``--window`` updates before each size, and over the whole stream the kernel
+points and the weight sums (``monitor.window_mean`` calls, each of which sums
+its window's weights) per update.  The median, not the mean: one pause of the
+host can double a window's mean, while an update cost that grows with n still
+moves the median.  Three layouts: unit times with h = 50, where the weights
+before the window of 8h + 1 = 401 records fills are a slice of the lag
+template the monitor evaluates once, and from there on the full window's
+weights and their sum, taken once (about 400/N weight sums per update);
+irregular times, gaps drawn from U(0.5, 1.5), with h = 50, where each update
+evaluates the kernel on its support window (at most about 800 records) and
+bisects for the window start from the previous update's; a fixed design
+F^{-1}(u) = u**(1/2) placed by the largest size with h = 5 (its design times
+lie 1/2 apart at the horizon and further apart before it, so the Gaussian's
+8h window holds at most about 80 records).  The last two sum their weights
+at every update from index 2 on, where the variance is first defined.  A
+monitor whose work per record is bounded shows about the same cost at every
+size.  Each counter adds one Python call, well under a microsecond, to the
+updates it counts.
 
 limit: one chunk of null replicates (Gaussian kernel, zeta = 10, 20
 thresholds on [0, 0.3]), each row with the ``tracemalloc`` peak of one call
 in MB and in float blocks of (paths, grid_M).  First the stages that
 ``calibration._limit_chunk`` runs, each on all ``--paths`` rows at once:
 Brownian path sampling (``limitsim._bm_paths``), the FFT numerator and
-denominator of the limit ratio (``limitsim._num_den``) and stop extraction
+denominator of the limit ratio (``limitsim.ratio_terms``) and stop extraction
 (``calibration._stops_from_values``, which takes the rows with their NaN
 cells below s_min as ``_limit_chunk`` hands them over).  The stop scan
 overwrites its rows with their running maximum, so repeats after the first
@@ -100,10 +104,10 @@ import numpy as np  # noqa: E402
 from scipy import integrate  # noqa: E402
 
 import driftwatch as dw  # noqa: E402
-from driftwatch import kernels  # noqa: E402
+from driftwatch import kernels, monitor  # noqa: E402
 from driftwatch.calibration import _limit_chunk, _null_walks, _stops_from_values  # noqa: E402
 from driftwatch.estimator import _process_parts  # noqa: E402
-from driftwatch.limitsim import _bm_paths, _null_values, _num_den  # noqa: E402
+from driftwatch.limitsim import _bm_paths, _null_values, ratio_terms  # noqa: E402
 from driftwatch.monitor import chart  # noqa: E402
 from driftwatch.variance import running_estimates  # noqa: E402
 
@@ -144,6 +148,24 @@ def kernel_points():
         yield seen
     finally:
         dw.KernelSpec.evaluate = evaluate
+
+
+@contextmanager
+def window_sums():
+    """Count the ``monitor.window_mean`` calls, each of which sums its window's
+    weights, in ``.calls``; the binding is restored on exit."""
+    seen = SimpleNamespace(calls=0)
+    window_mean = monitor.window_mean
+
+    def counting_window_mean(*args):
+        seen.calls += 1
+        return window_mean(*args)
+
+    monitor.window_mean = counting_window_mean
+    try:
+        yield seen
+    finally:
+        monitor.window_mean = window_mean
 
 
 @contextmanager
@@ -201,7 +223,8 @@ STREAM_LAYOUTS = {
 
 def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False):
     """Median microseconds per update over the ``window`` updates ending at
-    each size, and the kernel points evaluated per update."""
+    each size, and the kernel points evaluated and the weight sums taken per
+    update."""
     N = max(sizes)
     series = dw.generate(dw.SeriesSpec(N=N), seed)
     times = series.times
@@ -211,14 +234,14 @@ def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False):
                                  design=design)
     elapsed = np.empty(N)
     clock = time.perf_counter
-    with kernel_points() as seen:
+    with kernel_points() as seen, window_sums() as sums:
         mon = dw.StreamMonitor(dw.MonitorConfig(smoother, np.inf, N, variance_method="naive"))
         for i, (t, y) in enumerate(zip(times.tolist(), series.values.tolist())):
             t0 = clock()
             mon.update(t, y)
             elapsed[i] = clock() - t0
     median = {n: float(np.median(elapsed[n - window : n])) * 1e6 for n in sizes}
-    return median, seen.points / N
+    return median, seen.points / N, sums.calls / N
 
 
 C_GRID = np.linspace(0.0, 0.3, 20)
@@ -234,7 +257,7 @@ def limit_cost(paths, grid_M, repeats, seed):
     vals = _null_values(cfg, B)
     stages = {
         "path sampling": lambda: _bm_paths(grid_M, seeds),
-        "FFT num/den": lambda: _num_den(cfg, B),
+        "FFT num/den": lambda: ratio_terms(cfg)(B),
         "stop extraction": lambda: _stops_from_values(vals, C_GRID),
         # the same replicates: substream(seed, i) for i in [0, paths)
         "whole chunk": lambda: _limit_chunk((cfg, C_GRID, seed, (), 0, paths)),
@@ -331,11 +354,11 @@ def run_batch(args):
 def run_stream(args):
     sizes = args.sizes
     for layout, (h, design, irregular) in STREAM_LAYOUTS.items():
-        cost, points = per_update_us(sizes, args.window, args.seed, h, design, irregular)
+        cost, points, sums = per_update_us(sizes, args.window, args.seed, h, design, irregular)
         for n in sizes:
             print(f"{layout:<24}  n={n:>7}  {cost[n]:9.1f} us/update"
                   f"  ({cost[n] / cost[sizes[0]]:.2f}x n={sizes[0]})")
-        print(f"{layout:<24}  {points:.3g} kernel points/update")
+        print(f"{layout:<24}  {points:.3g} kernel points/update  {sums:.3g} weight sums/update")
 
 
 def run_limit(args):
