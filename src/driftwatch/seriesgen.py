@@ -423,11 +423,9 @@ def draw_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
 
 
 # From this many rows on, the GARCH(1,1) recursion steps over all rows at once.  Over
-# 1000 steps one row costs 32 ms that way against 0.2 ms in the Python loop, 64 rows
-# 24 against 20 ms and 128 rows 39 against 42 ms (2-core Xeon)
-_VECTOR_ROWS = 128
-_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into two 26-bit halves
-_TINY = 2.0**-450  # below this the products of the halves can be subnormal
+# 1000 steps 16 rows cost 3.4 ms that way against 2.2 ms in the Python loop, 24 rows
+# 3.5 against 3.4 ms and 32 rows 3.7 against 4.6 ms (2-core Xeon; tools/cost.py draw)
+_VECTOR_ROWS = 32
 
 
 def innovation_rows(spec: InnovationSpec, n: int, seeds) -> np.ndarray:
@@ -462,8 +460,9 @@ def _garch_row(eps: list, a0, a1, b1, var: float) -> list:
     """One GARCH(1,1) path x_t = sqrt(var_t) e_t on Python floats.
 
     Python floats round as numpy scalars do, only faster.  Keep x ** 2 (C pow,
-    as numpy's scalar power): x * x and numpy's array power differ in the last
-    bit for some draws and would change seeded GARCH streams.
+    as numpy's scalar power and ``np.float_power``): x * x and ``np.power`` on
+    arrays differ in the last bit for some draws and would change seeded GARCH
+    streams.
     """
     out = []
     for e in eps:
@@ -473,52 +472,28 @@ def _garch_row(eps: list, a0, a1, b1, var: float) -> list:
     return out
 
 
-def _pow_may_differ(x: np.ndarray, p: np.ndarray, tiny: bool = True) -> np.ndarray:
-    """Where Python's ``x ** 2`` may differ from ``p = x * x``.
-
-    C pow may round the exact square x² to another double than p only where x²
-    lies near a rounding midpoint.  The residual r = x² - p is exact (Dekker's
-    product of Veltkamp halves).  Where |r| <= 0.4 ulp(p), every other double
-    lies at least 0.6 ulp from x², so pow returns p as long as its worst-case
-    error stays below 0.6 ulp (C pow on glibc stays within about half an ulp;
-    ``tests/test_oracles.py`` checks the claim on a million draws).  p is a
-    power of two only where x² >= p, so ulp(p) is the gap on the side of x².
-    NaN, inf and, unless ``tiny`` is False, squares that could be subnormal
-    fail the test and are flagged.
-    """
-    hi = _SPLIT * x
-    hi -= hi - x
-    lo = x - hi
-    r = hi * hi - p
-    r += 2.0 * hi * lo
-    r += lo * lo
-    ok = np.abs(r, out=r) <= 0.4 * np.spacing(p)
-    if tiny:
-        ok &= np.abs(x) >= _TINY
-    return ~ok
-
-
 def _garch_columns(eps: np.ndarray, a0: float, a1: float, b1: float, var: float) -> np.ndarray:
     """``_garch_row`` on every column of ``eps`` at once, in place, bit for bit.
 
-    Each step takes p = x * x, and Python's ``x ** 2`` where the two may
-    differ (``_pow_may_differ``); an overflowing ``**`` raises OverflowError
-    as in the row loop.
+    Each step squares with ``np.float_power(x, 2.0)``, whose float64 loop calls
+    C pow as Python's ``x ** 2`` does.  ``np.power`` would not: with a scalar 2
+    it takes x * x, and with an array exponent it may run a vector math
+    library, and both round some squares apart from pow.  Where the row loop's
+    ``**`` overflows, var turns inf (NaN when alpha1 = 0) and no later step
+    makes it finite, so one test after the loop raises the same OverflowError.
     """
-    # var never falls below alpha0, so no |x| lies below sqrt(alpha0) min|e|
-    tiny = math.sqrt(a0) * float(np.abs(eps).min()) < _TINY
     var = np.full(eps.shape[1], var)
     with np.errstate(over="ignore", invalid="ignore"):
         for x in eps:
             x *= np.sqrt(var)
-            p = x * x
-            flagged = np.flatnonzero(_pow_may_differ(x, p, tiny))
-            if flagged.size:
-                p[flagged] = [v ** 2 for v in x[flagged].tolist()]
+            p = np.float_power(x, 2.0)
             p *= a1  # var = a0 + a1 * x ** 2 + b1 * var, in that order
             p += a0
             var *= b1
             var += p
+        if not np.isfinite(var).all():
+            if np.isinf(np.float_power(eps[np.isfinite(eps)], 2.0)).any():
+                raise OverflowError
     return eps
 
 

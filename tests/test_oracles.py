@@ -6,7 +6,11 @@ calibration's own trajectory builder that the table-driven
 ``running_estimates``, the vectorized ``_brownian_paths``, the Python-float
 loops in ``seriesgen`` and the monitor's ``chart`` at threshold +inf
 replaced.  The numpy-scalar GARCH(1,1) recursion is also the reference for
-the recursion that runs across replicate rows.  All must agree with them
+the recursion that runs across replicate rows.  That one squares with
+``np.float_power(x, 2.0)``, C pow as the scalar ``x ** 2`` is, and not with
+``np.power`` (``x * x`` for a scalar 2, a vector math library for an array
+exponent on some hosts), which rounds some squares apart; a test pins
+``np.float_power`` to ``x ** 2`` on a million doubles.  All must agree with them
 bit for bit, since seeded draws and calibration results are part of the
 numeric contract.  The whole-prefix
 streaming update is the reference for the support-window update; only the
@@ -40,6 +44,7 @@ layer's integrands call directly, must return the same bits, so every
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 from bisect import bisect_left
 from contextlib import nullcontext
@@ -62,7 +67,7 @@ from driftwatch.limitsim import _weight_fn, ratio_terms
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
 from driftwatch.seriesgen import (
-    _VECTOR_ROWS, GARCH_BURN_IN, _pow_may_differ, design_times, innovation_rows,
+    _VECTOR_ROWS, GARCH_BURN_IN, design_times, innovation_rows,
     tabulated_alternative,
 )
 from driftwatch.variance import RunningVariance, check_variance, running_estimates
@@ -404,18 +409,28 @@ def test_null_walks_do_not_depend_on_the_chunking(family, N, start, cuts, rows, 
         assert whole[r].tobytes() == row.tobytes()
 
 
-def test_pow_guard_flags_every_square_that_pow_rounds_apart():
-    # the guard assumes C pow is within 0.6 ulp of the exact square; this pins it here
-    x = 3.0 * np.random.default_rng(2010).standard_normal(1_000_000)
-    p = x * x
-    flagged = _pow_may_differ(x, p)
-    differs = np.array([v ** 2 for v in x.tolist()]) != p
-    assert differs.any()
-    assert not (differs & ~flagged).any()
-    assert flagged.mean() < 0.25
-    special = np.array([np.nan, np.inf, -1e200, 1e-200, 0.0])
+def _python_square(v):
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def test_float_power_squares_as_python_pow():
+    # _garch_columns squares with np.float_power because it is C pow, as x ** 2 is;
+    # random bit patterns cover every exponent and both signs
+    bits = np.random.default_rng(2010).integers(0, 2**64, 1_000_000, dtype=np.uint64)
+    edge = math.sqrt(sys.float_info.max)  # squares overflow just above it
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               edge, math.nextafter(edge, math.inf), -edge, math.nextafter(-edge, -math.inf)]
+    x = np.concatenate([bits.view(float), special])
     with np.errstate(over="ignore", invalid="ignore"):
-        assert _pow_may_differ(special, special * special).all()
+        got = np.float_power(x, 2.0)
+        assert (x * x != got).any()  # so a fast path that multiplies would show
+    want = np.array([_python_square(v) for v in x.tolist()])
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_overflowing_garch_rows_raise_as_one_row_does():
@@ -430,6 +445,19 @@ def test_overflowing_garch_rows_raise_as_one_row_does():
     with pytest.raises(ValueError) as walks:
         _null_walks(spec, 30, 3, 0, 200)
     assert str(walks.value) == str(one.value)
+
+
+def test_garch_rows_whose_variance_turns_nan_raise_as_one_row_does():
+    # with alpha1 = 0 an overflowing square leaves var NaN (0 * inf), not inf
+    spec = dw.InnovationSpec(family="garch11", garch_alpha0=1.5e307, garch_alpha1=0.0,
+                             garch_beta1=0.85)
+    calls = [lambda: dw.generate(dw.SeriesSpec(N=30, innovations=spec), dw.substream(3, 0)),
+             lambda: innovation_rows(spec, 30, _row_seeds(3, 200)),
+             lambda: _null_walks(spec, 30, 3, 0, 200)]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "garch11 variance overflows with alpha0=1.5e+307"
 
 
 def trajectories_reference(values, cfg, variance_method, pre, first=1):

@@ -104,6 +104,10 @@ def test_draw_cost_runs():
     cases = {name: (innovations, 3, 20) for name, (innovations, _, _) in tool.DRAW_CASES.items()}
     cost = tool.draw_cost(cases, repeats=1, seed=1)
     assert list(cost) == ["iid", "garch11"] and all(ms > 0.0 for ms in cost.values())
+    assert tool.RECURSION_ROWS == (1, 16, 32, 64, 250)
+    cost = tool.recursion_cost((1, 3), steps=20, repeats=1, seed=1)
+    assert list(cost) == [1, 3] and all(loop > 0.0 and columns > 0.0
+                                        for loop, columns in cost.values())
 
 
 def test_chart_cost_runs():

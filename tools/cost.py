@@ -74,7 +74,12 @@ draw: ``calibration._null_walks``, which draws the null random walks of
 replicates [0, rows) as one array: i.i.d. Gaussian innovations at the
 ``finite_long`` size (256 rows of N = 4000) and GARCH(1,1) innovations
 (alpha0 = 0.1, alpha1 = 0.1, beta1 = 0.8, 500 burn-in steps) at the
-``finite_garch`` size (250 rows of N = 500).
+``finite_garch`` size (250 rows of N = 500).  Then the GARCH(1,1) recursion
+alone over 1000 steps of 1, 16, 32, 64 and 250 rows of normals, both ways
+``seriesgen.innovation_rows`` can run it: the ``_garch_row`` loop, one row at
+a time on Python floats, and ``_garch_columns``, one step over all rows at
+once.  Below ``seriesgen._VECTOR_ROWS`` rows it takes the loop, so the row
+count where the two cross is the constant to set.
 
 chart: the replicate chart of ``calibration._null_charts`` on (rows, N) null
 random walks (Gaussian kernel, h = N/10, null scaling, a prerun of h
@@ -109,6 +114,7 @@ from driftwatch.calibration import _limit_chunk, _null_walks, _stops_from_values
 from driftwatch.estimator import _process_parts  # noqa: E402
 from driftwatch.limitsim import _bm_paths, _null_values, ratio_terms  # noqa: E402
 from driftwatch.monitor import chart  # noqa: E402
+from driftwatch.seriesgen import _garch_columns, _garch_row  # noqa: E402
 from driftwatch.variance import running_estimates  # noqa: E402
 
 
@@ -313,6 +319,26 @@ def draw_cost(cases, repeats, seed):
             for name, (innovations, rows, N) in cases.items()}
 
 
+RECURSION_ROWS = (1, 16, 32, 64, 250)
+
+
+def recursion_cost(row_counts, steps, repeats, seed):
+    """Best milliseconds of the ``GARCH`` recursion over (steps, rows) normals,
+    the ``_garch_row`` loop and ``_garch_columns``, by row count.  Each starts
+    from the normals as ``innovation_rows`` hands them over: a list per row, or
+    a copy of the block."""
+    a0, a1, b1 = GARCH.garch_alpha0, GARCH.garch_alpha1, GARCH.garch_beta1
+    var = a0 / (1.0 - a1 - b1)
+    cost = {}
+    for rows in row_counts:
+        eps = np.random.default_rng(seed).standard_normal((steps, rows))
+        cost[rows] = (
+            best_ms(lambda: [_garch_row(col.tolist(), a0, a1, b1, var) for col in eps.T], repeats),
+            best_ms(lambda: _garch_columns(eps.copy(), a0, a1, b1, var), repeats),
+        )
+    return cost
+
+
 CHART_METHODS = ("naive", "rice", "gasser")
 
 
@@ -380,6 +406,10 @@ def run_draw(args):
     for name, ms in draw_cost(DRAW_CASES, args.repeats, args.seed).items():
         _, rows, N = DRAW_CASES[name]
         print(f"{name:<8} {ms:9.2f} ms/call  ({rows} rows x N = {N})")
+    print("garch11 recursion per 1000 steps:")
+    for rows, (loop, columns) in recursion_cost(RECURSION_ROWS, 1000, args.repeats,
+                                                args.seed).items():
+        print(f"rows={rows:>4}  _garch_row loop {loop:7.2f} ms  _garch_columns {columns:7.2f} ms")
 
 
 def run_chart(args):
