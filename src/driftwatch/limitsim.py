@@ -416,9 +416,16 @@ def limit_stop_sample(cfg: LimitConfig, c: float, a: float, seed) -> float:
 def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float:
     """First s in [a, 1] where the deterministic drift term exceeds c; 1 if none.
 
-    Grid scan for a bracket, then root refinement against the quadrature
-    drift term to tolerance 1e-6.  Each s is evaluated once per call: the
-    bracket checks and the root search share one memo of the drift term.
+    With g = drift_term - c and floor = max(a, 1e-6), the answer is a if
+    g(floor) > 0.  Else the trapezoid drift curve guesses the crossing cell
+    [lo, hi] (its last cell if the curve never crosses) and the signs of g
+    decide: the root lies in [floor, lo] if g(lo) > 0, else in [lo, hi] if
+    g(hi) > 0, else in [hi, 1] if g(1) > 0, and else the answer is 1.  While
+    g is exactly 0 at the bracket's left end (c on a plateau of the drift
+    term) the bracket is bisected on the sign of g; ``brentq`` refines the
+    rest to xtol 1e-7.  Each s is evaluated once per call (one memo of g).
+    For a drift term that is not monotone the root is a crossing inside the
+    bracket, not necessarily the first.
     """
     if cfg.drift is None:
         raise ValueError("asymptotic_normed_delay needs a LimitConfig with a drift")
@@ -434,26 +441,17 @@ def asymptotic_normed_delay(cfg: LimitConfig, c: float, a: float = 0.0) -> float
         # exceeds already at the first eligible instant; the infimum is a
         return a
 
-    j = int(first_crossings(_drift_curve(cfg), [c], start)[0])
-    if not j:
+    j = int(first_crossings(_drift_curve(cfg), [c], start)[0]) or M
+    lo, hi = max(floor, (j - 1) / M), j / M
+    if g(lo) > 0.0:
+        lo, hi = floor, lo
+    elif g(hi) <= 0.0:
         if not g(1.0) > 0.0:
             return 1.0
-        j = M  # crossing hides between the last grid cells
-    lo = max(floor, (j - 1) / M)
-    hi = j / M
-    # trapezoid vs quadrature discrepancies can shift the bracket by a cell
-    steps = 0
-    while g(lo) > 0.0 and lo - 1.0 / M > floor and steps < 4:
-        lo = max(floor, lo - 1.0 / M)
-        steps += 1
-    steps = 0
-    while g(hi) <= 0.0 and hi < 1.0 and steps < 4:
-        hi = min(1.0, hi + 1.0 / M)
-        steps += 1
-    if g(lo) > 0.0:
-        return a
-    if g(hi) <= 0.0:
-        return 1.0
+        lo, hi = hi, 1.0
+    while g(lo) == 0.0 and hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if g(mid) > 0.0 else (mid, hi)
     return float(brentq(g, lo, hi, xtol=1e-7))
 
 

@@ -183,6 +183,21 @@ def test_calibrate_limit_curve(runner, tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+def test_calibrate_finite_curve(runner, tmp_path):
+    # the CSV holds the repr floats of the matching arl_curve
+    out = tmp_path / "arl.csv"
+    res = runner.invoke(main, ["calibrate", "--variant", "finite", "--n", "40", "--h", "8",
+                               "--c-min", "0.1", "--c-max", "1", "--c-points", "4",
+                               "--reps", "100", "--variance", "naive", "--seed", "6",
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    variant = dw.FiniteSampleVariant(N=40, h=8.0, variance_method="naive")
+    table = dw.arl_curve(variant, dw.gaussian_kernel(), np.linspace(0.1, 1.0, 4), 100, 6)
+    rows = "".join(f"{float(c)!r},{float(a)!r}\n"
+                   for c, a in zip(table.thresholds, table.normed_arl))
+    assert out.read_text() == "c,normed_arl\n" + rows
+
+
 def test_calibrate_finite_needs_dimensions(runner):
     res = runner.invoke(main, ["calibrate", "--variant", "finite", "--c-min", "0",
                                "--c-max", "1"])
@@ -359,6 +374,23 @@ BAD_INPUTS = {
     "bad config line": (
         lambda d: (["--config", _write(d / "bad.conf", "h = 5\n\nthreshold\n"), "generate",
                     "--n", "5", "--out", str(d / "g.csv")], None, None), "bad.conf, line 3"),
+    "--cp1 with --cp2": (
+        lambda d: (["generate", "--n", "5", "--m0", "step", "--cp1", "2", "--cp2", "0.5",
+                    "--h-link", "2", "--out", str(d / "g.csv")], None, None),
+        "--cp1 and --cp2 are mutually exclusive"),
+    "drift without --h-link": (
+        lambda d: (["generate", "--n", "5", "--m0", "step", "--cp1", "2",
+                    "--out", str(d / "g.csv")], None, None), "a drift needs --h-link"),
+    "--c-max not above --c-min": (
+        lambda d: (["calibrate", "--variant", "limit", "--zeta", "3", "--c-min", "1",
+                    "--c-max", "1", "--out", str(d / "arl.csv")], None, None),
+        "--c-max must exceed --c-min"),
+    "stream without --horizon": (
+        lambda d: (["monitor", "--input", "-", "--h", "5", "-c", "1"], "1,0\n", None),
+        "streaming mode needs --horizon"),
+    "limit variant without --zeta": (
+        lambda d: (["calibrate", "--variant", "limit", "--c-min", "0", "--c-max", "1",
+                    "--out", str(d / "arl.csv")], None, None), "limit variant needs --zeta"),
     "GARCH variance overflow": (
         lambda d: (["generate", "--n", "5", "--family", "garch11", "--garch-alpha0", "1.5e307",
                     "--garch-alpha1", "0.05", "--garch-beta1", "0.85", "--seed", "1",

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 import driftwatch as dw
@@ -23,6 +24,10 @@ RAMP = dw.alternative_by_name("ramp")
 ZERO = dw.alternative_by_name("zero")
 TAB = dw.seriesgen.tabulated_alternative([0.0, 0.5, 2.0], [1.0, 0.25, 1.5])
 KM_SHAPES = {"zero": ZERO, "step": STEP, "ramp": RAMP, "tabulated": TAB}
+# a valid kernel with K(0) = 0 narrower than one cell of a 64-point grid at zeta = 10:
+# every lag weight on that grid is 0, so the trapezoid drift curve is NaN throughout
+W = 0.02
+NARROW = dw.tabulated_kernel([-W, -W / 2, 0.0, W / 2, W], [0.0, 1 / W, 0.0, 1 / W, 0.0])
 
 
 def test_import_loads_neither_scipy_signal_nor_scipy_stats():
@@ -193,6 +198,21 @@ def test_drift_curve_matches_quadrature():
         assert curve[j - 1] == pytest.approx(dw.drift_term(cfg, s), abs=2e-4)
 
 
+def test_fixed_design_drift_curve_converges_to_the_drift_term():
+    # the fixed design's inner integral is one quadrature per grid point (and 0 at r = 0)
+    drift, td = dw.LimitDrift(STEP, "cp2", theta=0.3), dw.TimeDesign(gamma=2.0, mode="fixed")
+    s = np.arange(1, 17) / 16
+    cfgs = {M: dw.LimitConfig(zeta=4.0, kernel=G, grid_M=M, design=td, drift=drift)
+            for M in (128, 256, 512)}
+    exact = np.array([dw.drift_term(cfgs[128], x) for x in s])
+    err = {M: np.max(np.abs(_drift_curve(cfg)[(s * M).astype(int) - 1] - exact))
+           / np.max(np.abs(exact)) for M, cfg in cfgs.items()}
+    assert err[256] < 1e-4 and err[512] < err[128]
+    cfg = cfgs[128]
+    assert np.array_equal(dw.alt_limit_process(cfg, 7),
+                          dw.null_limit_process(cfg, 7) + _drift_curve(cfg), equal_nan=True)
+
+
 def test_alt_process_zero_drift_identical_to_null():
     cfg = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=256, drift=dw.LimitDrift(ZERO, "cp1"))
     cfg_null = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=256)
@@ -312,6 +332,24 @@ def test_asymptotic_normed_delay_evaluates_each_s_once(monkeypatch):
     got = dw.asymptotic_normed_delay(cfg, 0.5 * drift_term(cfg, 1.0))
     assert 0.0 < got < 1.0
     assert len(calls) > 2 and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+def test_asymptotic_normed_delay_when_the_curve_never_crosses(frac):
+    # the curve only guesses the cell; the signs of the quadrature term decide
+    cfg = dw.LimitConfig(zeta=10.0, kernel=NARROW, grid_M=64, drift=dw.LimitDrift(STEP))
+    assert np.isnan(_drift_curve(cfg)).all()
+    c = frac * dw.drift_term(cfg, 1.0)
+    root = brentq(lambda s: dw.drift_term(cfg, s) - c, 1e-6, 1.0)
+    assert abs(dw.asymptotic_normed_delay(cfg, c) - root) <= 1e-6
+
+
+@pytest.mark.parametrize("a", [0.0, 0.3])
+def test_asymptotic_normed_delay_leaves_a_plateau_of_the_drift_term(a):
+    # under cp2 the drift term is exactly 0 up to theta, so c = 0 is first exceeded
+    # there, although rounding lets the trapezoid curve cross at its first cell
+    cfg = dw.LimitConfig(zeta=10.0, kernel=G, drift=dw.LimitDrift(STEP, "cp2", theta=0.5))
+    assert abs(dw.asymptotic_normed_delay(cfg, 0.0, a) - 0.5) <= 1e-7
 
 
 def test_check_km_condition():

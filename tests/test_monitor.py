@@ -186,6 +186,23 @@ def test_false_alarm_rate_places_a_fixed_design_by_the_horizon():
     assert dw.false_alarm_rate(cfg, n, reps, seed) == np.mean(np.array(charts) > c)
 
 
+def test_false_alarm_rate_standardizes_by_the_variance_estimate():
+    # the rate is the share of standardized replicate statistics above c at n, as a hand loop
+    # over the series, its running estimate, the smoother and the scaling computes it
+    cfg, n, reps, seed = config(60, h=10.0, c=0.05, variance="naive"), 30, 200, 4
+    scale = dw.scaling_factor(cfg.smoother, cfg.N)
+    hits = 0
+    for i in range(reps):
+        series = dw.generate(dw.SeriesSpec(N=cfg.N), dw.substream(seed, i))
+        est = dw.running_estimates(series.values[:n], "naive")[n - 1]
+        stat = variance.standardized(dw.nw_estimate(series, cfg.smoother, n), scale, est, n)
+        hits += stat > cfg.threshold
+    rate = dw.false_alarm_rate(cfg, n, reps, seed)
+    assert 0.0 < rate < 1.0 and rate == hits / reps
+    # at n = 1 the estimate is undefined in every replicate: all are skipped
+    assert dw.false_alarm_rate(config(60, c=-1e9, variance="naive"), 1, 20, seed) == 0.0
+
+
 def test_false_alarm_rate_decreases_with_horizon():
     # at fixed zeta and fixed c the early-index rate shrinks as N grows:
     # the discrete walk's inflation of the statistic variance fades like 1/n

@@ -323,6 +323,16 @@ def test_verify_optimality_and_the_comparison_rank_candidates_alike():
     assert np.array_equal(list(report.candidate_delays.values()), comp.crossings)
 
 
+def test_verify_optimality_with_a_kernel_narrower_than_a_grid_cell():
+    # the candidate's trapezoid drift curve is NaN throughout (every lag weight on the
+    # 64-point grid is 0), so its delay comes from the quadrature drift term alone
+    w = 0.02
+    narrow = dw.tabulated_kernel([-w, -w / 2, 0.0, w / 2, w], [0.0, 1 / w, 0.0, 1 / w, 0.0])
+    report = dw.verify_optimality(STEP, 10.0, 0.05, [dw.gaussian_kernel(), narrow], grid_M=64)
+    assert report.candidate_delays["tabulated"] == pytest.approx(0.159, abs=1e-3)
+    assert report.is_optimal
+
+
 def test_solution_csv_loadable_as_kernel(tmp_path):
     sol = dw.optimal_kernel(STEP, 1.0, 0.2, t_max=1.0)
     path = tmp_path / "opt.csv"

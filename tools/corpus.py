@@ -35,7 +35,10 @@ Groups (``--size full`` runs the seeds 20100111 and 3, N = 200, h = 20 and
   naive and gasser variance (the last two seeded by a prerun) at start
   fractions 0 and 0.3; ``limit_stop_sample`` without drift and with a step
   drift (cp1, and cp2 at theta = 0.5) at a = 0, 0.3 and 0.5;
-  ``asymptotic_normed_delay`` on the drifted ones (once: it takes no seed);
+  ``asymptotic_normed_delay`` on the drifted ones (once: it takes no seed),
+  and on a step drift at zeta = 10 and grid_M = 64 under a kernel narrower
+  than one grid cell (every lag weight 0, so the drift curve is NaN) at c =
+  0.1, 0.5 and 0.9 times its drift term at s = 1;
   ``kernel_comparison_curves`` of the three built-in kernels under the step
   and ramp shapes.  Each runs over the thresholds with -inf and +inf added,
   so both alarm and truncation occur.
@@ -181,6 +184,11 @@ def stops(dw, size):
     for cfg in limits[1:]:  # the drift term's delay takes no seed
         for a in (0.0, 0.3, 0.5):
             yield from (partial(dw.asymptotic_normed_delay, cfg, c, a) for c in thresholds)
+    w = 0.02
+    narrow = dw.tabulated_kernel([-w, -w / 2, 0.0, w / 2, w], [0.0, 1 / w, 0.0, 1 / w, 0.0])
+    cfg = dw.LimitConfig(zeta=10.0, kernel=narrow, grid_M=64, drift=dw.LimitDrift(step))
+    mu_1 = dw.drift_term(cfg, 1.0)
+    yield from (partial(dw.asymptotic_normed_delay, cfg, f * mu_1) for f in (0.1, 0.5, 0.9))
     kernels = [dw.kernel_by_name(name) for name in ("gaussian", "epanechnikov", "laplace")]
     for name in ("step", "ramp"):
         for c in thresholds:
