@@ -167,17 +167,16 @@ def window_mean(t: np.ndarray, values: np.ndarray, n: int, cfg: SmootherConfig, 
     lo, W = block_weights(t, n - 1, n, cfg, template, lo)
     w = W[0]
     den = float(w.sum())  # a float takes check_weights' scalar path
-    return lo, weighted_mean(w, den, values[lo:n], n)
-
-
-def weighted_mean(w: np.ndarray, den: float, values: np.ndarray, n: int) -> float:
-    """The smoother at index n: the dot product of its window's weights ``w``
-    with the window's ``values``, over the weight sum ``den``; raises
-    DriftwatchError at n when the weights vanish.  ``window_mean`` builds
-    ``w`` and ``den`` at every call; a stream on unit-spaced times holds the
-    full window's from its construction and calls this alone."""
     check_weights(den, first=n)
-    return float(w @ values / den)
+    return lo, weighted_mean(w, den, values[lo:n])
+
+
+def weighted_mean(w: np.ndarray, den: float, values: np.ndarray) -> float:
+    """The smoother from its window's weights ``w``, their checked sum ``den``
+    and the window's ``values``; a stream on unit-spaced times holds the full
+    window's ``w`` and ``den``.  ``ndarray.dot`` is ``@``'s BLAS ``ddot``
+    with less call overhead."""
+    return float(w.dot(values) / den)
 
 
 def nw_estimate(series: TimeSeries, cfg: SmootherConfig, n: int) -> float:

@@ -47,7 +47,7 @@ from functools import cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .estimator import SmootherConfig, _process_parts, causal_filter
+from .estimator import SmootherConfig, _process_parts, causal_filter, check_weights
 from .kernels import KernelSpec, _quad
 from .monitor import first_crossings
 from .seriesgen import (
@@ -260,8 +260,11 @@ def ratio_terms(cfg: LimitConfig):
 
 def _null_values(cfg: LimitConfig, paths: np.ndarray, terms=None) -> np.ndarray:
     """sigma * num / den with entries below s_min masked to NaN; ``terms`` is
-    ``ratio_terms(cfg)``, built here when not given."""
+    ``ratio_terms(cfg)``, built here when not given.  Raises DriftwatchError at
+    the first grid index from s_min on whose path-free weights vanish, unlike
+    ``chart`` (each row up to its stop) whether or not a path gets there."""
     vals, den = (terms or ratio_terms(cfg))(paths)
+    check_weights(den[S_MIN_CELLS - 1 :], first=S_MIN_CELLS)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals *= cfg.sigma
         vals /= den

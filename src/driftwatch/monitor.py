@@ -23,7 +23,7 @@ from .estimator import (
     check_weights, lag_rows, nw_estimate, scaling_factor, weighted_mean, window_mean,
 )
 from .seriesgen import InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, substream
-from .variance import RunningVariance, check_variance, min_sample, running_estimates, standardized
+from .variance import check_variance, min_sample, running_estimates, running_step, standardized
 
 MonitoringError = DriftwatchError
 
@@ -202,25 +202,26 @@ class StreamMonitor:
     Each update does bounded work.  The smoother weights only the records
     within the kernel's support of the newest time (8h for Gaussian, 24h
     for Laplace, h for Epanechnikov, the part of the knot span left of 0
-    for a tabulated kernel), and a ``RunningVariance`` adds one term per
-    record.  The weights are the one-anchor block of the batch smoother's
-    weight builder (``estimator.block_weights``), as for ``nw_estimate``.
-    While the times run t_0, t_0 + 1, ... with integer t_0, they are a view
-    of a one-row lag template that the monitor evaluates once.  Once the run
-    holds the full window of L records (and the record before it, unless the
-    run starts at the first record), the weights are the template's first L
-    entries at every index: the monitor takes them and their sum once, at
-    construction, so such an update is one dot product
-    (``estimator.weighted_mean``, which ``window_mean`` also calls).  Before
-    that an update slices the template and sums the slice.  Other times, and
-    windows that reach back before the current unit-spaced run, evaluate the
-    kernel on the window, whose start is bisected from the last record's on.
-    A fixed design takes the window on its design times, placed once by the
-    horizon N as ``run_monitor`` does.  A rolling design re-selects past time
-    points at every index, so with one each update weights the whole
-    history.  The records are kept in two float arrays whose capacity
-    doubles as records arrive, up to the horizon; ``times`` and ``values``
-    return the records seen as lists.
+    for a tabulated kernel), and the running variance adds one term per
+    record to a tuple of floats (``variance.running_step``, which replaced a
+    ``RunningVariance`` object per record).  The weights are the one-anchor
+    block of the batch smoother's weight builder (``estimator.block_weights``),
+    as for ``nw_estimate``.  While the times run t_0, t_0 + 1, ... with
+    integer t_0, they are a view of a one-row lag template that the monitor
+    evaluates once.  Once the run holds the full window of L records (and the
+    record before it, unless the run starts at the first record), they are
+    the template's first L entries, held with their sum from construction on.
+    After an eligible record with that window, a record at the next unit time
+    is told by one comparison and costs one dot product and one division: its
+    sum passed the weight check at first use.  Before that an update slices
+    the template and sums the slice.  Other times, and windows that reach back
+    before the current unit-spaced run, evaluate the kernel on the window,
+    whose start is bisected from the last record's on.  A fixed design takes
+    the window on its design times, placed once by the horizon N as
+    ``run_monitor`` does.  A rolling design re-selects past time points at
+    every index, so with one each update weights the whole history.  The
+    records are kept in two float arrays whose capacity doubles as records
+    arrive, up to the horizon; ``times`` and ``values`` return them as lists.
     """
 
     def __init__(self, cfg: MonitorConfig, prerun: TimeSeries | None = None):
@@ -239,16 +240,19 @@ class StreamMonitor:
             L = self._lags
             self._w = block_weights(None, L - 1, L, cfg.smoother, self._template)[1][0]
             self._den = float(self._w.sum())
-        self._variance = None
+        # the running variance's step function (None: unit variance) and state
+        self._step = self._var_state = None
         if cfg.variance_method is not None:
             pre_inc = np.diff(prerun.values) if prerun is not None else None
-            self._variance = RunningVariance.start(cfg.variance_method, pre_inc)
+            self._step, self._var_state = running_step(cfg.variance_method, pre_inc)
         # without a design, the 0-based first record of the unit-spaced run
         # that the last record ends, or None
         self._run = None
         # the window start of the last record that was smoothed
         self._lo = 0
         self._last_t = None
+        # the time of the next steady-state record, NaN while there is none
+        self._next_t = math.nan
         self.alarmed = False
         self.n = 0
 
@@ -277,30 +281,38 @@ class StreamMonitor:
         if self.n and t <= self._last_t:
             raise ValueError(f"times must be strictly increasing, got {t} after {self._last_t}")
         n = self.n + 1
-        variance = self._variance.push(y) if self._variance is not None else None
-        est = 1.0 if variance is None else variance.value  # unit variance unless standardized
-        run = template = None
-        if self._template is not None and abs(t) < EXACT and t.is_integer():
-            run = self._run if self._run is not None and t == self._last_t + 1.0 else n - 1
-            # the template holds when the run holds the window and the record
-            # just before it, or when the run starts at the first record
-            if run == 0 or n - self._lags > run:
-                template = self._template
+        # the new variance state, kept only with the record
+        var_state, est = self._var_state, 1.0  # unit variance unless standardized
+        if self._step is not None:
+            var_state, est = self._step(var_state, y, n)
         if n > len(self._times):
             self._times = _grown(self._times, self.cfg.N)
             self._values = _grown(self._values, self.cfg.N)
         # written past the records seen, so a record that raises below is not kept
         self._times[n - 1], self._values[n - 1] = t, y
-        lo, stat = self._lo, None
-        if n >= self._start_index and not math.isnan(est):
-            if template is not None and n >= self._lags:  # the full window: fixed weights
-                lo = n - self._lags
-                mean = weighted_mean(self._w, self._den, self._values[lo:n], n)
-            else:
+        run, lo, mean = self._run, self._lo, None
+        held = t == self._next_t
+        if held:  # the steady state: the held full-window weights
+            lo = n - self._lags
+            mean = weighted_mean(self._w, self._den, self._values[lo:n])
+        else:
+            template = run = None
+            if self._template is not None and abs(t) < EXACT and t.is_integer():
+                run = self._run if self._run is not None and t == self._last_t + 1.0 else n - 1
+                # the template holds when the run holds the window and the record
+                # just before it, or when the run starts at the first record
+                if run == 0 or n - self._lags > run:
+                    template = self._template
+            if n >= self._start_index and not math.isnan(est):
                 anchors = self._times if self._design_times is None else self._design_times
                 lo, mean = window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
-            stat = standardized(mean, self._scale, est, n)
-        self._variance, self._run, self._lo, self._last_t, self.n = variance, run, lo, t, n
+            # a full window of the template is the held weights, their sum now checked
+            held = mean is not None and template is not None and n >= self._lags
+        # in the steady state a NaN estimate (its terms overflowed) gives a NaN
+        # statistic, which never alarms, as an ineligible index does not
+        stat = None if mean is None else standardized(mean, self._scale, est, n)
+        self._var_state, self._run, self._lo, self._last_t, self.n = var_state, run, lo, t, n
+        self._next_t = t + 1.0 if held else math.nan
         if stat is not None and stat > self.cfg.threshold:
             self.alarmed = True
             return {

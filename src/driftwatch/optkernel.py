@@ -282,7 +282,10 @@ def kernel_comparison_curves(
 
     The reported best kernel attains the smallest crossing (first listed on
     ties).  The drift shape must make the detectability condition hold for
-    every candidate, otherwise no crossing exists and 1 is reported.
+    every candidate, otherwise no crossing exists and 1 is reported.  A
+    candidate whose trapezoid weights vanish on the grid (narrower than one
+    cell, with K(0) = 0) gets a NaN curve row; its crossing, from the
+    quadrature drift term, is still reported.
     """
     names, cfgs, delays = _candidate_delays(candidates, m0, zeta, c, grid_M)
     crossings = np.array(delays)

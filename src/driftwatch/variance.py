@@ -12,7 +12,9 @@ term unbiased for sigma^2 under i.i.d. increments:
 
 The estimate at index n is the factor times the mean squared term over the
 data up to n, defined from n = span + 1 on.  ``running_estimates`` computes
-it at every n; the scalar estimators return its entry at n.  The naive
+it at every n; the scalar estimators return its entry at n; a stream adds one
+term per value with the step function of ``running_step`` on a tuple of
+floats, which replaced the ``RunningVariance`` state object.  The naive
 estimator absorbs any drift into the estimate; the difference-based ones
 annihilate locally linear drift.
 """
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,8 +101,10 @@ def check_variance(est, eligible=True, first: int = 1) -> None:
 def standardized(mean: float, scale: float, est: float, n: int) -> float:
     """The chart at index n from the smoother's ``mean`` there: scaled by
     ``scale`` and divided by the root of the variance estimate ``est`` (1.0
-    unless standardized); raises DriftwatchError at n when ``est`` is zero."""
-    check_variance(est, first=n)
+    unless standardized); raises DriftwatchError at n when ``est`` is zero.
+    A NaN ``est`` gives a NaN chart."""
+    if est <= 0.0:
+        check_variance(est, first=n)
     return mean * scale / math.sqrt(est)
 
 
@@ -184,47 +187,26 @@ def running_estimates(
     return out[0] if squeeze else out
 
 
-class RunningVariance(NamedTuple):
-    """The running estimate of ``running_estimates`` one value at a time.
+def running_step(method: str, prerun_increments=None):
+    """``running_estimates`` one value at a time, as ``(step, state)``:
+    ``step(state, y, n)`` returns the state after the n-th value ``y`` and the
+    estimate at n (NaN where undefined), bitwise ``running_estimates(values[:n],
+    method, prerun_increments)[n - 1]`` (the same terms, summed in ``cumsum``'s
+    order).  A state is a tuple of floats: the sum of squared terms, the last
+    span - 1 first differences and the last value."""
+    terms_of, span, factor = _method(method)
+    head, cnt0 = _prerun_head(prerun_increments, method, 1)
+    head = float(head[0])
+    undefined = factor * head / cnt0 if cnt0 else math.nan
 
-    Holds the prerun head (its squared-term sum and term count), the number
-    of values seen, the running sum of the series' squared terms, the last
-    value and the last ``span`` first differences, which form the newest
-    term.  ``push`` returns the state after one more value and leaves this
-    one as it is (a rollback keeps the old one); it works on Python floats.
-    After n values, ``value`` is bitwise ``running_estimates(values[:n],
-    method, prerun_increments)[n - 1]``: each term comes from the same
-    method-table entry, on the same differences, and the sum grows in the
-    order ``cumsum`` adds.
-    """
+    def step(state, y, n):
+        total, diffs, last = state
+        # at n = 1 the difference is a placeholder that no term takes
+        diffs = (*diffs, y - last)
+        if n <= span:
+            return (total, diffs[1:], y), undefined
+        term = terms_of(*diffs)
+        total += term * term
+        return (total, diffs[1:], y), factor * (head + total) / (cnt0 + n - span)
 
-    method: str
-    head: float
-    cnt0: int
-    n: int = 0
-    total: float = 0.0
-    last: float = 0.0
-    diffs: tuple[float, ...] = ()
-
-    @classmethod
-    def start(cls, method: str, prerun_increments=None) -> RunningVariance:
-        head, cnt0 = _prerun_head(prerun_increments, method, 1)
-        return cls(method, float(head[0]), cnt0)
-
-    def push(self, y: float) -> RunningVariance:
-        total, diffs = self.total, self.diffs
-        if self.n:
-            terms_of, span, _ = _method(self.method)
-            diffs = (diffs + (y - self.last,))[-span:]
-            if len(diffs) == span:
-                t = terms_of(*diffs)
-                total = total + t * t
-        return RunningVariance(self.method, self.head, self.cnt0, self.n + 1, total, y, diffs)
-
-    @property
-    def value(self) -> float:
-        """The estimate using the values seen so far; NaN where it is undefined."""
-        _, span, factor = _method(self.method)
-        if self.n > span:
-            return factor * (self.head + self.total) / (self.cnt0 + self.n - span)
-        return factor * self.head / self.cnt0 if self.cnt0 else np.nan
+    return step, (0.0, (0.0,) * (span - 1), 0.0)

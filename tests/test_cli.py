@@ -391,6 +391,14 @@ BAD_INPUTS = {
     "limit variant without --zeta": (
         lambda d: (["calibrate", "--variant", "limit", "--c-min", "0", "--c-max", "1",
                     "--out", str(d / "arl.csv")], None, None), "limit variant needs --zeta"),
+    # a kernel narrower than one grid cell with K(0) = 0: no limit weight on the grid
+    "vanishing limit weights": (
+        lambda d: (["calibrate", "--variant", "limit", "--zeta", "10", "--grid-m", "64",
+                    "--kernel", _write(d / "k.csv", "z,k\n-0.02,0\n-0.01,50\n0,0\n0.01,50\n"
+                                                    "0.02,0\n"),
+                    "--c-min", "0", "--c-max", "0.5", "--reps", "100",
+                    "--out", str(d / "arl.csv")], None, None),
+        "smoothing weights vanish at index 4"),
     "GARCH variance overflow": (
         lambda d: (["generate", "--n", "5", "--family", "garch11", "--garch-alpha0", "1.5e307",
                     "--garch-alpha1", "0.05", "--garch-beta1", "0.85", "--seed", "1",

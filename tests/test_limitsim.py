@@ -344,6 +344,43 @@ def test_asymptotic_normed_delay_when_the_curve_never_crosses(frac):
     assert abs(dw.asymptotic_normed_delay(cfg, c) - root) <= 1e-6
 
 
+def test_vanishing_limit_weights_raise_where_the_finite_chart_would():
+    # every lag weight of NARROW on this grid is 0, so the ratio's den is 0 on the
+    # whole grid: the sampled values raise at s_min, the first eligible grid index,
+    # where they used to be NaN and calibration read "never crosses" (normed ARL 1)
+    cfg = dw.LimitConfig(zeta=10.0, kernel=NARROW, grid_M=64)
+    alt = dw.LimitConfig(zeta=10.0, kernel=NARROW, grid_M=64, drift=dw.LimitDrift(STEP))
+    calls = {
+        "arl_curve": lambda: dw.arl_curve(cfg, NARROW, [-1e9, 0.0, 0.5], 100, 1),
+        "null_limit_process": lambda: dw.null_limit_process(cfg, 1),
+        "alt_limit_process": lambda: dw.alt_limit_process(alt, 1),
+        "limit_stop_sample": lambda: dw.limit_stop_sample(cfg, 0.0, 0.0, 1),
+    }
+    for name, call in calls.items():
+        with pytest.raises(dw.DriftwatchError, match="smoothing weights vanish at index 4") as err:
+            call()
+        assert err.value.index == limitsim.S_MIN_CELLS, name
+    # a fixed design that spreads the late time points past the kernel's reach:
+    # the weights vanish first at grid index 42
+    fixed = dw.LimitConfig(zeta=1.0, kernel=NARROW, grid_M=64,
+                           design=dw.TimeDesign(gamma=0.5, mode="fixed"))
+    with pytest.raises(dw.DriftwatchError) as err:
+        dw.null_limit_process(fixed, 1)
+    assert err.value.index == 42
+    # the weights do not depend on the path, so the check does not depend on the
+    # stops: at threshold -1e9 every path stops at s_min, before index 42, and
+    # the limit side still raises there (the finite chart checks up to each stop)
+    with pytest.raises(dw.DriftwatchError) as err:
+        dw.arl_curve(fixed, NARROW, [-1e9], 100, 1)
+    assert err.value.index == 42
+    with pytest.raises(dw.DriftwatchError) as err:
+        dw.limit_stop_sample(fixed, -1e9, 0.0, 1)
+    assert err.value.index == 42
+    # built-in kernels have K(0) > 0, so their weights never vanish
+    assert np.isfinite(dw.null_limit_process(dw.LimitConfig(zeta=10.0, kernel=G, grid_M=64),
+                                             1)[limitsim.S_MIN_CELLS - 1 :]).all()
+
+
 @pytest.mark.parametrize("a", [0.0, 0.3])
 def test_asymptotic_normed_delay_leaves_a_plateau_of_the_drift_term(a):
     # under cp2 the drift term is exactly 0 up to theta, so c = 0 is first exceeded

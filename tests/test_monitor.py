@@ -280,8 +280,9 @@ def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
 
 def test_stream_steady_state_takes_no_window_weights(monkeypatch):
     # on unit-spaced times the full window's weights and their sum are taken
-    # once: window_mean runs only before the window first fills, and after a
-    # gap until the run holds the window and the record before it again
+    # once: window_mean runs only until the window first fills, and after a
+    # gap until the run holds the window and the record before it again; the
+    # first full window's sum is checked there, and the held one equals it
     N, h, gap = 5000, 5.0, 100
     L = int(dw.kernels.GAUSSIAN_TRUNCATION * h) + 1  # 41 records
     times = np.arange(1.0, N + 1.0)
@@ -298,7 +299,7 @@ def test_stream_steady_state_takes_no_window_weights(monkeypatch):
     for record in zip(times.tolist(), values.tolist()):
         stream.update(*record)
     assert stream.n == N
-    assert indices == [*range(1, L), *range(gap, gap + L)]
+    assert indices == [*range(1, L + 1), *range(gap, gap + L + 1)]
 
 
 def test_stream_monitor_rejects_nonincreasing_times():
@@ -356,6 +357,56 @@ def _check_rejected_records_leave_no_trace(kernel, irregular):
         if alarm is not None:
             break
     assert alarm["index"] == batch.alarm_index
+
+
+def test_rejected_records_on_the_held_weights_path_leave_no_trace():
+    # unit times at N = 200, h = 5: the Gaussian window of 8h + 1 = 41 records
+    # fills at index 41, and the held weights serve the unit steps after it.
+    # Record 61 comes half a step after record 60, so the run restarts at record
+    # 62 and the held weights take over again once it holds the window, from
+    # index 103 on.  Bad records arrive in the steady state, at the half step
+    # and after the held weights are back; at threshold -inf every eligible
+    # index alarms, and clearing ``alarmed`` lets each statistic be compared.
+    N = 200
+    values = dw.generate(dw.SeriesSpec(N=N), 6).values.tolist()
+    times = [float(i) for i in range(1, 61)] + [60.5] + [float(i) for i in range(61, N)]
+    cfg = config(N, h=5.0, c=-np.inf, variance="naive")
+    stream, clean = dw.StreamMonitor(cfg), dw.StreamMonitor(cfg)
+    for i, (t, y) in enumerate(zip(times, values)):
+        if i in (50, 60, 102, 103, 150):
+            kept = (stream.n, stream.times, stream.values)
+            for bad in ((t, np.nan), (np.inf, y), (times[i - 1], y)):
+                with pytest.raises(ValueError):
+                    stream.update(*bad)
+                assert (stream.n, stream.times, stream.values) == kept
+        record = stream.update(t, y)
+        assert record == clean.update(t, y) and (record is None) == (i == 0)
+        stream.alarmed = clean.alarmed = False
+    assert stream.n == N
+
+
+def test_a_held_weight_sum_of_zero_raises_at_every_attempt():
+    # K0 at h = 0.5 gives every integer lag weight 0, so the full window's held
+    # sum is exactly 0; the first eligible index, floor(N/2), raises as it does in
+    # run_monitor at every attempt, and the monitor keeps its state
+    N = 200
+    assert K0.evaluate(-np.arange(3.0) / 0.5).sum() == 0.0
+    series = dw.generate(dw.SeriesSpec(N=N), 6)
+    cfg = dw.MonitorConfig(smoother=dw.SmootherConfig(kernel=K0, h=0.5), threshold=0.1, N=N,
+                           start_fraction=0.5)
+    with pytest.raises(dw.DriftwatchError) as batch:
+        dw.run_monitor(series, cfg)
+    assert batch.value.index == N // 2
+    stream = dw.StreamMonitor(cfg)
+    records = list(zip(series.times.tolist(), series.values.tolist()))
+    for record in records[: N // 2 - 1]:
+        assert stream.update(*record) is None
+    kept = (stream.n, stream.times, stream.values)
+    for _ in range(3):
+        with pytest.raises(dw.DriftwatchError) as exc:
+            stream.update(*records[N // 2 - 1])
+        assert exc.value.index == batch.value.index
+        assert (stream.n, stream.times, stream.values) == kept
 
 
 def test_degenerate_stream_record_is_not_kept():

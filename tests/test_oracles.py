@@ -70,7 +70,7 @@ from driftwatch.seriesgen import (
     _VECTOR_ROWS, GARCH_BURN_IN, design_times, innovation_rows,
     tabulated_alternative,
 )
-from driftwatch.variance import RunningVariance, check_variance, running_estimates
+from driftwatch.variance import check_variance, running_estimates, running_step
 
 
 def running_reference(values, method, prerun_increments=None):
@@ -627,11 +627,11 @@ def test_running_variance_state_matches_running_estimates_bitwise(method, N, pre
     inc[:flat] = 0.0
     values = np.cumsum(inc)
     pre = None if prerun is None else rng.standard_normal(prerun)
-    state = RunningVariance.start(method, pre)
+    step, state = running_step(method, pre)
     for n in range(1, N + 1):
-        state = state.push(values[n - 1])
+        state, est = step(state, values[n - 1], n)
         want = running_estimates(values[:n], method, pre)[n - 1]
-        assert np.float64(state.value).tobytes() == want.tobytes()
+        assert np.float64(est).tobytes() == want.tobytes()
 
 
 def stream_update_reference(self, t, y):

@@ -1,8 +1,10 @@
 """The layer-cost harness ``tools/cost.py`` still runs: each measuring function at tiny
 sizes, and its command line rejects out-of-range options.  The hash corpus
-``tools/corpus.py`` prints the same hashes on every run."""
+``tools/corpus.py`` prints the same hashes on every run.  The parent-versus-change
+summary of ``tools/compare.py`` reads canned benchmark output; no benchmark runs."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 COST = ROOT / "tools" / "cost.py"
 CORPUS = ROOT / "tools" / "corpus.py"
+COMPARE = ROOT / "tools" / "compare.py"
 
 
 def _load(path=COST):
@@ -45,19 +48,21 @@ def test_batch_cost_runs():
 
 def test_stream_cost_runs():
     points, sums = {}, {}
-    for layout, (h, design, irregular) in tool.STREAM_LAYOUTS.items():
-        cost, points[layout], sums[layout] = tool.per_update_us(
-            [20, 60], window=10, seed=1, h=h, design=design, irregular=irregular)
+    for layout, kwargs in tool.STREAM_LAYOUTS.items():
+        cost, points[layout], sums[layout] = tool.per_update_us([20, 60], window=10, seed=1,
+                                                                **kwargs)
         assert sorted(cost) == [20, 60] and all(v > 0.0 for v in cost.values())
     # unit times: one template of min(8h + 1, N) = 60 points for the whole stream
     assert points["unit times, h = 50"] == 1.0
     assert points["irregular times, h = 50"] > 1.0 and points["fixed design, h = 5"] > 1.0
-    # the naive variance is first defined at index 2; the window of 60 records
-    # fills at index 60, where the held weights and sum take over
-    assert sums == {"unit times, h = 50": 58 / 60, "irregular times, h = 50": 59 / 60,
+    # the variance is first defined at index 1 without a method, 2 for naive and
+    # 4 for gasser; the window of 60 records fills at index 60, whose weights
+    # are summed and checked once, and the held weights and sum take over after it
+    assert sums == {"unit times, h = 50": 59 / 60, "unit times, h = 50, no variance": 60 / 60,
+                    "unit times, h = 50, gasser": 57 / 60, "irregular times, h = 50": 59 / 60,
                     "fixed design, h = 5": 59 / 60}
     # h = 2: the window of 8h + 1 = 17 records fills at index 17
-    assert tool.per_update_us([60], window=10, seed=1, h=2.0)[2] == 15 / 60
+    assert tool.per_update_us([60], window=10, seed=1, h=2.0)[2] == 16 / 60
     # the counters are off
     assert tool.dw.KernelSpec.evaluate is tool.dw.KernelSpec.__call__
     assert tool.monitor.window_mean is tool.dw.estimator.window_mean
@@ -164,3 +169,46 @@ def test_corpus_rejects_a_tree_without_the_package(tmp_path, capsys):
         _load(CORPUS).main(["--src", str(tmp_path)])
     assert exit_.value.code == 2
     assert "--src must hold a driftwatch package" in capsys.readouterr().err
+
+
+def _bench_stdout(task_rel, peak, setup, failed=0):
+    """What ``perfbench/run.py`` prints, cut to the lines ``compare.py`` reads."""
+    metrics = {"task_rel": {"value": task_rel, "unit": "ratio"},
+               "peak_rss_mb": {"value": peak, "unit": "MB"},
+               "setup_s": {"value": setup, "unit": "s"}}
+    return "\n".join([
+        "# driftwatch benchmark: workload=stream seed=1 seconds=20 trace=0",
+        '# provenance {"commit": "abc", "src_sha256": "%s"}' % ("0" if task_rel > 0.5 else "1"),
+        f"task_rel{task_rel:>16.6g}  ratio       9  median task time / reference-loop time",
+        json.dumps({"correct": not failed, "attempted": 10, "failed": failed,
+                    "metrics": metrics})]) + "\n"
+
+
+def test_compare_summarizes_alternating_pairs():
+    compare = _load(COMPARE)
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    base = [(0.60, 137.5, 0.50), (0.58, 135.5, 0.40), (0.62, 136.0, 0.45)]
+    change = [(0.40, 143.5, 0.50), (0.41, 143.8, 0.42), (0.39, 150.0, 0.43)]
+    pairs = [{"base": compare.parse_run(_bench_stdout(*b)),
+              "change": compare.parse_run(_bench_stdout(*c))} for b, c in zip(base, change)]
+    pairs.append({"base": compare.parse_run(_bench_stdout(0.59, 136.0, 0.4, failed=1)),
+                  "change": {"summary": None, "provenance": None, "error": "worker exited"}})
+    entry = compare.summarize(end_to_end, pairs)
+    assert entry["pairs"] == 4 and entry["failed_runs"] == {"base": 0, "change": 1}
+    assert entry["failed_tasks"] == {"base": 1, "change": 0}
+    assert entry["provenance"]["base"] == {"commit": "abc", "src_sha256": "0"}
+    assert entry["provenance"]["change"]["src_sha256"] == "1"
+    rel = entry["metrics"]["task_rel"]
+    assert rel["base"]["runs"] == [0.60, 0.58, 0.62, 0.59]
+    assert rel["base"]["median"] == pytest.approx(0.595)
+    assert (rel["base"]["q1"], rel["base"]["q3"]) == pytest.approx((0.5875, 0.605))
+    assert rel["change"] == pytest.approx({"runs": [0.40, 0.41, 0.39], "median": 0.40,
+                                           "q1": 0.395, "q3": 0.405})
+    # a pair with a failed side counts for neither; lower is better for every metric
+    assert rel["wins"] == 3 and rel["within_bound"]
+    assert rel["rel_change"] == pytest.approx(0.40 / 0.595 - 1.0)
+    peak = entry["metrics"]["peak_rss_mb"]
+    assert peak["wins"] == 0 and peak["rel_change"] == pytest.approx(143.8 / 136.0 - 1.0)
+    assert peak["within_bound"] and peak["bound"] == 0.1
+    setup = entry["metrics"]["setup_s"]
+    assert setup["wins"] == 1  # a tie, (0.50, 0.50), counts for neither side

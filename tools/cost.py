@@ -21,26 +21,28 @@ points, not N²; a rolling design weights every past record at every anchor,
 so it shows about N²/2.
 
 stream: one null random walk fed record by record to ``StreamMonitor.update``
-(Gaussian kernel, null scaling, ``naive`` variance, a threshold of +inf so the
-stream never stops): the median wall time per update over the last
-``--window`` updates before each size, and over the whole stream the kernel
-points and the weight sums (``monitor.window_mean`` calls, each of which sums
-its window's weights) per update.  The median, not the mean: one pause of the
-host can double a window's mean, while an update cost that grows with n still
-moves the median.  Three layouts: unit times with h = 50, where the weights
-before the window of 8h + 1 = 401 records fills are a slice of the lag
-template the monitor evaluates once, and from there on the full window's
-weights and their sum, taken once (about 400/N weight sums per update);
-irregular times, gaps drawn from U(0.5, 1.5), with h = 50, where each update
-evaluates the kernel on its support window (at most about 800 records) and
-bisects for the window start from the previous update's; a fixed design
-F^{-1}(u) = u**(1/2) placed by the largest size with h = 5 (its design times
-lie 1/2 apart at the horizon and further apart before it, so the Gaussian's
-8h window holds at most about 80 records).  The last two sum their weights
-at every update from index 2 on, where the variance is first defined.  A
-monitor whose work per record is bounded shows about the same cost at every
-size.  Each counter adds one Python call, well under a microsecond, to the
-updates it counts.
+(Gaussian kernel, null scaling, ``naive`` variance unless a layout names
+another, a threshold of +inf so the stream never stops): the median wall time
+per update over the last ``--window`` updates before each size, and over the
+whole stream the kernel points and the weight sums (``monitor.window_mean``
+calls, each of which sums its window's weights) per update.  The median, not
+the mean: one pause of the host can double a window's mean, while an update
+cost that grows with n still moves the median.  Five layouts.  Unit times
+with h = 50, where the weights until the window of 8h + 1 = 401 records
+fills are a slice of the lag template the monitor evaluates once, and from
+there on the full window's weights and their sum, taken once (about 401/N
+weight sums per update); the same with no variance method and with
+``gasser``, whose terms span the most differences (3), so the three show
+each method's share of an update.  Irregular times, gaps drawn from
+U(0.5, 1.5), with h = 50, where each update evaluates the kernel on its
+support window (at most about 800 records) and bisects for the window start
+from the previous update's.  A fixed design F^{-1}(u) = u**(1/2) placed by
+the largest size with h = 5 (its design times lie 1/2 apart at the horizon
+and further apart before it, so the Gaussian's 8h window holds at most about
+80 records).  The last two sum their weights at every update from index 2
+on, where the variance is first defined.  A monitor whose work per record is
+bounded shows about the same cost at every size.  Each counter adds one
+Python call, well under a microsecond, to the updates it counts.
 
 limit: one chunk of null replicates (Gaussian kernel, zeta = 10, 20
 thresholds on [0, 0.3]), each row with the ``tracemalloc`` peak of one call
@@ -219,15 +221,17 @@ def batch_cost(N, rows, repeats, seed, design=None, whole_rows=False):
     return best_ms(call, repeats), seen.points
 
 
-# layout -> (bandwidth, time design, irregular times)
+# layout -> keyword arguments of per_update_us
 STREAM_LAYOUTS = {
-    "unit times, h = 50": (50.0, None, False),
-    "irregular times, h = 50": (50.0, None, True),
-    "fixed design, h = 5": (5.0, dw.TimeDesign(gamma=2.0, mode="fixed"), False),
+    "unit times, h = 50": {},
+    "unit times, h = 50, no variance": {"method": None},
+    "unit times, h = 50, gasser": {"method": "gasser"},
+    "irregular times, h = 50": {"irregular": True},
+    "fixed design, h = 5": {"h": 5.0, "design": dw.TimeDesign(gamma=2.0, mode="fixed")},
 }
 
 
-def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False):
+def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False, method="naive"):
     """Median microseconds per update over the ``window`` updates ending at
     each size, and the kernel points evaluated and the weight sums taken per
     update."""
@@ -241,7 +245,7 @@ def per_update_us(sizes, window, seed, h=50.0, design=None, irregular=False):
     elapsed = np.empty(N)
     clock = time.perf_counter
     with kernel_points() as seen, window_sums() as sums:
-        mon = dw.StreamMonitor(dw.MonitorConfig(smoother, np.inf, N, variance_method="naive"))
+        mon = dw.StreamMonitor(dw.MonitorConfig(smoother, np.inf, N, variance_method=method))
         for i, (t, y) in enumerate(zip(times.tolist(), series.values.tolist())):
             t0 = clock()
             mon.update(t, y)
@@ -379,12 +383,12 @@ def run_batch(args):
 
 def run_stream(args):
     sizes = args.sizes
-    for layout, (h, design, irregular) in STREAM_LAYOUTS.items():
-        cost, points, sums = per_update_us(sizes, args.window, args.seed, h, design, irregular)
+    for layout, kwargs in STREAM_LAYOUTS.items():
+        cost, points, sums = per_update_us(sizes, args.window, args.seed, **kwargs)
         for n in sizes:
-            print(f"{layout:<24}  n={n:>7}  {cost[n]:9.1f} us/update"
+            print(f"{layout:<31}  n={n:>7}  {cost[n]:9.1f} us/update"
                   f"  ({cost[n] / cost[sizes[0]]:.2f}x n={sizes[0]})")
-        print(f"{layout:<24}  {points:.3g} kernel points/update  {sums:.3g} weight sums/update")
+        print(f"{layout:<31}  {points:.3g} kernel points/update  {sums:.3g} weight sums/update")
 
 
 def run_limit(args):
