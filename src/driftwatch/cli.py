@@ -216,15 +216,9 @@ def monitor_cmd(ctx, input_path, h, kernel, scaling, threshold, start_fraction,
     cfg = monitor.MonitorConfig(smoother=smoother, threshold=threshold, N=N,
                                 start_fraction=start_fraction, variance_method=variance)
     result = monitor.run_monitor(series, cfg, prerun=pre)
-    stat = result.trajectory[result.alarm_index - 1]
-    record = {
-        "alarmed": result.alarmed,
-        "index": result.alarm_index,
-        "time": float(series.times[result.alarm_index - 1]),
-        "statistic": None if not np.isfinite(stat) else float(stat),
-        "threshold": threshold,
-        "normed_time": result.normed_time,
-    }
+    i = result.alarm_index
+    record = monitor.end_record(cfg, result.alarmed, i, float(series.times[i - 1]),
+                                result.trajectory[i - 1])
     click.echo(monitor.format_record(record))
     ctx.exit(EXIT_ALARM if result.alarmed else 0)
 

@@ -11,6 +11,9 @@ truncation radii are chosen so the discarded tail mass stays below 1e-14,
 which keeps the density/mean checks valid at their 1e-8 tolerance.  The
 limit layer's kernel-window integrals are ``limitsim.window_integral``.
 
+A kernel is its family and, for a tabulated one, its knots; its support and
+Lipschitz bound follow, from the family's row of ``_FAMILIES`` or the knots.
+
 Each kernel builds its float -> float evaluator once, ``KernelSpec.scalar``:
 the support test and the family's one formula, or for a tabulated kernel
 np.interp's rule on the knot lists with per-interval slopes.  It returns
@@ -22,6 +25,7 @@ directly.  A pickled kernel leaves it out and rebuilds it on first use.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
@@ -44,37 +48,72 @@ _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 QUAD_EPSABS = 1e-10
 QUAD_EPSREL = 1e-8
 
-# K(z) on the support, one expression per built-in family, for a float or an array;
-# np.exp, not math.exp: the two differ in the last bit on some inputs
-_FORMULAS = {
-    "gaussian": lambda z: _GAUSS_NORM * np.exp(-0.5 * z * z),
-    "epanechnikov": lambda z: 0.75 * (1.0 - z * z),
-    "laplace": lambda z: (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z)),
+# What defines a built-in family: K(z) on the support, for a float or an array
+# (np.exp, not math.exp: the two differ in the last bit on some inputs), the
+# support (an unbounded family's truncation interval), the Lipschitz bound and
+# the interior points where K is not smooth
+_Family = namedtuple("_Family", "formula support lipschitz_bound kinks")
+_FAMILIES = {
+    # max |K'| attained at z = +-1
+    "gaussian": _Family(lambda z: _GAUSS_NORM * np.exp(-0.5 * z * z),
+                        (-GAUSSIAN_TRUNCATION, GAUSSIAN_TRUNCATION),
+                        _GAUSS_NORM * np.exp(-0.5), ()),
+    "epanechnikov": _Family(lambda z: 0.75 * (1.0 - z * z), (-1.0, 1.0), 1.5, ()),
+    "laplace": _Family(lambda z: (1.0 / _SQRT2) * np.exp(-_SQRT2 * abs(z)),
+                       (-LAPLACE_TRUNCATION, LAPLACE_TRUNCATION), 1.0, (0.0,)),
 }
 
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec(ScalarEvaluators):
-    """A smoothing kernel with its support and Lipschitz constant.
+    """A smoothing kernel: its family and, for a tabulated one, its knots, both
+    checked when built.  Its support and Lipschitz bound follow from them.
 
     Attributes
     ----------
     family : str
         One of ``gaussian``, ``epanechnikov``, ``laplace``, ``tabulated``.
-    support : (float, float)
-        Closed interval outside of which the kernel evaluates to 0.  For the
-        unbounded families this is the truncation interval.
-    lipschitz_bound : float
-        Constant L with ``|K(z1) - K(z2)| <= L |z1 - z2|``.
     knots_z, knots_k : ndarray or None
         Interpolation knots, tabulated family only.
     """
 
     family: str
-    support: tuple[float, float]
-    lipschitz_bound: float
     knots_z: np.ndarray | None = field(default=None, repr=False)
     knots_k: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.family in _FAMILIES:
+            return
+        if self.family != "tabulated":
+            raise ValueError(f"unknown kernel family {self.family!r}")
+        z = np.asarray(self.knots_z, dtype=float)
+        k = np.asarray(self.knots_k, dtype=float)
+        if z.ndim != 1 or z.shape != k.shape or len(z) < 2:
+            raise ValueError("tabulated kernel needs matching 1-d knot arrays, length >= 2")
+        if np.any(~np.isfinite(z)) or np.any(~np.isfinite(k)):
+            raise ValueError("tabulated kernel knots must be finite")
+        if np.any(np.diff(z) <= 0):
+            raise ValueError("tabulated kernel knots must be strictly increasing")
+        if np.any(k < 0):
+            i = int(np.argmax(k < 0))
+            raise ValueError(f"tabulated kernel values must be nonnegative, "
+                             f"got k={float(k[i])!r} at z={float(z[i])!r}")
+        object.__setattr__(self, "knots_z", z)
+        object.__setattr__(self, "knots_k", k)
+
+    @cached_property
+    def support(self) -> tuple[float, float]:
+        """Closed interval outside of which K is 0; a tabulated kernel's knot span."""
+        if self.family == "tabulated":
+            return float(self.knots_z[0]), float(self.knots_z[-1])
+        return _FAMILIES[self.family].support
+
+    @cached_property
+    def lipschitz_bound(self) -> float:
+        """L with ``|K(z1) - K(z2)| <= L |z1 - z2|``; a tabulated kernel's steepest slope."""
+        if self.family == "tabulated":
+            return float(np.max(np.abs(np.diff(self.knots_k) / np.diff(self.knots_z))))
+        return _FAMILIES[self.family].lipschitz_bound
 
     def evaluate(self, z) -> np.ndarray:
         """Vectorized K(z); zero outside the support.
@@ -99,10 +138,7 @@ class KernelSpec(ScalarEvaluators):
         """The family's K(z) on the support, one function for a float or an array."""
         if self.family == "tabulated":
             return partial(np.interp, xp=self.knots_z, fp=self.knots_k)
-        try:
-            return _FORMULAS[self.family]
-        except KeyError:
-            raise ValueError(f"unknown kernel family {self.family!r}") from None
+        return _FAMILIES[self.family].formula
 
     @cached_property
     def scalar(self):
@@ -143,74 +179,33 @@ class KernelSpec(ScalarEvaluators):
 
     def breakpoints(self) -> np.ndarray:
         """Points where the kernel is not smooth (for quadrature panels)."""
-        lo, hi = self.support
         if self.family == "tabulated":
-            return np.asarray(self.knots_z, dtype=float)
-        if self.family == "laplace":
-            return np.array([lo, 0.0, hi])
-        return np.array([lo, hi])
+            return self.knots_z
+        lo, hi = self.support
+        return np.array([lo, *_FAMILIES[self.family].kinks, hi])
 
 
 def gaussian_kernel() -> KernelSpec:
-    # max |K'| attained at z = +-1
-    return KernelSpec(
-        family="gaussian",
-        support=(-GAUSSIAN_TRUNCATION, GAUSSIAN_TRUNCATION),
-        lipschitz_bound=_GAUSS_NORM * np.exp(-0.5),
-    )
+    return KernelSpec("gaussian")
 
 
 def epanechnikov_kernel() -> KernelSpec:
-    return KernelSpec(family="epanechnikov", support=(-1.0, 1.0), lipschitz_bound=1.5)
+    return KernelSpec("epanechnikov")
 
 
 def laplace_kernel() -> KernelSpec:
-    return KernelSpec(
-        family="laplace",
-        support=(-LAPLACE_TRUNCATION, LAPLACE_TRUNCATION),
-        lipschitz_bound=1.0,
-    )
+    return KernelSpec("laplace")
 
 
 def tabulated_kernel(knots_z, knots_k) -> KernelSpec:
     """Kernel linearly interpolated between knots; L is the max slope."""
-    z = np.asarray(knots_z, dtype=float)
-    k = np.asarray(knots_k, dtype=float)
-    if z.ndim != 1 or z.shape != k.shape or len(z) < 2:
-        raise ValueError("tabulated kernel needs matching 1-d knot arrays, length >= 2")
-    if np.any(~np.isfinite(z)) or np.any(~np.isfinite(k)):
-        raise ValueError("tabulated kernel knots must be finite")
-    if np.any(np.diff(z) <= 0):
-        raise ValueError("tabulated kernel knots must be strictly increasing")
-    if np.any(k < 0):
-        i = int(np.argmax(k < 0))
-        raise ValueError(
-            f"tabulated kernel values must be nonnegative, got k={float(k[i])!r} at z={float(z[i])!r}"
-        )
-    slopes = np.diff(k) / np.diff(z)
-    return KernelSpec(
-        family="tabulated",
-        support=(float(z[0]), float(z[-1])),
-        lipschitz_bound=float(np.max(np.abs(slopes))) if len(slopes) else 0.0,
-        knots_z=z,
-        knots_k=k,
-    )
-
-
-_BUILTINS = {
-    "gaussian": gaussian_kernel,
-    "epanechnikov": epanechnikov_kernel,
-    "laplace": laplace_kernel,
-}
+    return KernelSpec("tabulated", knots_z, knots_k)
 
 
 def kernel_by_name(name: str) -> KernelSpec:
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from {sorted(_BUILTINS)} or load a CSV"
-        ) from None
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown kernel {name!r}; choose from {sorted(_FAMILIES)} or load a CSV")
+    return KernelSpec(name)
 
 
 def load_kernel_csv(path) -> KernelSpec:
@@ -219,7 +214,9 @@ def load_kernel_csv(path) -> KernelSpec:
 
 
 def save_kernel_csv(kernel: KernelSpec, path, n_points: int = 512) -> None:
-    """Write a kernel as a ``z,k`` CSV (tabulated kernels keep their knots)."""
+    """Write a kernel as a ``z,k`` CSV: a tabulated kernel's knots, another's values
+    at ``n_points >= 2`` evenly spaced points of its support."""
+    check_count("n_points", n_points, 2)
     if kernel.family == "tabulated":
         z = kernel.knots_z
     else:

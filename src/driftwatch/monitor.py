@@ -315,23 +315,11 @@ class StreamMonitor:
         self._next_t = t + 1.0 if held else math.nan
         if stat is not None and stat > self.cfg.threshold:
             self.alarmed = True
-            return {
-                "alarmed": True,
-                "index": n,
-                "time": t,
-                "statistic": stat,
-                "threshold": self.cfg.threshold,
-            }
+            return end_record(self.cfg, True, n, t, stat)
         return None
 
     def truncation_record(self) -> dict:
-        return {
-            "alarmed": False,
-            "index": self.cfg.N,
-            "time": self._last_t,
-            "statistic": None,
-            "threshold": self.cfg.threshold,
-        }
+        return end_record(self.cfg, False, self.cfg.N, self._last_t, None)
 
 
 def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
@@ -339,6 +327,16 @@ def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:
     out = np.empty(min(2 * len(buffer), limit))
     out[: len(buffer)] = buffer
     return out
+
+
+def end_record(cfg: MonitorConfig, alarmed: bool, index: int, time: float, statistic) -> dict:
+    """The record a monitor ends with, batch or stream: an alarm at ``index``, or
+    truncation at the horizon.  A non-finite or missing statistic is None, and
+    ``normed_time`` is index / N, 1.0 at truncation, as ``StoppingResult``'s."""
+    finite = statistic is not None and math.isfinite(statistic)
+    return {"alarmed": alarmed, "index": index, "time": time,
+            "statistic": float(statistic) if finite else None, "threshold": cfg.threshold,
+            "normed_time": index / cfg.N if alarmed else 1.0}
 
 
 def format_record(record: dict) -> str:

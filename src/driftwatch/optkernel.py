@@ -40,6 +40,10 @@ class TruncatedAlternative(ScalarEvaluators):
     base: GenericAlternative
     t_max: float
 
+    def __post_init__(self):
+        if not 0 < self.t_max < np.inf:
+            raise ValueError(f"t_max must be positive and finite, got {self.t_max!r}")
+
     @property
     def name(self) -> str:
         return f"{self.base.name}|t<={self.t_max:g}"
@@ -140,15 +144,15 @@ def optimal_kernel(
 
     The shape is truncated at ``t_max`` (default zeta) so the normalizer
     2 int_0^{t_max} M0(r) dr is finite; the tabulated values are
-    M0(z/zeta + s*) / normalizer, nondecreasing in z.
+    M0(z/zeta + s*) / normalizer, nondecreasing in z.  It takes ``n_points >= 3``
+    points: the first, z = -zeta s*, holds M0(0) = 0 and ``completed_kernel``
+    mirrors it onto the last, so fewer would leave the completed kernel no mass.
     """
     if not 1.0 <= zeta < np.inf:
         raise ValueError(f"zeta must be finite and >= 1, got {zeta!r}")
     t_max = float(zeta) if t_max is None else float(t_max)
-    if not 0 < t_max < np.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    check_count("n_points", n_points)
     trunc = TruncatedAlternative(m0, t_max)
+    check_count("n_points", n_points, 3)
     s_star = optimal_delay(trunc, c)
     if s_star == 0.0:  # c <= 0: crossed at once, so the window [-zeta s*, zeta s*] is a point
         raise ValueError(f"the threshold c must be > 0 for an optimal kernel, got {c!r}")

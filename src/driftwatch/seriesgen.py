@@ -19,6 +19,7 @@ import csv
 import io
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -33,10 +34,12 @@ GARCH_BURN_IN = 500
 
 
 class ScalarEvaluators:
-    """Base of the kernels and drift shapes that build float -> float evaluators
-    once, as ``cached_property`` values.  Those are closures, which pickle cannot
-    carry, so the pickled state leaves every cached property out and a copy
-    rebuilds it on first use: process pools carry kernels and shapes."""
+    """Base of the kernels and drift shapes.  Each derives from what defines it,
+    once and as ``cached_property`` values, its float -> float evaluators and the
+    rest: a kernel's support and Lipschitz bound, a tabulated shape's integrals
+    at its knots.  The evaluators are closures, which pickle cannot carry, so the
+    pickled state leaves every cached property out and a copy rebuilds it on
+    first use: process pools carry kernels and shapes."""
 
     def __getstate__(self):
         cls = type(self)
@@ -44,18 +47,24 @@ class ScalarEvaluators:
                 if not isinstance(getattr(cls, k, None), cached_property)}
 
 
-# M0 = int_0^x m0 of the built-in shapes for one float; ``x if x > 0.0 or x != x
-# else 0.0`` is np.maximum(x, 0.0) on one value: NaN stays NaN, -0.0 becomes 0.0
-_SCALAR_INTEGRALS = {
-    "zero": lambda x: 0.0,
-    "step": lambda x: x if x > 0.0 or x != x else 0.0,
-    "ramp": lambda x: 0.5 * x * x if x > 0.0 or x != x else 0.0,
+# What defines a built-in drift shape: m0 on an array, M0 = int_0^x m0 on an
+# array that np.maximum(x, 0.0) clamped, M0 on one float (``x if x > 0.0 or
+# x != x else 0.0`` is np.maximum(x, 0.0) on one value: NaN stays NaN, -0.0
+# becomes 0.0) and the arguments where m0 or its slope jumps
+_Shape = namedtuple("_Shape", "value integral scalar_integral knots")
+_SHAPES = {
+    "zero": _Shape(np.zeros_like, np.zeros_like, lambda x: 0.0, ()),
+    "step": _Shape(lambda t: np.where(t > 0, 1.0, 0.0), lambda x: x,
+                   lambda x: x if x > 0.0 or x != x else 0.0, (0.0,)),
+    "ramp": _Shape(lambda t: np.where(t > 0, t, 0.0), lambda x: 0.5 * x * x,
+                   lambda x: 0.5 * x * x if x > 0.0 or x != x else 0.0, (0.0,)),
 }
 
 
 @dataclass(frozen=True, eq=False)
 class GenericAlternative(ScalarEvaluators):
-    """A drift shape m0 with m0(t) = 0 for t <= 0 and m0 >= 0.
+    """A drift shape m0 with m0(t) = 0 for t <= 0 and m0 >= 0: its name and, for a
+    tabulated shape, its knots, both checked when built.
 
     ``integral(x)`` returns int_0^x m0(t) dt (0 for x <= 0); the built-in
     shapes carry closed forms, tabulated ones integrate their piecewise
@@ -65,32 +74,49 @@ class GenericAlternative(ScalarEvaluators):
     name: str
     knots_t: np.ndarray | None = field(default=None, repr=False)
     knots_m: np.ndarray | None = field(default=None, repr=False)
-    _cum: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.name in _SHAPES:
+            return
+        if self.name != "tabulated":
+            raise ValueError(f"unknown alternative {self.name!r}")
+        t = np.asarray(self.knots_t, dtype=float)
+        m = np.asarray(self.knots_m, dtype=float)
+        if t.ndim != 1 or t.shape != m.shape or len(t) < 2:
+            raise ValueError("tabulated alternative needs matching 1-d knot arrays")
+        if np.any(~np.isfinite(t)) or np.any(~np.isfinite(m)):
+            raise ValueError("alternative knots must be finite")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("alternative knots must be strictly increasing")
+        if np.any(m < 0):
+            raise ValueError("alternative values must be nonnegative")
+        if t[0] < 0:
+            raise ValueError("alternative knots must start at t >= 0")
+        object.__setattr__(self, "knots_t", t)
+        object.__setattr__(self, "knots_m", m)
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        """A tabulated shape's integral at each knot, by the trapezoid rule."""
+        t, m = self.knots_t, self.knots_m
+        return np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(t))])
 
     def value(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.name == "zero":
-            return np.zeros_like(t)
-        if self.name == "step":
-            return np.where(t > 0, 1.0, 0.0)
-        if self.name == "ramp":
-            return np.where(t > 0, t, 0.0)
         if self.name == "tabulated":
             # 0 before the first knot, interpolated inside, last value held beyond
             tk, mk = self.knots_t, self.knots_m
             out = np.interp(t, tk, mk)
             return np.where((t > 0) & (t >= tk[0]), out, 0.0)
-        raise ValueError(f"unknown alternative {self.name!r}")
+        return _SHAPES[self.name].value(t)
 
     __call__ = value
 
     def knots(self) -> list[float]:
         """Arguments where the shape (or its slope) jumps; quadrature hints."""
-        if self.name == "zero":
-            return []
         if self.name == "tabulated":
             return [0.0, *map(float, self.knots_t)]
-        return [0.0]
+        return list(_SHAPES[self.name].knots)
 
     def integral(self, x) -> np.ndarray:
         """Cumulative integral int_0^x m0(t) dt.
@@ -113,13 +139,7 @@ class GenericAlternative(ScalarEvaluators):
             partial = (end - t0) * 0.5 * (m0v + m_end)
             tail = np.where(xc > t[-1], (xc - t[-1]) * m[-1], 0.0)
             return np.where(xp <= t[0], 0.0, cum[idx] + partial + tail)
-        if self.name == "zero":
-            return np.zeros_like(xp)
-        if self.name == "step":
-            return xp
-        if self.name == "ramp":
-            return 0.5 * xp * xp
-        raise ValueError(f"unknown alternative {self.name!r}")
+        return _SHAPES[self.name].integral(xp)
 
     @cached_property
     def scalar_integral(self):
@@ -130,10 +150,7 @@ class GenericAlternative(ScalarEvaluators):
         branch's operations, in the same order, to the knot lists.
         """
         if self.name != "tabulated":
-            try:
-                return _SCALAR_INTEGRALS[self.name]
-            except KeyError:
-                raise ValueError(f"unknown alternative {self.name!r}") from None
+            return _SHAPES[self.name].scalar_integral
         t, m, cum = self.knots_t.tolist(), self.knots_m.tolist(), self._cum.tolist()
         t_first, t_last, m_last, j_max = t[0], t[-1], m[-1], len(t) - 2
 
@@ -153,29 +170,13 @@ class GenericAlternative(ScalarEvaluators):
 
 
 def tabulated_alternative(knots_t, knots_m) -> GenericAlternative:
-    t = np.asarray(knots_t, dtype=float)
-    m = np.asarray(knots_m, dtype=float)
-    if t.ndim != 1 or t.shape != m.shape or len(t) < 2:
-        raise ValueError("tabulated alternative needs matching 1-d knot arrays")
-    if np.any(~np.isfinite(t)) or np.any(~np.isfinite(m)):
-        raise ValueError("alternative knots must be finite")
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("alternative knots must be strictly increasing")
-    if np.any(m < 0):
-        raise ValueError("alternative values must be nonnegative")
-    if t[0] < 0:
-        raise ValueError("alternative knots must start at t >= 0")
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(t))])
-    return GenericAlternative("tabulated", knots_t=t, knots_m=m, _cum=cum)
-
-
-_ALTERNATIVES = ("zero", "step", "ramp")
+    return GenericAlternative("tabulated", knots_t, knots_m)
 
 
 def alternative_by_name(name: str) -> GenericAlternative:
-    if name not in _ALTERNATIVES:
+    if name not in _SHAPES:
         raise ValueError(
-            f"unknown alternative {name!r}; choose from {sorted(_ALTERNATIVES)} or load a CSV")
+            f"unknown alternative {name!r}; choose from {sorted(_SHAPES)} or load a CSV")
     return GenericAlternative(name)
 
 

@@ -311,21 +311,27 @@ def _served_kernel(name):
 
 
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")  # the completed kernel
-@pytest.mark.parametrize("obj, evaluator, call", [
-    (lambda: _served_kernel("gaussian"), "scalar", lambda k: dw.limit_weight_integral(k, 2.0, 0.5)),
-    (lambda: _served_kernel("completed"), "scalar",
+@pytest.mark.parametrize("obj, evaluator, derived, call", [
+    (lambda: _served_kernel("gaussian"), "scalar", ["support"],
      lambda k: dw.limit_weight_integral(k, 2.0, 0.5)),
-    (lambda: _served_shape("ramp"), "scalar_integral", lambda m: dw.tau_ratio(G, m, 1.0, 0.5)),
-    (lambda: _served_shape("tabulated"), "scalar_integral",
+    (lambda: _served_kernel("completed"), "scalar", ["support"],
+     lambda k: dw.limit_weight_integral(k, 2.0, 0.5)),
+    (lambda: _served_shape("ramp"), "scalar_integral", [],
+     lambda m: dw.tau_ratio(G, m, 1.0, 0.5)),
+    (lambda: _served_shape("tabulated"), "scalar_integral", ["_cum"],
      lambda m: dw.tau_ratio(G, m, 1.0, 0.5)),
 ], ids=["gaussian", "completed", "ramp", "tabulated"])
-def test_kernels_and_shapes_pickle_after_a_scalar_quadrature(obj, evaluator, call):
-    # process pools carry kernels and shapes; their cached evaluators are closures
+def test_kernels_and_shapes_pickle_after_a_scalar_quadrature(obj, evaluator, derived, call):
+    # process pools carry kernels and shapes; their cached evaluators are closures,
+    # and the values derived from their knots are rebuilt alike
     original = obj()
-    assert evaluator in vars(original)
+    assert {evaluator, *derived} <= set(vars(original))
     copy = pickle.loads(pickle.dumps(original))
-    assert evaluator not in vars(copy)
+    assert not {evaluator, *derived} & set(vars(copy))
     assert np.float64(call(copy)).tobytes() == np.float64(call(original)).tobytes()
+    for name in derived:
+        copied, kept = (np.asarray(getattr(obj, name)).tobytes() for obj in (copy, original))
+        assert copied == kept
 
 
 def test_coverage_workers_take_a_kernel_that_served_a_quadrature():

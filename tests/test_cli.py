@@ -136,6 +136,26 @@ def test_monitor_stream_truncates(runner):
     assert json.loads(res.output.strip())["alarmed"] is False
 
 
+@pytest.mark.parametrize("jump", [50.0, 0.0], ids=["alarm", "truncation"])
+def test_monitor_batch_and_stream_print_one_record(runner, tmp_path, jump):
+    values = np.zeros(30)
+    values[9:] = jump
+    path = tmp_path / "walk.csv"
+    dw.save_series_csv(dw.TimeSeries(np.arange(1.0, 31.0), values), path)
+    args = ["monitor", "--h", "10", "-c", "1.0", "--horizon", "30"]
+    batch = runner.invoke(main, [*args, "--input", str(path)])
+    stream = runner.invoke(main, [*args, "--input", "-"], input=path.read_text())
+    assert batch.exit_code == stream.exit_code == (3 if jump else 0)
+    records = [json.loads(res.output) for res in (batch, stream)]
+    assert [list(r) for r in records] == [["alarmed", "index", "time", "statistic", "threshold",
+                                           "normed_time"]] * 2
+    if not jump:  # the stream keeps no statistic at truncation; the batch chart has one
+        assert records[0]["statistic"] == 0.0 and records[1]["statistic"] is None
+        records[0]["statistic"] = None
+    assert records[0] == records[1]
+    assert records[0]["normed_time"] == (records[0]["index"] / 30 if jump else 1.0)
+
+
 def test_monitor_missing_input_exits_2(runner):
     res = runner.invoke(main, ["monitor", "--input", "nope.csv", "--h", "5", "-c", "0.5"])
     assert res.exit_code == 2

@@ -230,6 +230,56 @@ def test_tabulated_validation():
         dw.tabulated_kernel([-3.0, -1.0, 0.0, 1.0], [-1.0, -1.0, 1.0, 0.0])
 
 
+# the support and Lipschitz bound the factories used to store, each built-in family's literals
+_STORED = {
+    "gaussian": ((-8.0, 8.0), 1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5)),
+    "epanechnikov": ((-1.0, 1.0), 1.5),
+    "laplace": ((-24.0, 24.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STORED))
+def test_a_family_derives_the_support_and_lipschitz_bound_it_used_to_store(name):
+    kernel = dw.kernel_by_name(name)
+    support, bound = _STORED[name]
+    assert kernel.support == support and all(type(v) is float for v in kernel.support)
+    assert type(kernel.lipschitz_bound) is type(bound)
+    assert np.float64(kernel.lipschitz_bound).tobytes() == np.float64(bound).tobytes()
+
+
+@pytest.mark.parametrize("z, k", [
+    ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0]),
+    ([-0.7, -0.1, 0.2, 1.3], [0.1, 0.9, 1e-3, 0.4]),
+    ([0, 3], [2, 2]),
+])
+def test_tabulated_knots_derive_the_support_and_lipschitz_bound_the_factory_stored(z, k):
+    kernel = dw.tabulated_kernel(z, k)
+    zf, kf = np.asarray(z, dtype=float), np.asarray(k, dtype=float)
+    assert kernel.support == (float(zf[0]), float(zf[-1]))
+    slopes = np.diff(kf) / np.diff(zf)
+    assert float(np.max(np.abs(slopes))).hex() == kernel.lipschitz_bound.hex()
+
+
+@pytest.mark.parametrize("family, knots, match", [
+    ("gauss", (), "unknown kernel family 'gauss'"),
+    ("tabulated", ([1.0, 0.0], [1.0, 1.0]), "strictly increasing"),
+    ("tabulated", ([0.0, 1.0], [-1.0, 5.0]), r"k=-1\.0 at z=0\.0"),
+    ("tabulated", (), "matching 1-d knot arrays"),
+], ids=["unknown family", "decreasing knots", "negative value", "no knots"])
+def test_a_kernel_is_checked_when_built(family, knots, match):
+    with pytest.raises(ValueError, match=match):
+        dw.KernelSpec(family, *knots)
+
+
+def test_n_points_of_a_saved_kernel_must_give_two_knots(tmp_path):
+    path = tmp_path / "k.csv"
+    for n_points in (0, 1, math.nan, 2.5):
+        with pytest.raises(ValueError, match="n_points must be an integer >= 2"):
+            dw.kernels.save_kernel_csv(ALL_KERNELS["epanechnikov"], path, n_points)
+    dw.kernels.save_kernel_csv(ALL_KERNELS["epanechnikov"], path, 2)
+    assert dw.load_kernel_csv(path).knots_z.tolist() == [-1.0, 1.0]
+
+
 def test_load_kernel_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n")

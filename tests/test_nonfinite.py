@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import driftwatch as dw
+from driftwatch.optkernel import TruncatedAlternative
 from driftwatch.seriesgen import tabulated_alternative
 
 G, E = dw.gaussian_kernel(), dw.epanechnikov_kernel()
@@ -143,6 +144,7 @@ TABLE = {
     "optimal_delay": (dw.optimal_delay, dict(m0=STEP, c=0.2), ["c"], [], []),
     "optimal_kernel": (dw.optimal_kernel, dict(m0=STEP, zeta=2.0, c=0.2, t_max=2.0, n_points=51),
                        ["zeta", "c", "t_max"], ["n_points"], []),
+    "TruncatedAlternative": (TruncatedAlternative, dict(base=STEP, t_max=2.0), ["t_max"], [], []),
     "tau_ratio": (dw.tau_ratio, dict(kernel=G, m0=STEP, zeta=2.0, s_star=0.5),
                   ["zeta", "s_star"], [], []),
     "verify_optimality": (dw.verify_optimality, dict(m0=STEP, zeta=1.0, c=0.2, candidates=[G],

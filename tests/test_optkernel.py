@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -161,6 +162,25 @@ def test_the_power_integral_is_cut_at_the_truncation(monkeypatch):
     assert optkernel._power_integral(trunc, 1.0, 2) == kernels._quad(
         lambda r: float(trunc.scalar_integral(r)) ** 2, 0.0, 1.0)
     assert seen.evaluations == 2 * 21
+
+
+@pytest.mark.parametrize("n_points", [0, 1, 2, math.nan, 3.5])
+def test_optimal_kernel_takes_the_three_points_a_completed_kernel_needs(n_points):
+    # the first point holds M0(0) = 0, and the completed kernel mirrors it onto the last
+    with pytest.raises(ValueError, match="n_points must be an integer >= 3"):
+        dw.optimal_kernel(RAMP, 1.0, 0.03, n_points=n_points)
+
+
+def test_three_points_complete_to_a_triangle():
+    sol = dw.optimal_kernel(RAMP, 1.0, 0.03, n_points=3)
+    assert dw.completed_kernel(sol).knots_k[[0, 2]].tolist() == [0.0, 0.0]
+
+
+def test_a_truncation_is_checked_when_built():
+    # NaN and +-inf: TABLE in tests/test_nonfinite.py
+    for t_max in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            TruncatedAlternative(STEP, t_max)
 
 
 def test_optimal_kernel_step_example():

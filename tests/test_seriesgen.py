@@ -219,6 +219,23 @@ def test_tabulated_alternative_matches_quadrature():
     assert float(alt.integral(-1.0)) == 0.0
 
 
+def test_tabulated_alternative_derives_the_knot_integrals_the_factory_stored():
+    t, m = np.array([0.0, 0.3, 1.1, 2.0]), np.array([0.7, 0.1, 2.9, 1e-3])
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (m[1:] + m[:-1]) * np.diff(t))])
+    assert dw.seriesgen.tabulated_alternative(t, m)._cum.tobytes() == cum.tobytes()
+
+
+@pytest.mark.parametrize("name, knots, match", [
+    ("steep", (), "unknown alternative 'steep'"),
+    ("tabulated", ([0.0, 1.0], [1.0, -0.5]), "nonnegative"),
+    ("tabulated", ([-1.0, 1.0], [1.0, 1.0]), "start at t >= 0"),
+    ("tabulated", (), "matching 1-d knot arrays"),
+], ids=["unknown name", "negative value", "negative time", "no knots"])
+def test_a_drift_shape_is_checked_when_built(name, knots, match):
+    with pytest.raises(ValueError, match=match):
+        dw.GenericAlternative(name, *knots)
+
+
 def test_cp2_drift_enters_after_change():
     # theta = 0.25, N = 100: change index 25; the drift term is nonzero from
     # t = 26 and first perturbs the next observation

@@ -1,7 +1,8 @@
 """The layer-cost harness ``tools/cost.py`` still runs: each measuring function at tiny
 sizes, and its command line rejects out-of-range options.  The hash corpus
 ``tools/corpus.py`` prints the same hashes on every run.  The parent-versus-change
-summary of ``tools/compare.py`` reads canned benchmark output; no benchmark runs."""
+summary of ``tools/compare.py`` reads canned benchmark and corpus output; no benchmark
+runs, and no full corpus."""
 
 import importlib.util
 import json
@@ -63,6 +64,11 @@ def test_stream_cost_runs():
                     "fixed design, h = 5": 59 / 60}
     # h = 2: the window of 8h + 1 = 17 records fills at index 17
     assert tool.per_update_us([60], window=10, seed=1, h=2.0)[2] == 16 / 60
+    # each of the repeated streams does the same work; the least window median is reported
+    with mock.patch.object(tool.np, "median", side_effect=[3.0, 1.0, 2.0, 5.0, 4.0, 6.0]):
+        cost, points_3, sums_3 = tool.per_update_us([20, 60], window=10, seed=1, repeats=3)
+    assert cost == {20: 2e6, 60: 1e6}
+    assert (points_3, sums_3) == (points["unit times, h = 50"], sums["unit times, h = 50"])
     # the counters are off
     assert tool.dw.KernelSpec.evaluate is tool.dw.KernelSpec.__call__
     assert tool.monitor.window_mean is tool.dw.estimator.window_mean
@@ -128,6 +134,7 @@ def test_chart_cost_runs():
     ["batch", "--rows", "0"],
     ["batch", "--repeats", "0"],
     ["stream", "--window", "0"],
+    ["stream", "--repeats", "0"],
     ["stream", "--sizes", "50,100", "--window", "51"],
     ["limit", "--paths", "0"],
     ["limit", "--repeats", "0"],
@@ -212,3 +219,23 @@ def test_compare_summarizes_alternating_pairs():
     assert peak["within_bound"] and peak["bound"] == 0.1
     setup = entry["metrics"]["setup_s"]
     assert setup["wins"] == 1  # a tie, (0.50, 0.50), counts for neither side
+
+
+def test_compare_pairs_the_corpus_groups_of_both_trees():
+    compare = _load(COMPARE)
+    # lines as tools/corpus.py prints them
+    base = compare.parse_corpus(
+        "stops             7f0dc85fc98b871f9d4f13776a77e34ea3075d7870640cbfe3c4acd962829ae4"
+        "  293 calls, 0 raised\n"
+        "charts            fac91540863856e30d5e324fc250f61ff87ea54eb718aa7f0062fbb0d91099b5"
+        "  833 calls, 380 raised\n")
+    assert base["charts"] == {
+        "hash": "fac91540863856e30d5e324fc250f61ff87ea54eb718aa7f0062fbb0d91099b5",
+        "calls": 833, "raised": 380}
+    change = {"stops": dict(base["stops"]), "charts": {**base["charts"], "raised": 381},
+              "optimal": {"hash": "0" * 64, "calls": 1, "raised": 0}}
+    section = compare.corpus_section(base, change)
+    assert list(section) == ["stops", "charts", "optimal"]
+    assert [group["equal"] for group in section.values()] == [True, False, False]
+    assert section["stops"] == {"base": base["stops"], "change": base["stops"], "equal": True}
+    assert section["optimal"]["base"] is None

@@ -1,14 +1,18 @@
-"""Parent-versus-change timing: alternating ``perfbench/run.py`` pairs from two trees.
+"""Parent-versus-change timing: alternating ``perfbench/run.py`` pairs from two
+trees, after the hash corpus of both.
 
     python tools/compare.py --base REV --label NAME [--workloads all|W,W,...] [--pairs 10]
 
-The base tree is REV checked out by ``git worktree add --detach`` into a
-temporary directory, which is removed on exit; the change tree is the
-checkout this script lives in, as it stands, uncommitted edits included.  For
-each workload, pair i runs ``perfbench/run.py --workload W --seed 1 --seconds
-T`` once from each tree, with T the ``run_seconds`` of ``BENCHMARK.json``, the
-base first in even pairs and the change first in odd ones, so a drift of the
-host during the pairs falls on both sides alike.
+The base tree is REV checked out in a shared clone (``git clone --shared``)
+in a temporary directory, which is removed on exit, so the repository gains
+no worktree; the change tree is the checkout this script lives in, as it
+stands, uncommitted edits included.  First this script's ``tools/corpus.py
+--size full`` hashes each tree's ``src/``, and every corpus group whose
+hashes differ is named on stderr.  Then, for each workload, pair i runs
+``perfbench/run.py --workload W --seed 1 --seconds T`` once from each tree,
+with T the ``run_seconds`` of ``BENCHMARK.json``, the base first in even pairs
+and the change first in odd ones, so a drift of the host during the pairs
+falls on both sides alike.
 
 ``BENCH_<NAME>.json`` at the repository root then holds, per workload and per
 end-to-end metric of ``BENCHMARK.json``: each side's values in run order,
@@ -17,10 +21,12 @@ for neither side), the relative change of the medians and whether it stays
 within the metric's bound.  Per workload it also holds the failed task counts
 of each side and each side's provenance line (commit, source digest,
 versions, host).  A run that exits non-zero is kept as a failed run without
-metrics.  An existing ``BENCH_<NAME>.json`` is never overwritten.
+metrics.  Under ``corpus`` it holds, per corpus group, each side's hash, call
+count and raise count, and whether the two sides are ``equal``.  An existing
+``BENCH_<NAME>.json`` is never overwritten.
 
-The tool only runs the benchmark: it reads ``BENCHMARK.json`` and changes
-nothing under ``perfbench/``.
+The tool only runs the corpus and the benchmark: it reads ``BENCHMARK.json``
+and changes nothing under ``perfbench/``.
 """
 
 import argparse
@@ -53,6 +59,32 @@ def run_bench(tree: Path, workload: str, seconds: int) -> dict:
     if proc.returncode != 0:
         return {"summary": None, "provenance": None, "error": proc.stderr.strip()[-500:]}
     return parse_run(proc.stdout)
+
+
+def parse_corpus(stdout: str) -> dict:
+    """Per group of one ``tools/corpus.py`` run, its hash, call count and raise
+    count, from lines such as ``stops  <sha256>  503 calls, 0 raised``."""
+    groups = {}
+    for line in stdout.splitlines():
+        name, digest, calls, _, raised, _ = line.split()
+        groups[name] = {"hash": digest, "calls": int(calls), "raised": int(raised)}
+    return groups
+
+
+def run_corpus(tree: Path) -> dict:
+    """``parse_corpus`` of this script's ``tools/corpus.py --size full`` on ``tree``'s source."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "corpus.py"), "--size", "full", "--src",
+         str(tree / "src")], capture_output=True, text=True, check=True)
+    return parse_corpus(proc.stdout)
+
+
+def corpus_section(base: dict, change: dict) -> dict:
+    """Per group of either side, both sides' ``parse_corpus`` entries (None where a
+    side lacks the group) and whether they are equal."""
+    return {name: {"base": base.get(name), "change": change.get(name),
+                   "equal": name in base and base.get(name) == change.get(name)}
+            for name in {**base, **change}}
 
 
 def spread(values: list[float]) -> dict:
@@ -134,18 +166,19 @@ def main(argv=None) -> int:
         ap.error(f"--base {args.base!r} is not a commit")
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base_tree), rev.stdout.strip()],
-                       cwd=ROOT, check=True, capture_output=True)
-        try:
-            results = compare(base_tree, workloads, spec["end_to_end"], args.pairs,
-                              spec["run_seconds"])
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(base_tree)], cwd=ROOT,
-                           check=True, capture_output=True)
+        for git in (["clone", "--quiet", "--shared", "--no-checkout", str(ROOT), str(base_tree)],
+                    ["-C", str(base_tree), "checkout", "--quiet", "--detach", rev.stdout.strip()]):
+            subprocess.run(["git", *git], check=True, capture_output=True)
+        corpus = corpus_section(run_corpus(base_tree), run_corpus(ROOT))
+        for name, group in corpus.items():
+            if not group["equal"]:
+                print(f"corpus group {name} differs", file=sys.stderr)
+        results = compare(base_tree, workloads, spec["end_to_end"], args.pairs,
+                          spec["run_seconds"])
     record = {"base": f"{args.base} ({rev.stdout.strip()})", "change": "working tree",
               "pairs": args.pairs, "seconds": spec["run_seconds"], "seed": SEED,
               "command": "python3 perfbench/run.py --workload W --seed S --seconds T",
-              "workloads": results}
+              "corpus": corpus, "workloads": results}
     target.write_text(json.dumps(record, indent=1) + "\n")
     print(target)
     return 0
