@@ -12,7 +12,7 @@ walks and prerun with ``_variant_rows`` and takes its stops with ``_variant_stop
 Each finite-sample replicate is the monitor's own ``monitor.chart`` at
 threshold +inf: the same statistic, delayed start and degenerate-index rule.
 Its rows are whole walks, so the smoother numerator is their causal
-convolution with the lag kernel by FFT (``estimator.causal_sums``).  It
+convolution with the lag kernel by FFT (``estimator.whole_row_terms``).  It
 equals the monitor's banded numerator to about 1e-15 of its largest value,
 and the chart to about 1e-13 of a row's largest value (more where small
 early weight sums divide it).  The denominator is the monitor's exact
@@ -20,15 +20,24 @@ weight sum, so a vanishing weight raises at the same index.  A chart value
 that the monitor computes as an exact 0 (a flat prefix without a variance
 method) may come out as a value of order 1e-17, so a stop at threshold 0
 can move there.
-A limit chunk, and the limit side of a coupled chunk, runs its replicates in
-batches of ``estimator.FFT_ROWS`` rows from Brownian draw to stop
+Finite and limit chunks, and both sides of a coupled chunk, run their
+replicates in batches of ``estimator.FFT_ROWS`` rows from transform to stop
 (``_batched_stops``): every step works along a row, so the stops are those of
-the whole chunk bit for bit, while only one batch's paths and transforms are
-held at a time (a traced peak of 0.44 (rows, grid_M) float blocks for 512
-replicates on a 2048-point grid, against about three as whole-chunk arrays).
-What does not depend on the paths, the lag kernel, its transform, the weight
-mass and the ratio's denominator, is built once per chunk
-(``limitsim.ratio_terms``) and shared by its batches.
+the whole chunk bit for bit, while only one batch's transforms and charts are
+held at a time.  What does not depend on the paths is built once per chunk:
+the lag template's exact row sums, the lag kernel and its transform for a
+finite chunk (``estimator.whole_row_terms``, before the draws), and the lag
+kernel, its transform, the weight mass and the ratio's denominator for a limit
+chunk (``limitsim.RatioTerms``).  Each batch then goes through the same three
+buffers of the chunk's ``estimator.CausalFilter``, made on first use, after the
+draws: a finite batch's walks are copied into its padded input and the chart
+is built in its output; a limit batch's Brownian increments are drawn into the
+padded input and the ratio is formed in the output.  So no batch allocates a
+transform, and the heap neither grows nor shrinks from batch to batch.  Traced
+peaks: 2.01 (rows, N) float blocks for 256 finite replicates at N = 4000, where
+whole-chunk transforms and charts reached 3.85, and 0.47 (rows, grid_M) blocks
+for 512 limit replicates on a 2048-point grid, against about three as
+whole-chunk arrays.
 """
 
 from __future__ import annotations
@@ -39,10 +48,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .estimator import FFT_ROWS, SmootherConfig, _process_parts, nw_estimate, scaling_factor
+from .estimator import (
+    FFT_ROWS, SmootherConfig, _process_parts, nw_estimate, scaling_factor, whole_row_terms,
+)
 from .kernels import KernelSpec, check_bandwidth
 from .limitsim import (
-    LimitConfig, _batch_null_values, _drift_curve, _null_values, ratio_terms, sigma_k_sq,
+    LimitConfig, RatioTerms, _batch_null_values, _drift_curve, _null_values, sigma_k_sq,
 )
 from .monitor import MonitorConfig, chart, first_crossings
 from .seriesgen import (
@@ -145,21 +156,33 @@ def _variant_rows(variant: FiniteSampleVariant, seed: int, start: int, stop: int
     return values, np.diff(_null_walks(variant.innovations, length, seed, start, stop, key), axis=1)
 
 
-def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None) -> np.ndarray:
-    """The chart of each unit-time row at threshold +inf, -inf where ineligible."""
-    num, den = _process_parts(np.arange(1.0, cfg.N + 1.0), values, cfg.smoother, whole_rows=True)
+def _null_charts(values: np.ndarray, cfg: MonitorConfig, pre: np.ndarray | None,
+                 terms=None) -> np.ndarray:
+    """The chart of each unit-time row at threshold +inf, -inf where ineligible; ``terms``
+    is ``whole_row_terms(cfg.smoother, cfg.N)``, built here when not given."""
+    terms = terms or whole_row_terms(cfg.smoother, cfg.N)
+    num, den = _process_parts(np.arange(1.0, cfg.N + 1.0), values, cfg.smoother, terms=terms)
     traj, eligible = chart(num, den, values, cfg, pre)
     np.copyto(traj, -np.inf, where=~eligible)
     return traj
 
 
 def _variant_stops(variant: FiniteSampleVariant, kernel: KernelSpec, c_grid: np.ndarray,
-                   values: np.ndarray, pre: np.ndarray | None) -> np.ndarray:
-    """Stops on ``c_grid`` of the variant's chart over the walk rows ``values``, whose
-    variance estimator the prerun increments ``pre`` seed."""
+                   seed: int, start: int, stop: int, key: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stops on ``c_grid`` of the variant's charts for replicates [start, stop), whose
+    variance estimator the prerun rows of substream key ``key`` seed, and their walks.
+
+    The smoother's path-free terms are built before the draws; the charts then run
+    in batches of ``FFT_ROWS`` rows from transform to stop (``_batched_stops``)."""
     smoother = SmootherConfig(kernel=kernel, h=variant.h, scaling="null_scale")
     cfg = MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, variant.variance_method)
-    return _stops_from_values(_null_charts(values, cfg, pre), c_grid)
+    terms = whole_row_terms(smoother, variant.N)
+    values, pre = _variant_rows(variant, seed, start, stop, key)
+
+    def values_of(a, b):
+        return _null_charts(values[a:b], cfg, None if pre is None else pre[a:b], terms)
+
+    return _batched_stops(stop - start, c_grid, values_of), values
 
 
 def run_chunked(worker, payloads, jobs: int = 1) -> list:
@@ -198,14 +221,17 @@ def _check_grid(c_grid) -> np.ndarray:
 def _finite_chunk(payload) -> np.ndarray:
     """Stops of the variant's eligible charts for replicates [start, stop) on ``c_grid``."""
     variant, kernel, c_grid, seed, start, stop = payload
-    return _variant_stops(variant, kernel, c_grid, *_variant_rows(variant, seed, start, stop, 1))
+    return _variant_stops(variant, kernel, c_grid, seed, start, stop, 1)[0]
 
 
 def _batched_stops(rows: int, c_grid: np.ndarray, values_of) -> np.ndarray:
     """Stops on ``c_grid`` of ``rows`` replicates, taken in batches of ``FFT_ROWS`` rows:
-    ``values_of(a, b)`` gives the process values of rows [a, b).  Every step of a limit
-    row works along the row, so its stops do not depend on the batch; no more than one
-    batch of paths and transforms is held at a time."""
+    ``values_of(a, b)`` gives the process values of rows [a, b).  Every step of a
+    finite or limit row works along the row, so its stops do not depend on the batch;
+    no more than one batch of transforms is held at a time, in the buffers of the
+    chunk's path-free terms.  The first batch that raises DriftwatchError raises it,
+    as the first chunk does among chunks; a vanishing weight is path-free, so it
+    raises at the same index from every batch."""
     stops = np.empty((rows, len(c_grid)))
     for a in range(0, rows, FFT_ROWS):
         b = min(a + FFT_ROWS, rows)
@@ -217,7 +243,7 @@ def _limit_chunk(payload) -> np.ndarray:
     cfg, c_grid, seed, key, start, stop = payload
     seeds = [substream(seed, i, *key) for i in range(start, stop)]
     drift = None if cfg.drift is None else _drift_curve(cfg)
-    terms = ratio_terms(cfg)
+    terms = RatioTerms(cfg)
 
     def values_of(a, b):
         vals = _batch_null_values(cfg, seeds[a:b], terms)
@@ -383,12 +409,11 @@ def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop:
 def _coupled_chunk(payload):
     variant, c_grid, seed, cfg, start, stop = payload
     # finite side; the prerun draws from substream key 2, since the bridges below take key 1
-    values, pre = _variant_rows(variant, seed, start, stop, 2)
-    fstops = _variant_stops(variant, cfg.kernel, c_grid, values, pre)
+    fstops, values = _variant_stops(variant, cfg.kernel, c_grid, seed, start, stop, 2)
 
     # limit side: an exact Brownian path at resolution 1/grid_M around each walk
     refine = cfg.grid_M // variant.N
-    terms = ratio_terms(cfg)
+    terms = RatioTerms(cfg)
 
     def values_of(a, b):
         paths = _brownian_paths(values[a:b], refine, seed, start + a, start + b)

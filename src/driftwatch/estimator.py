@@ -22,8 +22,9 @@ from .seriesgen import TimeDesign, TimeSeries, check_count, design_times
 SCALINGS = ("raw", "null_scale", "slow_alt_scale", "stationary_scale")
 
 _ROW_BLOCK = 256  # anchors per block of the batch smoother
-# rows per FFT batch, and per batch of limit replicates (calibration._limit_chunk): whole-chunk
-# paths and transforms, or 17 MB ones freed to the heap, raised and scattered the peak RSS
+# rows per FFT batch (CausalFilter), and per batch of calibration replicates, finite and limit,
+# taken from transform to stop through buffers made once per chunk: whole-chunk arrays raised
+# the peak RSS, and batch arrays made afresh and freed made glibc trim and refault its heap
 FFT_ROWS = 32
 EXACT = 2.0**53  # integers up to this magnitude, and their differences, are exact floats
 
@@ -199,39 +200,73 @@ def _unit_spaced(t: np.ndarray) -> bool:
             and np.array_equal(t, t[0] + np.arange(len(t))))
 
 
-def causal_sums(rows, k) -> np.ndarray:
-    """Causal convolution of each row with the lag kernel ``k``.
+class CausalFilter:
+    """Causal convolution of rows of N columns with the lag kernel ``k``.
 
     Entry n of a row's result is sum_d k[d] row[n - d] over the lags d <= n,
     for n in [0, N).  The sums are the first N columns of the full linear
-    convolution, taken by a real FFT of the next fast length from
+    convolution, taken by a real FFT of the next fast length L from
     N + len(k) - 1 on batches of ``FFT_ROWS`` rows; a row's sums do not
     depend on the rows that share its batch.  They carry FFT rounding, so an
     exact zero sum may come out as a value of order 1e-17, and entry n picks
-    up rounding from the values after n.
+    up rounding from the values after n.  The transform of ``k`` is taken
+    once, so a caller that convolves batch after batch with one kernel
+    builds one filter.
+
+    A batch of up to ``FFT_ROWS`` rows goes through three buffers, made on
+    first use and kept: the rows padded with zeros to the transform length,
+    their spectrum and the inverse transform.  Its sums come back as a view
+    of the last, which the next call overwrites; more rows come back in a new
+    array, batch by batch.  Rows written into ``rows_in`` are transformed
+    where they are.  The transforms are ``numpy.fft``'s with ``out=``, the
+    pocketfft that ``scipy.fft`` runs, with the same bits.
     """
-    rows = np.asarray(rows, dtype=float)
-    return causal_filter(k, rows.shape[1])(rows)
+
+    def __init__(self, k, N: int):
+        self.N = N
+        self.L = fft.next_fast_len(N + max(len(k), 1) - 1, True)
+        self._k_hat = np.fft.rfft(k, self.L)
+        self._padded = self._spectrum = self._sums = None
+
+    def rows_in(self, n: int) -> np.ndarray:
+        """The first N columns of the first n <= FFT_ROWS rows of the padded input."""
+        if self._padded is None or len(self._padded) < n:
+            self._padded = np.zeros((n, self.L))
+            self._spectrum = np.empty((n, self.L // 2 + 1), dtype=complex)
+            self._sums = np.empty((n, self.L))
+        return self._padded[:n, : self.N]
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        n = len(rows)
+        if n > FFT_ROWS:
+            sums = np.empty((n, self.N))
+            for a in range(0, n, FFT_ROWS):
+                sums[a : a + FFT_ROWS] = self(rows[a : a + FFT_ROWS])
+            return sums
+        padded = self.rows_in(n)
+        if not np.may_share_memory(rows, padded):
+            padded[...] = rows
+        spectrum = np.fft.rfft(self._padded[:n], out=self._spectrum[:n])
+        spectrum *= self._k_hat
+        return np.fft.irfft(spectrum, self.L, out=self._sums[:n])[:, : self.N]
 
 
-def causal_filter(k, N: int):
-    """``rows -> causal_sums(rows, k)`` for rows of N columns, with the real
-    FFT of the lag kernel ``k`` taken once: a caller that convolves batch
-    after batch with one kernel transforms it once, bit for bit the same."""
-    L = fft.next_fast_len(N + max(len(k), 1) - 1, True)
-    k_hat = fft.rfft(k, L)
-
-    def sums_of(rows: np.ndarray) -> np.ndarray:
-        sums = np.empty(rows.shape)
-        for a in range(0, len(rows), FFT_ROWS):
-            conv = fft.irfft(fft.rfft(rows[a : a + FFT_ROWS], L, axis=1) * k_hat, L, axis=1)
-            sums[a : a + FFT_ROWS] = conv[:, :N]
-        return sums
-
-    return sums_of
+def whole_row_terms(cfg: SmootherConfig, N: int) -> tuple[np.ndarray, CausalFilter]:
+    """``(den, sums_of)`` for rows given whole on the unit times 1..N without a design:
+    the ``lag_rows`` template's exact row sums, as the banded smoother takes them, and
+    the ``CausalFilter`` of its lag kernel.  Neither depends on the rows, so a caller
+    that smooths batch after batch builds them once (``_process_parts(terms=...)``)."""
+    template = lag_rows(cfg, N, min(_ROW_BLOCK, N))
+    den = np.empty(N)
+    for a in range(0, N, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, N)
+        den[a:b] = block_weights(None, a, b, cfg, template)[1].sum(axis=1)
+    # row 0 holds the kernel at the lags L-1, ..., 0 in its first L columns
+    k = template[0, : template.shape[1] - template.shape[0]][::-1].copy()
+    return den, CausalFilter(k, N)
 
 
-def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = False):
+def _process_parts(times, values, cfg: SmootherConfig, *, terms=None):
     """Numerators/denominator of the process for a batch of series (rows).
 
     Returns ``(num, den)`` with ``num`` of shape (batch, N) and ``den`` of
@@ -244,31 +279,29 @@ def _process_parts(times, values, cfg: SmootherConfig, *, whole_rows: bool = Fal
     weights are a view of one ``lag_rows`` template.  A fixed design is
     smoothed on its times ``design_times(design, N, N)`` (``anchor_times``).
 
-    ``whole_rows=True`` says that every row is given to its horizon, so an
-    entry need not be computed from its prefix alone.  On unit-spaced times
-    the numerator is then the ``causal_sums`` of the rows with the lag
-    kernel, equal to the banded one up to FFT rounding; the denominator stays
-    the template's exact row sums, so vanishing weights are still exact zeros.
+    ``terms``, the ``whole_row_terms(cfg, N)`` of rows given whole on the
+    unit times 1..N, says that an entry need not be computed from its prefix
+    alone.  The numerator is then the causal convolution of the rows with the
+    lag kernel by FFT, equal to the banded one up to FFT rounding, and up to
+    ``FFT_ROWS`` rows of it are a view that the next call with these terms
+    overwrites.  The denominator is the template's exact row sums, so
+    vanishing weights are still exact zeros.
     """
     values = np.asarray(values, dtype=float)
+    if terms is not None:
+        den, sums_of = terms
+        return sums_of(values), den
     N = values.shape[1]
     den = np.empty(N)
     t = np.asarray(anchor_times(times, cfg, N), dtype=float)
     template = None
     if (cfg.design is None or cfg.design.mode == "fixed") and _unit_spaced(t):
         template = lag_rows(cfg, N, min(_ROW_BLOCK, N))
-    by_fft = whole_rows and template is not None
-    num = None if by_fft else np.empty_like(values)
+    num = np.empty_like(values)
     lo = 0
     for a in range(0, N, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, N)
         lo, W = block_weights(t, a, b, cfg, template, lo)
         den[a:b] = W.sum(axis=1)
-        if not by_fft:
-            num[:, a:b] = values[:, lo:b] @ W.T
-    if by_fft:
-        # row 0 holds the kernel at the lags L-1, ..., 0 in its first L columns
-        k = template[0, : template.shape[1] - template.shape[0]][::-1].copy()
-        del template, W  # free the template before the transforms allocate
-        num = causal_sums(values, k)
+        num[:, a:b] = values[:, lo:b] @ W.T
     return num, den

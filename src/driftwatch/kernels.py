@@ -74,7 +74,7 @@ class KernelSpec(ScalarEvaluators):
     family : str
         One of ``gaussian``, ``epanechnikov``, ``laplace``, ``tabulated``.
     knots_z, knots_k : ndarray or None
-        Interpolation knots, tabulated family only.
+        Interpolation knots, tabulated family only; a built-in family rejects them.
     """
 
     family: str
@@ -83,6 +83,8 @@ class KernelSpec(ScalarEvaluators):
 
     def __post_init__(self):
         if self.family in _FAMILIES:
+            if self.knots_z is not None or self.knots_k is not None:
+                raise ValueError(f"the {self.family} kernel takes no knots")
             return
         if self.family != "tabulated":
             raise ValueError(f"unknown kernel family {self.family!r}")

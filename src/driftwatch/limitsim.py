@@ -30,13 +30,14 @@ would, so every ``quad`` result is what it was when each point went through
 Paths are discretized on the grid {j / grid_M}; the weighted Brownian
 integrals use the trapezoid rule on the same grid, evaluated for all anchor
 points of the given paths at once: through the FFT causal convolution
-(``estimator.causal_filter``, whose one-shot form ``causal_sums`` serves
-calibration's null charts) for stationary kernel arguments, and through the
-batch smoother's row blocks under a design.  Every step works along a path,
-so a path's values do not depend on the paths it is batched with;
-calibration hands over its replicates in batches of ``estimator.FFT_ROWS``
-rows.  Below s_min = 4 / grid_M the discretization is too coarse to be
-meaningful and process values are NaN.
+(``estimator.CausalFilter``, which calibration's null charts run too) for
+stationary kernel arguments, and through the batch smoother's row blocks
+under a design.  Every step works along a path, so a path's values do not
+depend on the paths it is batched with; calibration hands over its
+replicates in batches of ``estimator.FFT_ROWS`` rows, drawn into the
+filter's input and divided in its output (``RatioTerms``).  Below
+s_min = 4 / grid_M the discretization is too coarse to be meaningful and
+process values are NaN.
 """
 
 from __future__ import annotations
@@ -47,11 +48,11 @@ from functools import cache
 import numpy as np
 from scipy.optimize import brentq
 
-from .estimator import SmootherConfig, _process_parts, causal_filter, check_weights
+from .estimator import FFT_ROWS, CausalFilter, SmootherConfig, _process_parts, check_weights
 from .kernels import KernelSpec, _quad
 from .monitor import first_crossings
 from .seriesgen import (
-    GenericAlternative, TimeDesign, check_count, seed_sequence, write_two_columns,
+    GenericAlternative, TimeDesign, check_count, normal_rows, write_two_columns,
 )
 
 S_MIN_CELLS = 4  # process values start at s = S_MIN_CELLS / grid_M
@@ -111,19 +112,19 @@ class LimitConfig:
         return np.arange(1, self.grid_M + 1) / self.grid_M
 
 
-def _bm_paths(grid_M: int, seeds) -> np.ndarray:
+def _bm_paths(grid_M: int, seeds, out=None) -> np.ndarray:
     """Standard Brownian paths on {j/grid_M}, one row per seed; column 0 is B(0) = 0.
 
     Row i draws its grid_M increments from one stream, the one ``seeds[i]``
     stands for, so it equals ``sample_bm(grid_M, seeds[i])`` bit for bit.
-    The increments are drawn into the rows, scaled and summed in place: the
-    rows are the only array the builder allocates.
+    The increments are drawn into the rows, scaled and summed in place, in
+    ``out`` (len(seeds), grid_M + 1) when given: the rows are the only array
+    the builder writes, and it allocates them only without ``out``.
     """
     check_count("grid_M", grid_M, 1)
-    paths = np.zeros((len(seeds), grid_M + 1))
-    inc = paths[:, 1:]
-    for row, seed in zip(inc, seeds):
-        np.random.default_rng(seed_sequence(seed)).standard_normal(out=row)
+    paths = np.empty((len(seeds), grid_M + 1)) if out is None else out
+    paths[:, 0] = 0.0
+    inc = normal_rows(paths[:, 1:], seeds)
     inc *= np.sqrt(1.0 / grid_M)
     np.cumsum(inc, axis=1, out=inc)
     return paths
@@ -202,7 +203,7 @@ def limit_weight_integral(kernel: KernelSpec, zeta: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ratio_terms(cfg: LimitConfig):
+class RatioTerms:
     """``paths -> (num, den)``, the trapezoid numerator/denominator of the ratio
     for stacked paths, with every term that does not depend on the paths
     taken once: the lag kernel, its transform, the weight mass and ``den``.
@@ -211,59 +212,73 @@ def ratio_terms(cfg: LimitConfig):
     path is 0 (Brownian paths and drift integrals start there).  It returns
     num (batch, M) and den (M,) on s = j/M, j = 1..M.  Without a design the
     kernel arguments are stationary, and the sums over r = 0..s are one FFT
-    convolution per path batch.  With one, the sums over r = 1/M..s are the
-    batch smoother's on grid times 1..M with bandwidth M/zeta (the limit
-    design is continuous, so it is not snapped), rescaled by that bandwidth,
-    and the weight at r = 0 comes from ``_weight_fn``.  The end correction
-    then halves the weights at both ends of every window: w_0 at r = 0,
-    whose path term vanishes, and w_s = K(0) at r = s.  A caller that
-    converts batch after batch of paths builds this once.
+    convolution per path batch (``estimator.CausalFilter``).  With one, the
+    sums over r = 1/M..s are the batch smoother's on grid times 1..M with
+    bandwidth M/zeta (the limit design is continuous, so it is not snapped),
+    rescaled by that bandwidth, and the weight at r = 0 comes from
+    ``_weight_fn``.  The end correction then halves the weights at both ends
+    of every window: w_0 at r = 0, whose path term vanishes, and w_s = K(0)
+    at r = s.  A caller that converts batch after batch of paths builds this
+    once.  Without a design, a batch of up to ``FFT_ROWS`` paths is written
+    into ``path_rows`` (or copied there) and transformed there, where the end
+    correction then overwrites it, and its numerator is a view of the
+    filter's output that the next batch overwrites.
     """
-    M = cfg.grid_M
-    dt = 1.0 / M
-    if cfg.design is None:
-        # k_d = K(-zeta d / M), d = 0..M: the weight at lag d
-        k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
-        w_0, w_s = k[1:], k[0]
-    else:
-        h = M / cfg.zeta
-        smoother = SmootherConfig(cfg.kernel, h, design=replace(cfg.design, snap_grid=None))
-        w_0, w_s = _weight_fn(cfg, cfg.s_grid)(0.0), cfg.kernel.evaluate(0.0)
 
-    def den_of(mass):
-        return cfg.zeta * dt * (mass - 0.5 * w_0 - 0.5 * w_s)
+    def __init__(self, cfg: LimitConfig):
+        M = self.M = cfg.grid_M
+        self.dt = 1.0 / M
+        self.zeta = cfg.zeta
+        self.filter = None
+        if cfg.design is None:
+            # k_d = K(-zeta d / M), d = 0..M: the weight at lag d
+            k = cfg.kernel.evaluate(-cfg.zeta * np.arange(M + 1) / M)
+            self.w_0, self.w_s = k[1:], k[0]
+            # the causal part of the linear convolution of each path with k, as
+            # scipy.signal.fftconvolve computes it (a real FFT of the next fast
+            # length from 2M + 1), bit for bit
+            self.filter = CausalFilter(k, M + 1)
+            self.den = self._den_of(np.cumsum(k)[1:])
+            self.den.flags.writeable = False  # every call returns this one array
+        else:
+            self.h = M / cfg.zeta
+            self.smoother = SmootherConfig(cfg.kernel, self.h,
+                                           design=replace(cfg.design, snap_grid=None))
+            self.w_0, self.w_s = _weight_fn(cfg, cfg.s_grid)(0.0), cfg.kernel.evaluate(0.0)
 
-    if cfg.design is None:
-        # the causal part of the linear convolution of each path with k, as
-        # scipy.signal.fftconvolve computes it (a real FFT of the next fast
-        # length from 2M + 1), bit for bit
-        convolve, den = causal_filter(k, M + 1), den_of(np.cumsum(k)[1:])
-        den.flags.writeable = False  # every call returns this one array
+    def _den_of(self, mass):
+        return self.zeta * self.dt * (mass - 0.5 * self.w_0 - 0.5 * self.w_s)
 
-        def sums_den(paths):
-            return convolve(paths)[:, 1:], den
-    else:
-        def sums_den(paths):
-            num, den = _process_parts(np.arange(1.0, M + 1.0), paths[:, 1:], smoother)
-            return h * num, den_of(h * den + w_0)
+    def path_rows(self, n: int) -> np.ndarray:
+        """An (n, M+1) array to build n paths in: without a design, for n up to
+        ``FFT_ROWS``, the filter's own input, so the paths are not copied."""
+        if self.filter is None or n > FFT_ROWS:
+            return np.empty((n, self.M + 1))
+        return self.filter.rows_in(n)
 
-    def num_den(paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sums, den = sums_den(paths)
-        # dt * (sums - 0.5 w_s path), one array: the same operations, in place
-        num = np.multiply(0.5 * w_s, paths[:, 1:])
-        np.subtract(sums, num, out=num)
-        num *= dt
-        return num, den
-
-    return num_den
+    def __call__(self, paths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = paths[:, 1:]
+        spare = None
+        if self.filter is None:
+            num, den = _process_parts(np.arange(1.0, self.M + 1.0), rows, self.smoother)
+            sums, den = np.multiply(num, self.h, out=num), self._den_of(self.h * den + self.w_0)
+        else:
+            sums, den = self.filter(paths)[:, 1:], self.den
+            if len(rows) <= FFT_ROWS:  # the batch sits in the filter's input, no longer needed
+                spare = self.filter.rows_in(len(rows))[:, 1:]
+        # dt * (sums - 0.5 w_s path), in place
+        half = np.multiply(0.5 * self.w_s, rows, out=spare)
+        np.subtract(sums, half, out=sums)
+        sums *= self.dt
+        return sums, den
 
 
 def _null_values(cfg: LimitConfig, paths: np.ndarray, terms=None) -> np.ndarray:
     """sigma * num / den with entries below s_min masked to NaN; ``terms`` is
-    ``ratio_terms(cfg)``, built here when not given.  Raises DriftwatchError at
+    ``RatioTerms(cfg)``, built here when not given.  Raises DriftwatchError at
     the first grid index from s_min on whose path-free weights vanish, unlike
     ``chart`` (each row up to its stop) whether or not a path gets there."""
-    vals, den = (terms or ratio_terms(cfg))(paths)
+    vals, den = (terms or RatioTerms(cfg))(paths)
     check_weights(den[S_MIN_CELLS - 1 :], first=S_MIN_CELLS)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals *= cfg.sigma
@@ -282,9 +297,10 @@ def null_limit_process(cfg: LimitConfig, seed) -> np.ndarray:
 
 
 def _batch_null_values(cfg: LimitConfig, seeds, terms=None) -> np.ndarray:
-    """Null-process values for many paths (rows); used by calibration, which
-    passes one ``ratio_terms(cfg)`` for all of a chunk's batches."""
-    return _null_values(cfg, _bm_paths(cfg.grid_M, seeds), terms)
+    """Null-process values for many paths (rows), drawn into ``terms.path_rows``; used
+    by calibration, which passes one ``RatioTerms(cfg)`` for all of a chunk's batches."""
+    terms = terms or RatioTerms(cfg)
+    return _null_values(cfg, _bm_paths(cfg.grid_M, seeds, terms.path_rows(len(seeds))), terms)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +392,7 @@ def _drift_curve(cfg: LimitConfig) -> np.ndarray:
     M = cfg.grid_M
     inner, _ = _drift_inner(cfg)
     g = np.asarray(inner(np.arange(M + 1) / M), dtype=float)
-    num, den = ratio_terms(cfg)(g[None, :])
+    num, den = RatioTerms(cfg)(g[None, :])
     # den carries one factor of zeta; the drift denominator needs zeta^{3/2}
     with np.errstate(divide="ignore", invalid="ignore"):
         curve = num[0] / den / np.sqrt(cfg.zeta)

@@ -240,11 +240,12 @@ class StreamMonitor:
             L = self._lags
             self._w = block_weights(None, L - 1, L, cfg.smoother, self._template)[1][0]
             self._den = float(self._w.sum())
-        # the running variance's step function (None: unit variance) and state
+        # the running variance's step function (None: unit variance) and state,
+        # and the prerun increments that seed it
         self._step = self._var_state = None
+        self._pre_inc = np.diff(prerun.values) if prerun is not None else None
         if cfg.variance_method is not None:
-            pre_inc = np.diff(prerun.values) if prerun is not None else None
-            self._step, self._var_state = running_step(cfg.variance_method, pre_inc)
+            self._step, self._var_state = running_step(cfg.variance_method, self._pre_inc)
         # without a design, the 0-based first record of the unit-spaced run
         # that the last record ends, or None
         self._run = None
@@ -299,13 +300,10 @@ class StreamMonitor:
             template = run = None
             if self._template is not None and abs(t) < EXACT and t.is_integer():
                 run = self._run if self._run is not None and t == self._last_t + 1.0 else n - 1
-                # the template holds when the run holds the window and the record
-                # just before it, or when the run starts at the first record
-                if run == 0 or n - self._lags > run:
-                    template = self._template
+                template = self._template_at(n, run)
             if n >= self._start_index and not math.isnan(est):
-                anchors = self._times if self._design_times is None else self._design_times
-                lo, mean = window_mean(anchors, self._values, n, self.cfg.smoother, template, lo)
+                lo, mean = window_mean(self._anchors, self._values, n, self.cfg.smoother,
+                                       template, lo)
             # a full window of the template is the held weights, their sum now checked
             held = mean is not None and template is not None and n >= self._lags
         # in the steady state a NaN estimate (its terms overflowed) gives a NaN
@@ -318,8 +316,33 @@ class StreamMonitor:
             return end_record(self.cfg, True, n, t, stat)
         return None
 
+    @property
+    def _anchors(self) -> np.ndarray:
+        return self._times if self._design_times is None else self._design_times
+
+    def _template_at(self, n: int, run: int | None):
+        """The lag template when it weights record n, the last of the unit-spaced
+        run from record ``run`` (0-based): when the run holds the window and the
+        record just before it, or when the run starts at the first record."""
+        if run is not None and (run == 0 or n - self._lags > run):
+            return self._template
+        return None
+
     def truncation_record(self) -> dict:
-        return end_record(self.cfg, False, self.cfg.N, self._last_t, None)
+        """The record of a stream that reached its horizon N without an alarm.  Its
+        statistic is the chart at N, as ``update`` computed it there, recomputed
+        from the kept records (and the prerun); None where N is ineligible."""
+        N, stat = self.cfg.N, None
+        if self.n == N and N >= self._start_index:
+            est = 1.0  # unit variance unless standardized
+            if self._step is not None:  # running_step's estimate at N, bit for bit
+                est = float(running_estimates(self._values[:N], self.cfg.variance_method,
+                                              self._pre_inc)[N - 1])
+            if not math.isnan(est):
+                mean = window_mean(self._anchors, self._values, N, self.cfg.smoother,
+                                   self._template_at(N, self._run))[1]
+                stat = standardized(mean, self._scale, est, N)
+        return end_record(self.cfg, False, N, self._last_t, stat)
 
 
 def _grown(buffer: np.ndarray, limit: int) -> np.ndarray:

@@ -77,6 +77,8 @@ class GenericAlternative(ScalarEvaluators):
 
     def __post_init__(self):
         if self.name in _SHAPES:
+            if self.knots_t is not None or self.knots_m is not None:
+                raise ValueError(f"the {self.name} alternative takes no knots")
             return
         if self.name != "tabulated":
             raise ValueError(f"unknown alternative {self.name!r}")
@@ -412,6 +414,15 @@ def substream(seed: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(seed), *[int(k) for k in key]))
 
 
+def normal_rows(out: np.ndarray, seeds) -> np.ndarray:
+    """``out`` with row i filled by standard normals drawn into it from the stream
+    ``seeds[i]`` stands for: the one per-row draw loop, for innovation rows and
+    Brownian increments."""
+    for row, seed in zip(out, seeds):
+        np.random.default_rng(seed_sequence(seed)).standard_normal(out=row)
+    return out
+
+
 def draw_innovations(spec: InnovationSpec, n: int, seed) -> np.ndarray:
     """The raw innovation stream u_0..u_{n-1} a given seed produces.
 
@@ -438,9 +449,7 @@ def innovation_rows(spec: InnovationSpec, n: int, seeds) -> np.ndarray:
     """
     # ar1 innovations are the iid disturbances of the AR recursion
     width = n + GARCH_BURN_IN if spec.family == "garch11" else n
-    rows = np.empty((len(seeds), width))
-    for row, seed in zip(rows, seeds):
-        np.random.default_rng(seed_sequence(seed)).standard_normal(out=row)
+    rows = normal_rows(np.empty((len(seeds), width)), seeds)
     if spec.family == "garch11":
         a0, a1, b1 = spec.garch_alpha0, spec.garch_alpha1, spec.garch_beta1
         var = a0 / (1.0 - a1 - b1)

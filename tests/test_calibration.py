@@ -9,7 +9,8 @@ import pytest
 
 import driftwatch as dw
 from driftwatch.calibration import (
-    _brownian_paths, _coupled_chunk, _finite_chunk, _limit_chunk, _stops_from_values, _variant_rows,
+    _brownian_paths, _coupled_chunk, _finite_chunk, _limit_chunk, _null_charts, _stops_from_values,
+    _variant_rows,
 )
 from driftwatch.limitsim import _batch_null_values, _drift_curve, _null_values
 
@@ -262,6 +263,22 @@ def test_limit_chunk_in_batches_is_the_whole_chunk(drift):
     assert _limit_chunk((cfg, grid, seed, key, start, stop)).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("method", [None, "naive"])
+def test_finite_chunk_in_batches_is_the_whole_chunk(method):
+    # 150 rows span five batches of FFT_ROWS = 32, the last one ragged; the whole-chunk
+    # charts transform the same 32-row batches, and every other step works along a row
+    variant = dw.FiniteSampleVariant(N=80, h=8.0, variance_method=method, start_fraction=0.2)
+    grid = np.linspace(-0.5, 1.0, 9)
+    seed, start, stop = 4, 20, 170
+    values, pre = _variant_rows(variant, seed, start, stop, 1)
+    smoother = dw.SmootherConfig(kernel=G, h=variant.h, scaling="null_scale")
+    cfg = dw.MonitorConfig(smoother, np.inf, variant.N, variant.start_fraction, method)
+    want = _stops_from_values(_null_charts(values, cfg, pre), grid)
+    assert 0.0 < np.mean(want < 1.0) < 1.0
+    got = _finite_chunk((variant, G, grid, seed, start, stop))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_coupled_chunk_in_batches_is_the_whole_chunk():
     variant = dw.FiniteSampleVariant(N=64, h=16.0)
     cfg = dw.LimitConfig(zeta=4.0, kernel=G, grid_M=128)  # refine 2
@@ -282,16 +299,37 @@ def test_limit_chunk_peak_is_at_most_one_block():
     rows, grid_M = 256, 1024
     payload = (dw.LimitConfig(zeta=10.0, kernel=G, grid_M=grid_M), np.linspace(0.0, 0.3, 20), 1,
                (), 0, rows)
-    _limit_chunk(payload)
+    assert _second_call_peak(_limit_chunk, payload) <= rows * grid_M * 8
+
+
+def _second_call_peak(chunk, payload) -> int:
+    """The traced peak bytes of the second ``chunk(payload)`` call over what the first left."""
+    chunk(payload)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _limit_chunk(payload)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        chunk(payload)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= rows * grid_M * 8
+
+
+GARCH = dw.InnovationSpec(family="garch11", garch_alpha0=0.1, garch_alpha1=0.1, garch_beta1=0.8)
+
+
+@pytest.mark.parametrize("rows, N, h, innovations, blocks", [
+    (256, 4000, 400.0, dw.InnovationSpec(), 2.25),
+    (250, 500, 50.0, GARCH, 4.5),
+], ids=["iid", "garch11"])
+def test_finite_chunk_peak_in_blocks(rows, N, h, innovations, blocks):
+    # the walks are one (rows, N) block and the charts run in batches of FFT_ROWS rows
+    # through buffers made on first use, after the draws: iid peaks near two blocks
+    # (3.85 as whole-chunk transforms and charts), and GARCH(1,1) at its draws (5.07
+    # blocks before)
+    variant = dw.FiniteSampleVariant(N, h, innovations, "naive")
+    payload = (variant, G, np.linspace(0.0, 0.3, 20), 1, 0, rows)
+    assert _second_call_peak(_finite_chunk, payload) <= blocks * rows * N * 8
 
 
 def _served_shape(name):

@@ -265,7 +265,10 @@ def test_tabulated_knots_derive_the_support_and_lipschitz_bound_the_factory_stor
     ("tabulated", ([1.0, 0.0], [1.0, 1.0]), "strictly increasing"),
     ("tabulated", ([0.0, 1.0], [-1.0, 5.0]), r"k=-1\.0 at z=0\.0"),
     ("tabulated", (), "matching 1-d knot arrays"),
-], ids=["unknown family", "decreasing knots", "negative value", "no knots"])
+    ("gaussian", ([0, 1], [5, 5]), "the gaussian kernel takes no knots"),
+    ("laplace", ([0.0, 1.0],), "the laplace kernel takes no knots"),
+], ids=["unknown family", "decreasing knots", "negative value", "no knots",
+        "built-in family with knots", "built-in family with knot abscissae"])
 def test_a_kernel_is_checked_when_built(family, knots, match):
     with pytest.raises(ValueError, match=match):
         dw.KernelSpec(family, *knots)

@@ -236,6 +236,44 @@ def test_stream_monitor_matches_batch():
         assert stream.truncation_record()["alarmed"] is False
 
 
+@pytest.mark.parametrize("layout", ["unit, naive, prerun", "unit, no variance", "irregular",
+                                    "fixed design", "rolling design", "gasser, N ineligible"])
+def test_stream_truncation_statistic_is_the_chart_at_the_horizon(layout):
+    # the last update's own statistic (alarming at threshold -inf), bit for bit, and the
+    # batch chart's value at N up to the rounding of its matrix products
+    N, h, method, design, prerun = 100, 8.0, "naive", None, None  # a full window from 65 on
+    times = np.arange(1.0, N + 1.0)
+    if layout == "unit, naive, prerun":
+        prerun = dw.generate(dw.SeriesSpec(N=9), 4)
+    elif layout == "unit, no variance":
+        method = None
+    elif layout == "irregular":
+        times = np.cumsum(np.random.default_rng(2).uniform(0.5, 1.5, N))
+    elif layout == "gasser, N ineligible":
+        N, method = 3, "gasser"  # defined from index 4 on
+        times = times[:N]
+    else:
+        design = dw.TimeDesign(gamma=2.0, mode=layout.split()[0])
+    values = dw.generate(dw.SeriesSpec(N=N), 11).values
+    smoother = dw.SmootherConfig(dw.gaussian_kernel(), h, "null_scale", design=design)
+    cfg = dw.MonitorConfig(smoother, np.inf, N, 0.0, method)
+    stream, last = dw.StreamMonitor(cfg, prerun), dw.StreamMonitor(cfg, prerun)
+    for t, y in zip(times, values):
+        stream.update(t, y)
+    for t, y in zip(times[:-1], values[:-1]):
+        last.update(t, y)
+    last.cfg = dataclasses.replace(cfg, threshold=-np.inf)
+    alarm = last.update(times[-1], values[-1])
+    got = stream.truncation_record()
+    assert (got["alarmed"], got["index"], got["time"]) == (False, N, times[-1])
+    want = monitor.monitor_trajectory(dw.TimeSeries(times, values), cfg, prerun)[0][N - 1]
+    if layout == "gasser, N ineligible":
+        assert alarm is None and got["statistic"] is None and np.isnan(want)
+        return
+    assert got["statistic"] == alarm["statistic"]
+    assert got["statistic"] == pytest.approx(want, rel=1e-12)
+
+
 def test_stream_update_work_is_bounded_by_the_kernel_support(monkeypatch):
     # counts, not timing: on unit-spaced times the monitor evaluates the kernel
     # once, on its lag template; irregular times and a fixed design evaluate it

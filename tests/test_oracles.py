@@ -22,9 +22,11 @@ its single-anchor weights, with their own window bisection and design
 placement, are the reference for the one-anchor block of the batch
 smoother's weight builder, bit for bit, start included.
 ``scipy.signal.fftconvolve`` is the reference for the stationary limit's
-direct real FFT, bit for bit.  The banded smoother and ``monitor.chart`` are
+direct real FFT, bit for bit, and ``scipy.fft`` for the ``numpy.fft``
+transforms with ``out=`` buffers that it runs, at every transform length of
+the limit grids and the finite benchmark sizes.  The banded smoother and ``monitor.chart`` are
 the reference for calibration's null charts, whose numerator is an FFT
-(``causal_sums``): the same error at the same index, and chart values within
+(``CausalFilter``): the same error at the same index, and chart values within
 a stated tolerance of the FFT's rounding.  ``chart`` builds the chart in
 its numerator's block and ``running_estimates`` in its output, step by step
 in place; the references see every input layout, and the inputs other than
@@ -53,17 +55,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import driftwatch as dw
 from driftwatch.calibration import _brownian_paths, _null_charts, _null_walks
 from driftwatch.estimator import (
-    _process_parts, anchor_times, block_weights, causal_sums, check_weights, lag_rows,
-    scaling_factor,
+    CausalFilter, _process_parts, anchor_times, block_weights, check_weights, lag_rows,
+    scaling_factor, whole_row_terms,
 )
 from driftwatch.kernels import _quad
-from driftwatch.limitsim import _weight_fn, ratio_terms
+from driftwatch.limitsim import RatioTerms, _weight_fn
 from driftwatch.monitor import StreamMonitor, chart, monitor_trajectory
 from driftwatch.optkernel import TruncatedAlternative, _delay_ratio
 from driftwatch.seriesgen import (
@@ -201,7 +204,8 @@ def _chart_inputs(rows, N, method, whole_rows=False):
     pre = rng.standard_normal((rows, N // 10))
     smoother = dw.SmootherConfig(dw.gaussian_kernel(), N / 10, "null_scale")
     cfg = dw.MonitorConfig(smoother, np.inf, N, 0.1, method)
-    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother, whole_rows=whole_rows)
+    terms = whole_row_terms(smoother, N) if whole_rows else None
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother, terms=terms)
     return num, den, values, cfg, pre
 
 
@@ -433,6 +437,33 @@ def test_float_power_squares_as_python_pow():
     assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
+def _transform_lengths():
+    """The real FFT lengths of the limit grids (grid_M 64-4096) and of the finite
+    benchmark sizes (N, h), full and tiny: the ones calibration transforms at."""
+    G = dw.gaussian_kernel()
+    limit = [RatioTerms(dw.LimitConfig(zeta=10.0, kernel=G, grid_M=2**j)).filter.L
+             for j in range(6, 13)]
+    finite = [whole_row_terms(dw.SmootherConfig(G, h), N)[1].L
+              for N, h in ((4000, 400.0), (500, 50.0), (200, 20.0), (60, 6.0))]
+    return sorted(set(limit + finite))
+
+
+@pytest.mark.parametrize("L", _transform_lengths())
+def test_numpy_transforms_with_out_are_scipys(L):
+    # CausalFilter transforms with numpy.fft and out= buffers; the convolutions it
+    # replaced, and scipy.signal.fftconvolve, run scipy.fft: both are pocketfft
+    rng = np.random.default_rng(L)
+    rows = np.cumsum(rng.standard_normal((33, L)), axis=1) * np.logspace(-150, 150, 33)[:, None]
+    spectrum = np.empty((33, L // 2 + 1), dtype=complex)
+    got = np.fft.rfft(rows, out=spectrum)
+    assert got is spectrum and got.tobytes() == scipy.fft.rfft(rows, axis=1).tobytes()
+    back = np.empty((33, L))
+    got = np.fft.irfft(spectrum, L, out=back)
+    assert got is back and got.tobytes() == scipy.fft.irfft(spectrum, L, axis=1).tobytes()
+    k = rng.random(L // 3)  # a lag kernel, zero-padded to L
+    assert np.fft.rfft(k, L).tobytes() == scipy.fft.rfft(k, L).tobytes()
+
+
 def test_overflowing_garch_rows_raise_as_one_row_does():
     spec = dw.InnovationSpec(family="garch11", garch_alpha0=1.5e307, garch_alpha1=0.05,
                              garch_beta1=0.85)
@@ -594,13 +625,26 @@ def test_causal_sums_of_a_row_do_not_depend_on_its_batch(N, lags):
     rng = np.random.default_rng(N + lags)
     rows = np.cumsum(rng.standard_normal((130, N)), axis=1)
     k = rng.random(lags)
-    whole = causal_sums(rows, k)  # batches of 32 rows: 0-31, 32-63, 64-95, 96-127 and 128-129
+    whole = CausalFilter(k, N)(rows)  # batches of 32 rows: 0-31, 32-63, 64-95, 96-127, 128-129
     for i in (0, 5, 63, 64, 100, 129):
-        assert causal_sums(rows[i : i + 1], k).tobytes() == whole[i].tobytes()
-    assert causal_sums(rows[50:67], k).tobytes() == whole[50:67].tobytes()
+        assert CausalFilter(k, N)(rows[i : i + 1]).tobytes() == whole[i].tobytes()
+    assert CausalFilter(k, N)(rows[50:67]).tobytes() == whole[50:67].tobytes()
     direct = np.array([np.convolve(row, k)[:N] if lags else np.zeros(N) for row in rows])
     scale = np.abs(rows).max(axis=1, keepdims=True) * k.sum()
     assert np.all(np.abs(whole - direct) <= 1e-13 * scale)
+
+
+def test_causal_filter_transforms_one_batch_in_its_buffers():
+    # rows written into rows_in are transformed where they are, and a batch's sums are a
+    # view of the output buffer, the same array call after call
+    rng = np.random.default_rng(3)
+    rows, k = np.cumsum(rng.standard_normal((20, 300)), axis=1), rng.random(40)
+    filt = CausalFilter(k, 300)
+    first = filt(rows)
+    want = first.copy()
+    filt.rows_in(20)[...] = rows[::-1]
+    second = filt(filt.rows_in(20))
+    assert np.shares_memory(first, second) and second.tobytes() == want[::-1].tobytes()
 
 
 def test_finite_calibration_rejects_a_start_fraction_the_monitor_rejects():
@@ -1149,7 +1193,7 @@ def test_limit_design_process_matches_the_per_anchor_trapezoid(grid_M, design, k
     design = dataclasses.replace(design, snap_grid=None)  # the limit design is not snapped
     cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M, design=design)
     paths = np.stack([dw.sample_bm(grid_M, dw.substream(seed, i)) for i in range(2)])
-    num, den = ratio_terms(cfg)(paths)
+    num, den = RatioTerms(cfg)(paths)
     ref_num, ref_den = design_num_den_reference(cfg, paths)
     assert np.all(np.abs(den - ref_den) <= 1e-13 * ref_den)
     assert np.all(np.abs(num - ref_num) <= 1e-13 * np.abs(ref_num).max(axis=1, keepdims=True))
@@ -1176,7 +1220,7 @@ def stationary_num_den_reference(cfg, paths):
 def test_stationary_limit_process_matches_fftconvolve_bitwise(grid_M, kernel, zeta):
     cfg = dw.LimitConfig(zeta=zeta, kernel=kernel, grid_M=grid_M)
     paths = np.stack([dw.sample_bm(grid_M, dw.substream(7, i)) for i in range(3)])
-    for got, want in zip(ratio_terms(cfg)(paths), stationary_num_den_reference(cfg, paths)):
+    for got, want in zip(RatioTerms(cfg)(paths), stationary_num_den_reference(cfg, paths)):
         assert got.tobytes() == want.tobytes()
 
 

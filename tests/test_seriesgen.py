@@ -230,7 +230,10 @@ def test_tabulated_alternative_derives_the_knot_integrals_the_factory_stored():
     ("tabulated", ([0.0, 1.0], [1.0, -0.5]), "nonnegative"),
     ("tabulated", ([-1.0, 1.0], [1.0, 1.0]), "start at t >= 0"),
     ("tabulated", (), "matching 1-d knot arrays"),
-], ids=["unknown name", "negative value", "negative time", "no knots"])
+    ("step", ([0, 1], [-3, 2]), "the step alternative takes no knots"),
+    ("zero", (None, [1.0, 1.0]), "the zero alternative takes no knots"),
+], ids=["unknown name", "negative value", "negative time", "no knots",
+        "built-in shape with knots", "built-in shape with knot values"])
 def test_a_drift_shape_is_checked_when_built(name, knots, match):
     with pytest.raises(ValueError, match=match):
         dw.GenericAlternative(name, *knots)

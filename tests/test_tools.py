@@ -77,7 +77,9 @@ def test_stream_cost_runs():
 def test_limit_cost_runs():
     cost = tool.limit_cost(paths=4, grid_M=64, repeats=1, seed=1)
     assert list(cost) == ["path sampling", "FFT num/den", "stop extraction", "whole chunk"]
-    assert all(ms > 0.0 and peak > 0 for ms, peak in cost.values())
+    assert all(ms > 0.0 and peak > 0 and faults >= 0 for ms, peak, faults in cost.values())
+    ms, peak, faults = tool.finite_chunk_cost(rows=3, N=40, repeats=1, seed=1)
+    assert ms > 0.0 and peak > 0 and faults >= 0
     assert not tracemalloc.is_tracing()
 
 
@@ -139,6 +141,8 @@ def test_chart_cost_runs():
     ["limit", "--paths", "0"],
     ["limit", "--repeats", "0"],
     ["limit", "--grid-m", "63"],
+    ["limit", "--rows", "0"],
+    ["limit", "--n", "0"],
     ["quad", "--repeats", "0"],
     ["draw", "--repeats", "0"],
     ["chart", "--rows", "0"],

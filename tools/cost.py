@@ -14,12 +14,12 @@ script.
 
 batch: ``estimator._process_parts`` on (rows, N) null random walks (Gaussian
 kernel, h = N/10) in four layouts: unit times, unit times with whole rows
-(``whole_rows=True``: the numerator by FFT, as calibration's null charts take
-it), a fixed design and a rolling design (both F^{-1}(u) = u**(1/2)), with
-the kernel points one call evaluates.  On unit times a smoother that
-evaluates the kernel once per lag of its support window shows about 8h + 1
-points, not N²; a rolling design weights every past record at every anchor,
-so it shows about N²/2.
+(``terms=whole_row_terms(cfg, N)``, built in the call: the numerator by FFT,
+as calibration's null charts take it), a fixed design and a rolling design
+(both F^{-1}(u) = u**(1/2)), with the kernel points one call evaluates.  On
+unit times a smoother that evaluates the kernel once per lag of its support
+window shows about 8h + 1 points, not N²; a rolling design weights every past
+record at every anchor, so it shows about N²/2.
 
 stream: one null random walk fed record by record to ``StreamMonitor.update``
 (Gaussian kernel, null scaling, ``naive`` variance unless a layout names
@@ -50,17 +50,23 @@ Python call, well under a microsecond, to the updates it counts.
 
 limit: one chunk of null replicates (Gaussian kernel, zeta = 10, 20
 thresholds on [0, 0.3]), each row with the ``tracemalloc`` peak of one call
-in MB and in float blocks of (paths, grid_M).  First the stages that
+in MB and in float blocks of (paths, grid_M), and the minor page faults per
+call (``ru_minflt``, the mean over ``--repeats`` calls after the timed ones:
+pages the process touches afresh, as when glibc trims its heap after a
+batch and the next batch takes the pages back).  First the stages that
 ``calibration._limit_chunk`` runs, each on all ``--paths`` rows at once:
 Brownian path sampling (``limitsim._bm_paths``), the FFT numerator and
-denominator of the limit ratio (``limitsim.ratio_terms``) and stop extraction
+denominator of the limit ratio (``limitsim.RatioTerms``) and stop extraction
 (``calibration._stops_from_values``, which takes the rows with their NaN
 cells below s_min as ``_limit_chunk`` hands them over).  The stop scan
 overwrites its rows with their running maximum, so repeats after the first
 scan rows that are already their own maximum, with no NaN left; the work per
 call is the same.  Then the whole chunk, ``_limit_chunk`` itself, which runs
 the stages in batches of ``estimator.FFT_ROWS`` rows, so its peak is that
-of one batch's paths and transforms.
+of one batch's paths and transforms.  Last, one finite-sample chunk,
+``calibration._finite_chunk``, of ``--rows`` null random walks of length
+``--n`` (defaults: the ``finite_long`` benchmark size, 256 x 4000, h = N/10,
+naive variance), with its peak in float blocks of (rows, N).
 
 quad: five quadrature-bound calls, with the scipy ``quad`` calls and
 integrand evaluations one call makes (every point ``quad`` asks for, nested
@@ -100,6 +106,7 @@ boolean masks; rice and gasser also allocate their terms.
 
 import argparse
 import os
+import resource
 import sys
 import time
 import tracemalloc
@@ -116,9 +123,11 @@ from scipy import integrate  # noqa: E402
 
 import driftwatch as dw  # noqa: E402
 from driftwatch import kernels, monitor  # noqa: E402
-from driftwatch.calibration import _limit_chunk, _null_walks, _stops_from_values  # noqa: E402
-from driftwatch.estimator import _process_parts  # noqa: E402
-from driftwatch.limitsim import _bm_paths, _null_values, ratio_terms  # noqa: E402
+from driftwatch.calibration import (  # noqa: E402
+    _finite_chunk, _limit_chunk, _null_walks, _stops_from_values,
+)
+from driftwatch.estimator import _process_parts, whole_row_terms  # noqa: E402
+from driftwatch.limitsim import RatioTerms, _bm_paths, _null_values  # noqa: E402
 from driftwatch.monitor import chart  # noqa: E402
 from driftwatch.seriesgen import _garch_columns, _garch_row  # noqa: E402
 from driftwatch.variance import running_estimates  # noqa: E402
@@ -132,6 +141,14 @@ def best_ms(fn, repeats):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best * 1e3
+
+
+def minor_faults(fn, repeats):
+    """Minor page faults per ``fn()`` call, the mean over ``repeats`` calls."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        fn()
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / repeats
 
 
 def traced_peak(fn):
@@ -218,7 +235,7 @@ def batch_cost(N, rows, repeats, seed, design=None, whole_rows=False):
     cfg = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=N / 10, design=design)
 
     def call():
-        _process_parts(times, values, cfg, whole_rows=whole_rows)
+        _process_parts(times, values, cfg, terms=whole_row_terms(cfg, N) if whole_rows else None)
 
     with kernel_points() as seen:
         call()
@@ -266,8 +283,8 @@ C_GRID = np.linspace(0.0, 0.3, 20)
 
 
 def limit_cost(paths, grid_M, repeats, seed):
-    """Best milliseconds per call and the traced peak bytes of one call, for each stage
-    and the whole chunk, by name."""
+    """Best milliseconds per call, the traced peak bytes of one call and the minor page
+    faults per call, for each stage and the whole chunk, by name."""
     cfg = dw.LimitConfig(zeta=10.0, kernel=dw.gaussian_kernel(), grid_M=grid_M)
     seeds = [dw.substream(seed, i) for i in range(paths)]
     B = _bm_paths(grid_M, seeds)
@@ -275,12 +292,25 @@ def limit_cost(paths, grid_M, repeats, seed):
     vals = _null_values(cfg, B)
     stages = {
         "path sampling": lambda: _bm_paths(grid_M, seeds),
-        "FFT num/den": lambda: ratio_terms(cfg)(B),
+        "FFT num/den": lambda: RatioTerms(cfg)(B),
         "stop extraction": lambda: _stops_from_values(vals, C_GRID),
         # the same replicates: substream(seed, i) for i in [0, paths)
         "whole chunk": lambda: _limit_chunk((cfg, C_GRID, seed, (), 0, paths)),
     }
-    return {name: (best_ms(fn, repeats), traced_peak(fn)) for name, fn in stages.items()}
+    return {name: (best_ms(fn, repeats), traced_peak(fn), minor_faults(fn, repeats))
+            for name, fn in stages.items()}
+
+
+def finite_chunk_cost(rows, N, repeats, seed):
+    """``limit_cost``'s three figures for one finite-sample chunk of ``rows`` null walks
+    of length N (h = N/10, naive variance)."""
+    variant = dw.FiniteSampleVariant(N, N / 10, variance_method="naive")
+    payload = (variant, dw.gaussian_kernel(), C_GRID, seed, 0, rows)
+
+    def fn():
+        _finite_chunk(payload)
+
+    return best_ms(fn, repeats), traced_peak(fn), minor_faults(fn, repeats)
 
 
 TABLE1_ZETAS = (10.0, 5.0, 4.0, 2.0, 1.5, 1.2, 1.0)
@@ -363,7 +393,8 @@ def chart_cost(rows, N, repeats, seed, method):
     pre = rng.standard_normal((rows, max(int(round(h)), 1)))
     smoother = dw.SmootherConfig(kernel=dw.gaussian_kernel(), h=h, scaling="null_scale")
     cfg = dw.MonitorConfig(smoother, np.inf, N, variance_method=method)
-    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother, whole_rows=True)
+    num, den = _process_parts(np.arange(1.0, N + 1.0), values, smoother,
+                              terms=whole_row_terms(smoother, N))
     layers = {
         "running_estimates": lambda block: running_estimates(values, method, pre),
         "chart": lambda block: chart(block, den, values, cfg, pre),
@@ -400,10 +431,14 @@ def run_stream(args):
 
 
 def run_limit(args):
-    block = args.paths * args.grid_m * 8
-    for name, (ms, peak) in limit_cost(args.paths, args.grid_m, args.repeats, args.seed).items():
-        print(f"{name:<16} {ms:9.2f} ms/call  {peak / 1e6:6.1f} MB peak  ({peak / block:.2f}"
-              f" blocks of {args.paths} paths x grid_M {args.grid_m})")
+    cost = limit_cost(args.paths, args.grid_m, args.repeats, args.seed)
+    rows = [(name, *figures, args.paths * args.grid_m * 8,
+             f"{args.paths} paths x grid_M {args.grid_m}") for name, figures in cost.items()]
+    rows.append(("finite chunk", *finite_chunk_cost(args.rows, args.n, args.repeats, args.seed),
+                 args.rows * args.n * 8, f"{args.rows} x N = {args.n}"))
+    for name, ms, peak, faults, block, shape in rows:
+        print(f"{name:<16} {ms:9.2f} ms/call  {faults:9.0f} minor faults/call"
+              f"  {peak / 1e6:6.1f} MB peak  ({peak / block:.2f} blocks of {shape})")
 
 
 def run_quad(args):
@@ -438,7 +473,8 @@ LAYERS = {
     "batch": (run_batch, {"sizes": "1000,4000,16000", "rows": 256, "repeats": 3, "seed": 1}),
     "stream": (run_stream, {"sizes": "1000,10000,100000", "window": 100, "repeats": 3,
                             "seed": 1}),
-    "limit": (run_limit, {"paths": 512, "grid_m": 2048, "repeats": 5, "seed": 1}),
+    "limit": (run_limit, {"paths": 512, "grid_m": 2048, "rows": 256, "n": 4000, "repeats": 5,
+                          "seed": 1}),
     "quad": (run_quad, {"repeats": 3, "grid_m": 2048}),
     "draw": (run_draw, {"repeats": 5, "seed": 1}),
     "chart": (run_chart, {"rows": 256, "n": 4000, "repeats": 5, "seed": 1}),
