@@ -40,6 +40,7 @@ from .seriesgen import (
     load_series_csv,
     save_series_csv,
     substream,
+    substreams,
 )
 from .estimator import (
     DegenerateWeightsError,

@@ -3,6 +3,12 @@ experiments and the finite-sample vs. asymptotic comparison.
 
 All replicate loops draw from hash-derived substreams (master seed,
 replicate index), so results are independent of chunking and worker count.
+A chunk seeds its replicates' streams in one pass, from the block of
+SeedSequence pools ``seriesgen.substreams`` mixes (numpy's SeedSequence and
+PCG64 seeding as array arithmetic, pinned against numpy by
+``tests/test_seriesgen.py::test_stream_blocks_are_numpys_streams``); only
+the AR(1) rows, which spawn two streams each, and the fallback that raises a
+failing row's own error build ``substream`` SeedSequences one by one.
 ARL curves reuse the same replicate paths across the whole threshold grid
 (common random numbers), which makes the curve exactly nondecreasing in c
 per replicate, not just in expectation.
@@ -58,7 +64,7 @@ from .limitsim import (
 from .monitor import MonitorConfig, chart, first_crossings
 from .seriesgen import (
     InnovationSpec, SeriesSpec, TimeSeries, check_count, generate, innovation_rows, substream,
-    walk_rows,
+    substreams, walk_rows,
 )
 from .variance import min_sample, running_estimates
 
@@ -131,17 +137,21 @@ def _null_walks(innovations: InnovationSpec, N: int, seed: int, start: int, stop
     """Null series of length N for replicates [start, stop), one per row.
 
     Row r comes from substream (seed, start + r, *key) and is bit for bit the
-    values of ``generate`` on that stream.
+    values of ``generate`` on that stream.  The rows' streams are seeded from one
+    ``substreams`` block; AR(1) rows spawn theirs from each row's SeedSequence.
     """
-    spec = SeriesSpec(N=N, innovations=innovations)
-    seeds = [substream(seed, i, *key) for i in range(start, stop)]
+    if innovations.family == "ar1":
+        seeds = [substream(seed, i, *key) for i in range(start, stop)]
+    else:
+        seeds = substreams(seed, start, stop, *key)
     with suppress(ValueError):  # a GARCH variance overflows: see below
         walks = walk_rows(innovations, N, seeds)
         # a row with a non-finite value ends non-finite
         if np.isfinite(walks[:, -1]).all():
             return walks
     # a row failed: generate raises the first failing row's error, as one series does
-    return np.array([generate(spec, s).values for s in seeds])
+    spec = SeriesSpec(N=N, innovations=innovations)
+    return np.array([generate(spec, substream(seed, i, *key)).values for i in range(start, stop)])
 
 
 def _variant_rows(variant: FiniteSampleVariant, seed: int, start: int, stop: int,
@@ -241,7 +251,7 @@ def _batched_stops(rows: int, c_grid: np.ndarray, values_of) -> np.ndarray:
 
 def _limit_chunk(payload) -> np.ndarray:
     cfg, c_grid, seed, key, start, stop = payload
-    seeds = [substream(seed, i, *key) for i in range(start, stop)]
+    seeds = substreams(seed, start, stop, *key)
     drift = None if cfg.drift is None else _drift_curve(cfg)
     terms = RatioTerms(cfg)
 
@@ -392,7 +402,7 @@ def _brownian_paths(walks: np.ndarray, refine: int, seed: int, start: int, stop:
     B = np.empty((rows, M + 1))
     B[:, ::refine] = np.concatenate([np.zeros((rows, 1)), walks / np.sqrt(N)], axis=1)
     if refine > 1:
-        seeds = [substream(seed, i, 1) for i in range(start, stop)]
+        seeds = substreams(seed, start, stop, 1)
         Z = innovation_rows(InnovationSpec(), N * (refine - 1), seeds).reshape(rows, N, refine - 1)
         # each fraction is drawn for all N cells at once, conditioned on the
         # previous fraction and the cell's right end

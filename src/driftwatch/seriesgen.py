@@ -11,6 +11,15 @@ Also provides generalized time designs: a monotone map of [0,1] onto itself
 (power family u**(1/gamma) or tabulated) used either rolled at every current
 index or fixed once for the whole horizon, with optional snapping to the
 finest available time grid.
+
+Replicate streams: ``substream(seed, *key)`` is the SeedSequence of one
+replicate, and ``substreams(seed, start, stop, *key)`` the entropy pools of a
+chunk's replicates, mixed in one pass with numpy's SeedSequence algorithm as
+uint32 array operations.  ``normal_rows`` turns pools into PCG64 states with
+numpy's seeding and draws every row through one reused Generator, so no
+SeedSequence or Generator is made per replicate and every row keeps the bits
+of ``default_rng``; ``tests/test_seriesgen.py::test_stream_blocks_are_numpys_streams``
+pins this against numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
 from bisect import bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -409,17 +419,142 @@ def seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def substream(seed: int, *key: int) -> np.random.SeedSequence:
-    """Deterministic child stream for (master seed, replicate key...)."""
+    """Deterministic child stream for (master seed, replicate key...); each key is an
+    integer >= 0, checked by name as the seed is."""
     check_count("seed", seed)
+    for k in key:
+        check_count("key", k)
     return np.random.SeedSequence((int(seed), *[int(k) for k in key]))
+
+
+# numpy's SeedSequence and PCG64 seeding as integer arithmetic: the entropy hash (INIT_A,
+# MULT_A), the pool mix (MIX_L, MIX_R), generate_state's hash (INIT_B, MULT_B) and PCG64's
+# 128-bit multiplier.  tests/test_seriesgen.py::test_stream_blocks_are_numpys_streams pins
+# them against numpy itself, so a numpy that changes either algorithm fails it.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# generate_state's hash constant before and after each of the 8 words PCG64 takes
+_STATE_HASH_INTS = [_INIT_B * pow(_MULT_B, j, 2**32) & _MASK32 for j in range(9)]
+_STATE_HASH = np.array(_STATE_HASH_INTS, dtype=np.uint32)
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of an integer >= 0, least significant first."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def substreams(seed: int, start: int, stop: int, *key: int) -> np.ndarray:
+    """The entropy pools of ``substream(seed, i, *key)`` for i in [start, stop), as one
+    (stop - start, 4) uint32 block that ``normal_rows`` draws from, bit for bit.
+
+    SeedSequence hashes its entropy words (seed, i, *key) into the pool with a
+    hash constant that moves on at every step.  While i < 2**32 it is one word,
+    so every row has as many words as every other and the constant moves alike
+    in all rows: the mix runs once, as uint32 array operations over the rows.
+    ``stop`` past 2**32 raises ValueError.
+    """
+    check_count("seed", seed)
+    for k in key:
+        check_count("key", k)
+    check_count("start", start)
+    check_count("stop", stop, start, 2**32)
+    head = _words(int(seed))
+    rows = int(stop) - int(start)
+    entropy = [np.full(rows, w, dtype=np.uint32)
+               for w in [*head, 0, *(w for k in key for w in _words(int(k)))]]
+    entropy[len(head)] = np.arange(int(start), int(stop), dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return np.stack(pool, axis=1)
+
+
+def _pcg64_states(seeds):
+    """PCG64's (state, inc) for each seed, as ``PCG64(seed_sequence(seed))`` starts: from a
+    ``substreams`` block, all rows in one pass, or from seeds (integers and SeedSequences)
+    one by one, by their pools."""
+    if isinstance(seeds, np.ndarray) and seeds.ndim == 2:
+        # generate_state(4, uint64): 8 words, cycling through the pool
+        words = np.take(seeds, np.arange(8) % seeds.shape[1], axis=1)
+        words ^= _STATE_HASH[:8]
+        words *= _STATE_HASH[1:]
+        words ^= words >> 16
+        # little-endian word pairs: the seed's high and low halves, then the increment's
+        halves = words.astype("<u4", copy=False).view("<u8").tolist()
+    else:
+        # a seed or two, as generate and sample_bm pass, cost less on Python ints
+        halves = map(_state_halves, seeds)
+    for seed_hi, seed_lo, inc_hi, inc_lo in halves:
+        # pcg_setseq_128_srandom_r: inc = 2 initseq + 1, two steps around adding initstate
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        yield ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _state_halves(seed) -> list[int]:
+    """The block branch of ``_pcg64_states`` on one seed's pool, on Python ints."""
+    pool = seed_sequence(seed).pool.tolist()
+    words = []
+    for j in range(8):
+        w = (pool[j % len(pool)] ^ _STATE_HASH_INTS[j]) * _STATE_HASH_INTS[j + 1] & _MASK32
+        words.append(w ^ w >> 16)
+    return [lo | hi << 32 for lo, hi in zip(words[0::2], words[1::2])]
+
+
+_THREAD = threading.local()
+
+
+def _drawer():
+    """This thread's PCG64, the ``standard_normal`` of the one Generator over it, and the
+    state dict ``normal_rows`` sets it from, made on the thread's first call: making a
+    PCG64 costs as much as the per-row seeding that this replaces."""
+    drawer = getattr(_THREAD, "drawer", None)
+    if drawer is None:
+        bitgen = np.random.PCG64(0)
+        pcg = {"state": 0, "inc": 0}
+        drawer = _THREAD.drawer = (
+            bitgen, np.random.Generator(bitgen).standard_normal, pcg,
+            {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0})
+    return drawer
 
 
 def normal_rows(out: np.ndarray, seeds) -> np.ndarray:
     """``out`` with row i filled by standard normals drawn into it from the stream
     ``seeds[i]`` stands for: the one per-row draw loop, for innovation rows and
-    Brownian increments."""
-    for row, seed in zip(out, seeds):
-        np.random.default_rng(seed_sequence(seed)).standard_normal(out=row)
+    Brownian increments.  ``seeds`` is a ``substreams`` block, or integers and
+    SeedSequences; row i equals ``default_rng(seed_sequence(seeds[i]))``'s draws.
+
+    A block's PCG64 states come from one pass over its pools, and this thread's
+    one Generator draws every row, its bit generator set to the row's state first.
+    """
+    bitgen, draw, pcg, state = _drawer()
+    for row, (pcg["state"], pcg["inc"]) in zip(out, _pcg64_states(seeds)):
+        bitgen.state = state
+        draw(out=row)
     return out
 
 
@@ -441,7 +576,8 @@ _VECTOR_ROWS = 32
 
 
 def innovation_rows(spec: InnovationSpec, n: int, seeds) -> np.ndarray:
-    """Innovation streams of length n, one row per seed.
+    """Innovation streams of length n, one row per seed (``seeds`` as ``normal_rows``
+    takes them).
 
     Row i is ``draw_innovations(spec, n, seeds[i])`` bit for bit: each seed's
     normals are drawn from its own stream, and the GARCH(1,1) recursion runs
@@ -491,12 +627,14 @@ def _garch_columns(eps: np.ndarray, a0: float, a1: float, b1: float, var: float)
     library, and both round some squares apart from pow.  Where the row loop's
     ``**`` overflows, var turns inf (NaN when alpha1 = 0) and no later step
     makes it finite, so one test after the loop raises the same OverflowError.
+    The root and the square go into two buffers made once per call.
     """
     var = np.full(eps.shape[1], var)
+    root, p = np.empty_like(var), np.empty_like(var)
     with np.errstate(over="ignore", invalid="ignore"):
         for x in eps:
-            x *= np.sqrt(var)
-            p = np.float_power(x, 2.0)
+            x *= np.sqrt(var, out=root)
+            np.float_power(x, 2.0, out=p)
             p *= a1  # var = a0 + a1 * x ** 2 + b1 * var, in that order
             p += a0
             var *= b1
@@ -513,7 +651,9 @@ def walk_rows(innovations: InnovationSpec, N: int, seeds, drift_inc=0.0) -> np.n
     Random walks sum Y_n = Y_{n-1} + m_{n-1} + u_{n-1} from Y_0 = 0 over the
     rows u of ``innovation_rows``; ar1 runs Y_n = a Y_{n-1} + m_{n-1} + u_{n-1}
     on Python floats from a stationary Y_0.  Row i is ``generate``'s values on
-    ``seeds[i]`` bit for bit: the one place seeds become series values.
+    ``seeds[i]`` bit for bit: the one place seeds become series values.  ``seeds``
+    is what ``normal_rows`` takes, except under ar1: each row's two streams are
+    spawned from its SeedSequence, which a ``substreams`` block does not hold.
     """
     if innovations.family != "ar1":
         walks = innovation_rows(innovations, N, seeds)
@@ -524,9 +664,10 @@ def walk_rows(innovations: InnovationSpec, N: int, seeds, drift_inc=0.0) -> np.n
              for i in range(2)] for s in map(seed_sequence, seeds)]
     walks = innovation_rows(innovations, N, [inno_seq for _, inno_seq in kids])
     a, incs = innovations.ar_a, np.broadcast_to(drift_inc, N).tolist()
-    for row, (ar_seq, _) in zip(walks, kids):
-        y = float(np.random.default_rng(ar_seq).standard_normal() * innovations.sigma
-                  / np.sqrt(1.0 - a * a))
+    starts = normal_rows(np.empty((len(kids), 1)), [ar_seq for ar_seq, _ in kids])[:, 0]
+    starts *= innovations.sigma
+    starts /= np.sqrt(1.0 - a * a)
+    for row, y in zip(walks, starts.tolist()):
         values = []
         for m, e in zip(incs, row.tolist()):
             y = a * y + m + e

@@ -73,6 +73,11 @@ TABLE = {
     "drift_value": (dw.drift_value, dict(drift=CP2, t=7.0, horizon=10), ["t"], ["horizon"], []),
     "draw_innovations": (dw.draw_innovations, dict(spec=dw.InnovationSpec(), n=5, seed=1), [],
                          ["n", "seed"], []),
+    "substream": (lambda seed, key: dw.substream(seed, key).pool, dict(seed=1, key=2), [],
+                  ["seed", "key"], []),
+    "substreams": (lambda seed, start, stop, key: dw.substreams(seed, start, stop, key),
+                   dict(seed=1, start=0, stop=3, key=2), [], ["seed", "start", "stop", "key"],
+                   []),
     "SmootherConfig": (dw.SmootherConfig, dict(kernel=G, h=2.0), ["h"], [], []),
     "nw_estimate": (dw.nw_estimate, dict(series=SERIES, cfg=SMOOTHER, n=10), [], ["n"], []),
     "scaling_factor": (dw.scaling_factor, dict(cfg=SMOOTHER, N=30), [], ["N"], []),
@@ -220,6 +225,15 @@ def test_a_non_integral_count_is_rejected(name):
     for param in ints:
         with pytest.raises(ValueError, match="must be an integer"):
             call(**{**base, param: base[param] + 0.5})
+
+
+@pytest.mark.parametrize("key", [2.5, math.nan, math.inf, -1])
+def test_a_substream_key_is_checked_by_name(key):
+    # substream(1, 2.5) used to run key 2 without a word, and NaN raised numpy's bare message
+    for call in (lambda: dw.substream(1, key), lambda: dw.substreams(1, 0, 3, key),
+                 lambda: dw.substream(1, 0, key)):
+        with pytest.raises(ValueError, match=f"key must be an integer >= 0, got {key!r}"):
+            call()
 
 
 NAN_THRESHOLD = {

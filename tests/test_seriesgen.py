@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import driftwatch as dw
+from driftwatch.seriesgen import _drawer, _pcg64_states, normal_rows, seed_sequence
 
 G = dw.gaussian_kernel()
 LIMIT = dw.LimitConfig(zeta=2.0, kernel=G, grid_M=64)
@@ -109,6 +112,7 @@ def test_null_walk_functional_clt():
 # entry point -> the numbers its call on a seed gives
 SEEDED = {
     "substream": lambda seed: dw.substream(seed, 4).generate_state(4),
+    "substreams": lambda seed: dw.substreams(seed, 0, 3, 4),
     "generate": lambda seed: dw.generate(dw.SeriesSpec(N=10), seed).values,
     "draw_innovations": lambda seed: dw.draw_innovations(dw.InnovationSpec(), 5, seed),
     "sample_bm": lambda seed: dw.sample_bm(8, seed),
@@ -138,6 +142,60 @@ def test_a_seed_must_be_a_nonnegative_integer(name, seed):
 @pytest.mark.parametrize("name", list(SEEDED))
 def test_an_integral_float_seed_is_that_integer(name):
     assert np.array_equal(SEEDED[name](2.0), SEEDED[name](2), equal_nan=True)
+
+
+def _states(seeds):
+    return [{"state": state, "inc": inc} for state, inc in _pcg64_states(seeds)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 20100111])
+@pytest.mark.parametrize("key", [(), (1,), (7,), (2**32,)])
+def test_stream_blocks_are_numpys_streams(seed, key):
+    # seriesgen writes numpy's SeedSequence mix and PCG64 seeding as integer
+    # arithmetic: a numpy that changes either algorithm fails here, before any
+    # seeded result moves without a word
+    for start, stop in [(0, 3), (2**32 - 2, 2**32)]:  # indices 0 and 2**32 - 1
+        streams = [np.random.SeedSequence((seed, i, *key)) for i in range(start, stop)]
+        block = dw.substreams(seed, start, stop, *key)
+        assert block.dtype == np.uint32 and block.shape == (stop - start, 4)
+        assert np.array_equal(block, [ss.pool for ss in streams])
+        assert _states(block) == [np.random.PCG64(ss).state["state"] for ss in streams]
+        reference = np.array([np.random.default_rng(ss).standard_normal(9) for ss in streams])
+        for seeds in (block, streams):
+            rows = normal_rows(np.empty((stop - start, 9)), seeds)
+            assert rows.tobytes() == reference.tobytes()
+
+
+def test_spawned_and_integer_seeds_draw_numpys_streams():
+    # an AR(1) row's two streams carry a spawn key, which pads the entropy to the pool
+    ss = dw.substream(20100111, 3)
+    kids = [np.random.SeedSequence(ss.entropy, spawn_key=(i,)) for i in range(2)]
+    seeds = [*kids, np.random.SeedSequence(5, pool_size=8), 0, 2**64 + 5]
+    assert _states(seeds) == [np.random.PCG64(seed_sequence(s)).state["state"] for s in seeds]
+    reference = np.array([np.random.default_rng(seed_sequence(s)).standard_normal(9)
+                          for s in seeds])
+    assert normal_rows(np.empty((len(seeds), 9)), seeds).tobytes() == reference.tobytes()
+    assert normal_rows(np.empty((0, 9)), []).shape == (0, 9)
+
+
+def test_threads_draw_from_their_own_generators():
+    # normal_rows keeps one bit generator per thread and sets its state before each row
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(_drawer).result()[0] is not _drawer()[0]
+    spec = dw.SeriesSpec(N=2000)
+    seeds = [dw.substream(11, i) for i in range(64)]
+    alone = [dw.generate(spec, s).values.tobytes() for s in seeds]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        assert [y.values.tobytes() for y in pool.map(lambda s: dw.generate(spec, s), seeds)] == alone
+
+
+def test_a_stream_block_stops_at_two_to_the_32():
+    # every row's index is one uint32 word, so every row mixes alike
+    assert dw.substreams(1, 2**32, 2**32).shape == (0, 4)
+    with pytest.raises(ValueError, match=r"stop must be an integer in \[4294967295, 4294967296\]"):
+        dw.substreams(1, 2**32 - 1, 2**32 + 1)
+    with pytest.raises(ValueError, match=r"stop must be an integer in \[5, "):
+        dw.substreams(1, 5, 4)
 
 
 def test_garch_innovation_variance():

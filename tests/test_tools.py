@@ -121,6 +121,8 @@ def test_draw_cost_runs():
     cost = tool.recursion_cost((1, 3), steps=20, repeats=1, seed=1)
     assert list(cost) == [1, 3] and all(loop > 0.0 and columns > 0.0
                                         for loop, columns in cost.values())
+    assert tool.STREAMS == 2000
+    assert all(us > 0.0 for us in tool.stream_cost(streams=5, repeats=1, seed=1))
 
 
 def test_chart_cost_runs():

@@ -55,7 +55,8 @@ call (``ru_minflt``, the mean over ``--repeats`` calls after the timed ones:
 pages the process touches afresh, as when glibc trims its heap after a
 batch and the next batch takes the pages back).  First the stages that
 ``calibration._limit_chunk`` runs, each on all ``--paths`` rows at once:
-Brownian path sampling (``limitsim._bm_paths``), the FFT numerator and
+Brownian path sampling (``limitsim._bm_paths``, seeded from one ``substreams``
+block as the chunk is), the FFT numerator and
 denominator of the limit ratio (``limitsim.RatioTerms``) and stop extraction
 (``calibration._stops_from_values``, which takes the rows with their NaN
 cells below s_min as ``_limit_chunk`` hands them over).  The stop scan
@@ -91,7 +92,12 @@ alone over 1000 steps of 1, 16, 32, 64 and 250 rows of normals, both ways
 ``seriesgen.innovation_rows`` can run it: the ``_garch_row`` loop, one row at
 a time on Python floats, and ``_garch_columns``, one step over all rows at
 once.  Below ``seriesgen._VECTOR_ROWS`` rows it takes the loop, so the row
-count where the two cross is the constant to set.
+count where the two cross is the constant to set.  Last, the set-up of 2000
+replicate streams, in microseconds per stream, each drawing one normal so
+that the seeding is what is timed: through one ``seriesgen.substreams``
+block and ``normal_rows``, as a chunk seeds its rows, and through
+``substream`` and ``default_rng`` per stream, the reference both rows must
+equal bit for bit.
 
 chart: the replicate chart of ``calibration._null_charts`` on (rows, N) null
 random walks (Gaussian kernel, h = N/10, null scaling, a prerun of h
@@ -129,7 +135,7 @@ from driftwatch.calibration import (  # noqa: E402
 from driftwatch.estimator import _process_parts, whole_row_terms  # noqa: E402
 from driftwatch.limitsim import RatioTerms, _bm_paths, _null_values  # noqa: E402
 from driftwatch.monitor import chart  # noqa: E402
-from driftwatch.seriesgen import _garch_columns, _garch_row  # noqa: E402
+from driftwatch.seriesgen import _garch_columns, _garch_row, normal_rows  # noqa: E402
 from driftwatch.variance import running_estimates  # noqa: E402
 
 
@@ -286,7 +292,7 @@ def limit_cost(paths, grid_M, repeats, seed):
     """Best milliseconds per call, the traced peak bytes of one call and the minor page
     faults per call, for each stage and the whole chunk, by name."""
     cfg = dw.LimitConfig(zeta=10.0, kernel=dw.gaussian_kernel(), grid_M=grid_M)
-    seeds = [dw.substream(seed, i) for i in range(paths)]
+    seeds = dw.substreams(seed, 0, paths)
     B = _bm_paths(grid_M, seeds)
     # the stop stage's input as _limit_chunk hands it over, NaN cells below s_min included
     vals = _null_values(cfg, B)
@@ -362,6 +368,29 @@ def draw_cost(cases, repeats, seed):
 
 
 RECURSION_ROWS = (1, 16, 32, 64, 250)
+
+
+STREAMS = 2000
+
+
+def stream_cost(streams, repeats, seed):
+    """Best microseconds per stream to seed ``streams`` replicate streams and draw one
+    normal from each: through one ``substreams`` block, and through ``substream`` and
+    ``default_rng`` per stream, which the block's draws must equal."""
+    block = np.empty((streams, 1))
+    reference = np.empty((streams, 1))
+
+    def by_block():
+        normal_rows(block, dw.substreams(seed, 0, streams))
+
+    def by_stream():
+        for i, row in enumerate(reference):
+            np.random.default_rng(dw.substream(seed, i)).standard_normal(out=row)
+
+    cost = tuple(1e3 * best_ms(fn, repeats) / streams for fn in (by_block, by_stream))
+    if block.tobytes() != reference.tobytes():
+        raise AssertionError("the block's draws differ from default_rng's")
+    return cost
 
 
 def recursion_cost(row_counts, steps, repeats, seed):
@@ -457,6 +486,9 @@ def run_draw(args):
     for rows, (loop, columns) in recursion_cost(RECURSION_ROWS, 1000, args.repeats,
                                                 args.seed).items():
         print(f"rows={rows:>4}  _garch_row loop {loop:7.2f} ms  _garch_columns {columns:7.2f} ms")
+    block, reference = stream_cost(STREAMS, args.repeats, args.seed)
+    print(f"streams  {block:6.2f} us/stream by substreams block  {reference:6.2f} us/stream"
+          f" by substream + default_rng  ({STREAMS} streams)")
 
 
 def run_chart(args):
